@@ -3,13 +3,18 @@ gradient source, and strong/weak residuals.
 
 The diffusion term is discretized in conservative flux form: face fluxes
 F = (|grad u|^2 + eps)^((p-2)/2) * (normal derivative), with the face
-gradient built from a two-point normal difference and (in 2D) tangential
-components averaged from the four neighboring central differences. The
-divergence is the difference of face fluxes. Nodal gradients use central
-differences at interior nodes and one-sided second-order stencils on the
-faces.
+gradient built from a two-point normal difference and (in 2D) a tangential
+component averaged from the two node-centred central differences across the
+face. The divergence is the difference of face fluxes. Nodal gradients use
+central differences at interior nodes and one-sided second-order stencils on
+the faces.
+
+`StepKernel` computes all of these into buffers it allocates once; the
+public functions below are thin wrappers that build a kernel per call.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -17,50 +22,187 @@ from .grid import Grid
 from .problem import ProblemSpec, SolutionState
 
 
+def _power(e: float):
+    """x -> x**e written into `out`: sqrt for 1/2 and a multiply for 2, which
+    give np.power's correctly rounded bits, np.power for any other e."""
+    if e == 0.5:
+        return np.sqrt
+    if e == 2.0:
+        return lambda x, out: np.multiply(x, x, out=out)
+    return lambda x, out: np.power(x, e, out=out)
+
+
+def _along(dim: int, axis: int, part, rest=slice(None)) -> tuple:
+    """Index selecting `part` along `axis` and `rest` along every other axis."""
+    idx = [rest] * dim
+    idx[axis] = part
+    return tuple(idx)
+
+
+def _shrunk(shape: tuple, axis: int, by: int) -> tuple:
+    return tuple(n - by if k == axis else n for k, n in enumerate(shape))
+
+
+class StepKernel:
+    """The explicit update u <- u + dt * (diffusion + source) for one problem.
+
+    Parameters are checked once, here, and every buffer is allocated here;
+    given boundary values, that includes two field buffers that swap roles
+    each step. `load` copies a field in and computes its gradient; `advance`
+    writes the updated field into the spare buffer with the boundary nodes
+    pinned to `boundary_values`; `commit` makes it current and computes its
+    gradient, so a step computes the gradient once. p (diffusion) or q
+    (source) may be None to build only the other term.
+
+    Along each axis the nodal gradient is central where both neighbours
+    exist and one-sided on the two faces across that axis (scalars in 1D).
+    The face values enter only W = max |grad u| over all nodes and the
+    source at boundary nodes; the update reads interior nodes only.
+    """
+
+    def __init__(self, grid: Grid, p=None, q=None, eps=0.0, mu=1.0, boundary_values=None):
+        if p is not None and not p > 2:
+            raise ValueError(f"requires p > 2, got {p}")
+        if eps < 0:
+            raise ValueError("requires eps >= 0")
+        if mu < 0:
+            raise ValueError("requires mu >= 0")
+        dim, shape = grid.dimension, grid.shape
+        inner, ishape = grid.interior_slice(), tuple(n - 2 for n in shape)
+        self.grid, self._eps, self._boundary = grid, eps, boundary_values
+        self._pins = [_along(dim, a, end) for a in range(dim) for end in (0, -1)]
+        # a second field buffer only where `advance` can pin its boundary
+        self._fields = [np.empty(shape) for _ in range(1 if boundary_values is None else 2)]
+        self._cur = 0
+        self._inner = [f[inner] for f in self._fields]
+        # per field buffer and axis: the views that the central differences
+        # and the face differences subtract
+        self._pairs = [
+            [tuple(f[_along(dim, a, s)] for s in (
+                slice(2, None), slice(0, -2), slice(1, None), slice(0, -1))) for a in range(dim)]
+            for f in self._fields
+        ]
+        self.grad = [np.empty(shape) for _ in range(dim)]
+        self._grad_mid = [g[_along(dim, a, slice(1, -1))] for a, g in enumerate(self.grad)]
+        self._ends = [[_along(dim, a, i) for i in (0, 1, 2, -1, -2, -3)] for a in range(dim)]
+        # undivided node-centred differences: the nodal gradient and the 2D
+        # tangential face gradients are both built from them
+        self._cdiff = [np.empty(_shrunk(shape, a, 2)) for a in range(dim)]
+        self.mag, self._sq = np.empty(shape), np.empty(shape)
+        self.w = math.nan
+        if p is not None:
+            self._pow_p = _power((p - 2.0) / 2.0)
+            fshapes = [_shrunk(shape, a, 1) for a in range(dim)]
+            self._dn = [np.empty(s) for s in fshapes]
+            self._fsq = [np.empty(s) for s in fshapes]
+            self.flux = [np.empty(s) for s in fshapes]
+            self._flux_ends = [
+                (f[_along(dim, a, slice(1, None), slice(1, -1))],
+                 f[_along(dim, a, slice(0, -1), slice(1, -1))])
+                for a, f in enumerate(self.flux)
+            ]
+            self._tang = [] if dim == 1 else [
+                np.empty(_shrunk(s, 1 - a, 2)) for a, s in enumerate(fshapes)]
+            self.div, self._div_axis = np.empty(ishape), np.empty(ishape)
+        if q is not None:
+            self._pow_q = _power(q / 2.0)
+            self._mu, self._shift = mu, eps ** (q / 2.0)
+            self.s_half = np.empty(shape)
+            self.src = self.s_half if mu == 1.0 and self._shift == 0.0 else np.empty(shape)
+            self.src_inner = self.src[inner]
+        if p is not None and q is not None:
+            self.rhs, self._incr = np.empty(ishape), np.empty(ishape)
+
+    @classmethod
+    def of(cls, spec: ProblemSpec) -> "StepKernel":
+        return cls(spec.grid, spec.p, spec.q, spec.epsilon, spec.mu, spec.boundary_values)
+
+    @property
+    def u(self) -> np.ndarray:
+        """The current field (a kernel buffer: copy it to keep it)."""
+        return self._fields[self._cur]
+
+    def load(self, u: np.ndarray) -> "StepKernel":
+        np.copyto(self._fields[self._cur], u)
+        self._gradient()
+        return self
+
+    def _gradient(self) -> None:
+        u, spacing = self.u, self.grid.spacing
+        for a, (c_hi, c_lo, _, _) in enumerate(self._pairs[self._cur]):
+            two_h, g, (f0, f1, f2, l0, l1, l2) = 2.0 * spacing[a], self.grad[a], self._ends[a]
+            np.divide(np.subtract(c_hi, c_lo, out=self._cdiff[a]), two_h, out=self._grad_mid[a])
+            g[f0] = (-3.0 * u[f0] + 4.0 * u[f1] - u[f2]) / two_h
+            g[l0] = (3.0 * u[l0] - 4.0 * u[l1] + u[l2]) / two_h
+        if len(self.grad) == 1:
+            np.abs(self.grad[0], out=self.mag)
+        else:
+            gx, gy = self.grad
+            np.add(np.multiply(gx, gx, out=self.mag), np.multiply(gy, gy, out=self._sq),
+                   out=self.mag)
+            np.sqrt(self.mag, out=self.mag)
+        self.w = float(np.maximum.reduce(self.mag, None))
+        np.multiply(self.mag, self.mag, out=self._sq)
+        if self._eps:
+            np.add(self._sq, self._eps, out=self._sq)
+
+    def diffusion(self) -> np.ndarray:
+        """div((|grad u|^2+eps)^((p-2)/2) grad u) on interior nodes."""
+        spacing = self.grid.spacing
+        for a, (_, _, f_hi, f_lo) in enumerate(self._pairs[self._cur]):
+            dn = np.divide(np.subtract(f_hi, f_lo, out=self._dn[a]), spacing[a], out=self._dn[a])
+            np.multiply(dn, dn, out=self._fsq[a])
+        # 2D tangential component: the mean of the two node-centred
+        # differences across the face
+        for a, tang in enumerate(self._tang):
+            o, cd = 1 - a, self._cdiff[1 - a]
+            np.add(cd[_along(2, a, slice(0, -1))], cd[_along(2, a, slice(1, None))], out=tang)
+            np.divide(tang, 4.0 * spacing[o], out=tang)
+            fsq_mid = self._fsq[a][_along(2, o, slice(1, -1))]
+            np.add(fsq_mid, np.multiply(tang, tang, out=tang), out=fsq_mid)
+        for a, (hi, lo) in enumerate(self._flux_ends):
+            fsq = self._fsq[a]
+            if self._eps:
+                np.add(fsq, self._eps, out=fsq)
+            np.multiply(self._pow_p(fsq, out=fsq), self._dn[a], out=self.flux[a])
+            out = self._div_axis if a else self.div
+            np.divide(np.subtract(hi, lo, out=out), spacing[a], out=out)
+            if a:
+                np.add(self.div, out, out=self.div)
+        return self.div
+
+    def source(self) -> np.ndarray:
+        """mu * ((|grad u|^2+eps)^(q/2) - eps^(q/2)) at every node."""
+        self._pow_q(self._sq, out=self.s_half)
+        if self.src is not self.s_half:
+            np.multiply(self._mu, np.subtract(self.s_half, self._shift, out=self.src),
+                        out=self.src)
+        return self.src
+
+    def interior_rhs(self) -> np.ndarray:
+        """diffusion + source on interior nodes."""
+        self.diffusion()
+        self.source()
+        return np.add(self.div, self.src_inner, out=self.rhs)
+
+    def advance(self, dt: float) -> np.ndarray:
+        """Write u + dt * (diffusion + source) into the spare buffer, boundary
+        nodes pinned, and return it; `commit` makes it current."""
+        np.multiply(dt, self.interior_rhs(), out=self._incr)
+        new = self._fields[1 - self._cur]
+        np.add(self._inner[self._cur], self._incr, out=self._inner[1 - self._cur])
+        for idx in self._pins:
+            new[idx] = self._boundary[idx]
+        return new
+
+    def commit(self) -> None:
+        self._cur = 1 - self._cur
+        self._gradient()
+
+
 def gradient(state: SolutionState) -> tuple[np.ndarray, ...]:
     """Nodal gradient, one array per axis."""
-    u = state.u
-    grid = state.grid
-    if grid.dimension == 1:
-        h = grid.spacing[0]
-        g = np.empty_like(u)
-        g[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
-        g[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
-        g[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
-        return (g,)
-    out = []
-    for axis in range(grid.dimension):
-        h = grid.spacing[axis]
-        g = np.empty_like(u)
-        mid = [slice(None)] * grid.dimension
-        lo = [slice(None)] * grid.dimension
-        hi = [slice(None)] * grid.dimension
-        mid[axis] = slice(1, -1)
-        lo[axis] = slice(0, -2)
-        hi[axis] = slice(2, None)
-        g[tuple(mid)] = (u[tuple(hi)] - u[tuple(lo)]) / (2.0 * h)
-
-        first = [slice(None)] * grid.dimension
-        first[axis] = 0
-        s1 = [slice(None)] * grid.dimension
-        s1[axis] = 1
-        s2 = [slice(None)] * grid.dimension
-        s2[axis] = 2
-        g[tuple(first)] = (
-            -3.0 * u[tuple(first)] + 4.0 * u[tuple(s1)] - u[tuple(s2)]
-        ) / (2.0 * h)
-
-        last = [slice(None)] * grid.dimension
-        last[axis] = -1
-        m1 = [slice(None)] * grid.dimension
-        m1[axis] = -2
-        m2 = [slice(None)] * grid.dimension
-        m2[axis] = -3
-        g[tuple(last)] = (
-            3.0 * u[tuple(last)] - 4.0 * u[tuple(m1)] + u[tuple(m2)]
-        ) / (2.0 * h)
-        out.append(g)
-    return tuple(out)
+    return tuple(StepKernel(state.grid).load(state.u).grad)
 
 
 def face_fluxes(u: np.ndarray, grid: Grid, p: float, eps: float) -> list[np.ndarray]:
@@ -71,72 +213,16 @@ def face_fluxes(u: np.ndarray, grid: Grid, p: float, eps: float) -> list[np.ndar
     components on faces touching a tangential boundary row are never used by
     interior divergences and are left zero.
     """
-    dim = grid.dimension
-    if dim == 1:
-        h = grid.spacing[0]
-        dn = (u[1:] - u[:-1]) / h
-        return [np.power(dn * dn + eps, (p - 2.0) / 2.0) * dn]
-    fluxes = []
-    for axis in range(dim):
-        h = grid.spacing[axis]
-        lo = [slice(None)] * dim
-        hi = [slice(None)] * dim
-        lo[axis] = slice(0, -1)
-        hi[axis] = slice(1, None)
-        dn = (u[tuple(hi)] - u[tuple(lo)]) / h
-        grad_sq = dn * dn
-        if dim == 2:
-            other = 1 - axis
-            ho = grid.spacing[other]
-            dt = np.zeros_like(dn)
-            # average of the two nodal central differences across the face
-            lo_p = [slice(None)] * 2
-            lo_p[axis] = slice(0, -1)
-            lo_p[other] = slice(2, None)
-            lo_m = [slice(None)] * 2
-            lo_m[axis] = slice(0, -1)
-            lo_m[other] = slice(0, -2)
-            hi_p = [slice(None)] * 2
-            hi_p[axis] = slice(1, None)
-            hi_p[other] = slice(2, None)
-            hi_m = [slice(None)] * 2
-            hi_m[axis] = slice(1, None)
-            hi_m[other] = slice(0, -2)
-            tang = (
-                u[tuple(lo_p)] + u[tuple(hi_p)] - u[tuple(lo_m)] - u[tuple(hi_m)]
-            ) / (4.0 * ho)
-            mid = [slice(None)] * 2
-            mid[other] = slice(1, -1)
-            dt[tuple(mid)] = tang
-            grad_sq = grad_sq + dt * dt
-        coef = np.power(grad_sq + eps, (p - 2.0) / 2.0)
-        fluxes.append(coef * dn)
-    return fluxes
+    kernel = StepKernel(grid, p=p, eps=eps).load(u)
+    kernel.diffusion()
+    return kernel.flux
 
 
 def regularized_diffusion(state: SolutionState, p: float, eps: float) -> np.ndarray:
     """div((|grad u|^2+eps)^((p-2)/2) grad u) at interior nodes; 0 on faces."""
-    if not p > 2:
-        raise ValueError(f"requires p > 2, got {p}")
-    if eps < 0:
-        raise ValueError("requires eps >= 0")
-    grid = state.grid
-    fluxes = face_fluxes(state.u, grid, p, eps)
-    out = np.zeros(grid.shape)
-    if grid.dimension == 1:
-        flux = fluxes[0]
-        out[1:-1] = (flux[1:] - flux[:-1]) / grid.spacing[0]
-        return out
-    inner = grid.interior_slice()
-    acc = np.zeros([n - 2 for n in grid.shape])
-    for axis, flux in enumerate(fluxes):
-        h = grid.spacing[axis]
-        lo = [slice(1, -1)] * grid.dimension
-        hi = [slice(1, -1)] * grid.dimension
-        lo[axis] = slice(0, -1)
-        hi[axis] = slice(1, None)
-        acc = acc + (flux[tuple(hi)] - flux[tuple(lo)]) / h
-    out[inner] = acc
+    kernel = StepKernel(state.grid, p=p, eps=eps).load(state.u)
+    out = np.zeros(state.grid.shape)
+    out[state.grid.interior_slice()] = kernel.diffusion()
     return out
 
 
@@ -148,20 +234,13 @@ def gradient_source(
     Nonnegative at every node; vanishes identically on constants for every
     eps because of the eps^(q/2) subtraction.
     """
-    if eps < 0:
-        raise ValueError("requires eps >= 0")
-    if mu < 0:
-        raise ValueError("requires mu >= 0")
-    w = state.grad_mag
-    return mu * (np.power(w * w + eps, q / 2.0) - eps ** (q / 2.0))
+    return StepKernel(state.grid, q=q, eps=eps, mu=mu).load(state.u).source()
 
 
 def interior_rhs(state: SolutionState, spec: ProblemSpec) -> np.ndarray:
     """diffusion + source; the explicit update direction. Zero on faces."""
-    rhs = regularized_diffusion(state, spec.p, spec.epsilon)
-    src = gradient_source(state, spec.q, spec.epsilon, spec.mu)
-    inner = state.grid.interior_slice()
-    rhs[inner] += src[inner]
+    rhs = np.zeros(state.grid.shape)
+    rhs[state.grid.interior_slice()] = StepKernel.of(spec).load(state.u).interior_rhs()
     return rhs
 
 

@@ -6,30 +6,31 @@ The step size never exceeds theta times the stability bound
 
     h^2 / (2 d (p-1) (W^2+eps)^((p-2)/2) + h q (W^2+eps)^((q-1)/2)),
 
-with W the current max nodal gradient magnitude and d the dimension.
+with W the current max nodal gradient magnitude and d the dimension. W is
+taken over all nodes, so it includes the one-sided second-order stencil at
+boundary nodes. Near blow-up that value exceeds the largest interior central
+gradient, the one the update applies, by a factor of 2 and more.
 A run terminates when t_end is reached, when ||grad u||_inf crosses the
 configured threshold (GBUDetected), or when the stable step collapses
 below dt_min / the field goes non-finite (StalledStep unless the gradient
 was still growing, which is reported as GBUDetected).
 
-Identical spec + control produce bit-identical monitor series.
+`run` and `run_pair` share one loop over `operators.StepKernel`, so a
+lockstep pair ends with the same verdicts as a single run. Identical spec +
+control produce bit-identical monitor series.
 """
 from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import fieldio
 from .grid import Grid
-from .operators import (
-    gradient_source,
-    integrate,
-    quadrature_weights,
-    regularized_diffusion,
-)
+from .operators import StepKernel, integrate, quadrature_weights
 from .problem import ProblemSpec, SolutionState
 
 COMPLETED = "Completed"
@@ -90,27 +91,6 @@ class StepControl:
         )
 
 
-class _MonitorBuffer:
-    """Grow-by-doubling column store for per-step scalars."""
-
-    def __init__(self, columns=MONITOR_COLUMNS, capacity=1024):
-        self.columns = columns
-        self._data = np.empty((capacity, len(columns)))
-        self._n = 0
-
-    def append(self, row):
-        if self._n == self._data.shape[0]:
-            bigger = np.empty((2 * self._data.shape[0], self._data.shape[1]))
-            bigger[: self._n] = self._data
-            self._data = bigger
-        self._data[self._n] = row
-        self._n += 1
-
-    def finish(self) -> dict[str, np.ndarray]:
-        trimmed = self._data[: self._n].copy()
-        return {name: trimmed[:, k] for k, name in enumerate(self.columns)}
-
-
 @dataclass
 class Trajectory:
     """Snapshot states (always including t=0 and the final time) + monitors."""
@@ -163,31 +143,30 @@ class RunReport:
         }
 
 
-def stable_dt(state: SolutionState, spec: ProblemSpec, control: StepControl) -> float:
-    """theta-scaled explicit stability bound; infinite when the RHS is flat."""
-    grid = state.grid
-    h = grid.h_min
-    d = grid.dimension
-    w = float(np.max(state.grad_mag))
+def _dt_bound(w: float, h: float, d: int, spec: ProblemSpec, theta: float) -> float:
+    """The stability bound of the module docstring for max gradient W = w."""
     s = w * w + spec.epsilon
     denom = 2.0 * d * (spec.p - 1.0) * s ** ((spec.p - 2.0) / 2.0)
     denom += h * spec.q * s ** ((spec.q - 1.0) / 2.0)
     if denom == 0.0:
         return math.inf
-    return control.theta * h * h / denom
+    return theta * h * h / denom
+
+
+def stable_dt(state: SolutionState, spec: ProblemSpec, control: StepControl) -> float:
+    """theta-scaled explicit stability bound; infinite when the RHS is flat.
+    W is the max of |grad u| over all nodes, one-sided boundary stencils included."""
+    w, grid = float(np.max(state.grad_mag)), state.grid
+    return _dt_bound(w, grid.h_min, grid.dimension, spec, control.theta)
 
 
 def step(state: SolutionState, spec: ProblemSpec, dt: float) -> SolutionState:
     """One explicit step; returns a new state at t + dt."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    diff = regularized_diffusion(state, spec.p, spec.epsilon)
-    src = gradient_source(state, spec.q, spec.epsilon, spec.mu)
-    inner = state.grid.interior_slice()
-    u_new = state.u.copy()
-    u_new[inner] += dt * (diff[inner] + src[inner])
-    bd = state.grid.boundary_mask()
-    u_new[bd] = spec.boundary_values[bd]
+    kernel = StepKernel.of(spec)
+    kernel.load(state.u)
+    u_new = kernel.advance(dt)
     if not np.all(np.isfinite(u_new)):
         raise StalledStepError(f"non-finite field values after step at t={state.t}")
     return SolutionState(state.grid, u_new, state.t + dt)
@@ -215,157 +194,165 @@ def _config_echo(spec: ProblemSpec, control: StepControl) -> dict:
     }
 
 
-def run(spec: ProblemSpec, control: StepControl) -> tuple[Trajectory, RunReport]:
-    """Integrate until t_end, threshold crossing, or stall."""
-    t_start = time.perf_counter()
-    grid = spec.grid
-    inner = grid.interior_slice()
-    bd = grid.boundary_mask()
-    qw = quadrature_weights(grid)
-    state = spec.initial_state()
+# what np.max, np.min and np.sum call, minus their per-call Python wrapper
+_max, _min, _sum = np.maximum.reduce, np.minimum.reduce, np.add.reduce
 
-    e0 = integrate(
-        grid, np.power(state.grad_mag**2 + spec.epsilon, spec.p / 2.0)
-    )
-    weight = control.functional_weight
-    if weight is not None and weight.shape != grid.shape:
-        raise ValueError("functional_weight must be a grid field")
 
-    buf = _MonitorBuffer()
-    snapshots: list[SolutionState] = [state.copy()]
-    crossings: dict[float, float] = {}
-    pending = list(control.report_thresholds)
-    marks = [t for t in control.t_marks if 0.0 < t <= control.t_end]
-    ut_l2_acc = 0.0
-    src_energy_acc = 0.0
-    min_overall = float(np.min(state.u))
-    max_overall = float(np.max(state.u))
+class _Track:
+    """One field of a run: its kernel, monitors, accumulators and snapshots."""
 
-    def y_of(u: np.ndarray) -> float:
-        if weight is None:
-            return math.nan
-        return float(np.sum(qw * u * weight))
+    def __init__(self, spec: ProblemSpec, control: StepControl):
+        grid = spec.grid
+        self.spec = spec
+        self.kernel = kernel = StepKernel.of(spec)
+        kernel.load(spec.initial)
+        self.e0 = integrate(grid, np.power(kernel.mag**2 + spec.epsilon, spec.p / 2.0))
+        self.weight = control.functional_weight
+        if self.weight is not None and self.weight.shape != grid.shape:
+            raise ValueError("functional_weight must be a grid field")
+        self.qw = quadrature_weights(grid)
+        self.qw_inner = self.qw[grid.interior_slice()]
+        self._tmp = np.empty(grid.shape)
+        self._tmp_inner = np.empty(self.qw_inner.shape)
+        self.rows = array("d")  # MONITOR_COLUMNS, one row after another
+        self.snapshots = [SolutionState(grid, spec.initial.copy(), 0.0)]
+        self.crossings: dict[float, float] = {}
+        self.pending = list(control.report_thresholds)
+        self.ut_l2_acc = self.src_energy_acc = 0.0
+        self.mn, self.mx = float(_min(kernel.u, None)), float(_max(kernel.u, None))
+        self.min_overall, self.max_overall = self.mn, self.mx
+        self.record(0.0, 0.0, math.nan, math.nan)
 
-    def record(dt_used: float, max_ut: float, min_src: float, mn=None, mx=None):
-        u = state.u
-        if mn is None:
-            mn, mx = float(np.min(u)), float(np.max(u))
-        buf.append(
-            (
-                state.t,
-                mn,
-                mx,
-                max(abs(mn), abs(mx)),
-                float(np.max(state.grad_mag)),
-                y_of(u),
-                ut_l2_acc,
-                max_ut,
-                min_src,
-                src_energy_acc,
-                dt_used,
-            )
+    def record(self, t: float, dt_used: float, max_ut: float, min_src: float) -> None:
+        y = math.nan
+        if self.weight is not None:
+            np.multiply(self.qw, self.kernel.u, out=self._tmp)
+            y = float(_sum(np.multiply(self._tmp, self.weight, out=self._tmp), None))
+        mn, mx = self.mn, self.mx
+        self.rows.extend((t, mn, mx, max(abs(mn), abs(mx)), self.kernel.w, y, self.ut_l2_acc,
+                         max_ut, min_src, self.src_energy_acc, dt_used))
+
+    def advance(self, dt: float) -> bool:
+        """Write the stepped field into the kernel's spare buffer; False when
+        it is not finite."""
+        kernel = self.kernel
+        new = kernel.advance(dt)
+        np.multiply(kernel.s_half, kernel.s_half, out=self._tmp)
+        np.multiply(self.qw, self._tmp, out=self._tmp)
+        self.src_energy_acc += dt * float(_sum(self._tmp, None))
+        self.new_mn, self.new_mx = float(_min(new, None)), float(_max(new, None))
+        return math.isfinite(self.new_mn) and math.isfinite(self.new_mx)
+
+    def accept(self, t: float, dt: float, record: bool, snapshot: bool) -> None:
+        kernel = self.kernel
+        kernel.commit()
+        self.mn, self.mx = self.new_mn, self.new_mx
+        max_ut = float(_max(kernel.rhs, None))
+        min_src = float(_min(kernel.src_inner, None))
+        np.multiply(self.qw_inner, kernel.rhs, out=self._tmp_inner)
+        np.multiply(self._tmp_inner, kernel.rhs, out=self._tmp_inner)
+        self.ut_l2_acc += dt * float(_sum(self._tmp_inner, None))
+        self.min_overall = min(self.min_overall, self.mn)
+        self.max_overall = max(self.max_overall, self.mx)
+        if record:
+            self.record(t, dt, max_ut, min_src)
+        if snapshot:
+            self.snapshots.append(SolutionState(self.spec.grid, kernel.u.copy(), t))
+
+    def finish(self, t: float, steps: int, outcome: tuple, control: StepControl):
+        if self.snapshots[-1].t != t:
+            self.snapshots.append(SolutionState(self.spec.grid, self.kernel.u.copy(), t))
+        if self.rows[-len(MONITOR_COLUMNS)] != t:  # final partial-stride step still gets a row
+            self.record(t, self.rows[-1] if steps else 0.0, math.nan, math.nan)
+        rows = np.frombuffer(self.rows).reshape(-1, len(MONITOR_COLUMNS))  # no copy
+        monitors = {name: rows[:, k] for k, name in enumerate(MONITOR_COLUMNS)}
+        verdict, reason, t_detect, wall_time = outcome
+        report = RunReport(
+            verdict=verdict,
+            t_detect=t_detect,
+            monitors=monitors,
+            config=_config_echo(self.spec, control),
+            wall_time=wall_time,
+            reason=reason,
+            steps=steps,
+            threshold_crossings=self.crossings,
+            min_u_overall=self.min_overall,
+            max_u_overall=self.max_overall,
+            initial_gradient_energy=self.e0,
         )
+        traj = Trajectory(
+            grid=self.spec.grid, spec=self.spec, states=self.snapshots, monitors=monitors
+        )
+        return traj, report
 
-    record(0.0, math.nan, math.nan)
 
+def _integrate(specs, control: StepControl, on_step=None) -> list[tuple[Trajectory, RunReport]]:
+    """Step each spec's field with one shared dt, the least of their stable
+    steps, until t_end, a threshold crossing or a stall. The verdict tests
+    W, the largest gradient over the fields. on_step(tracks, t) runs after
+    every accepted step."""
+    t_start = time.perf_counter()
+    tracks = [_Track(spec, control) for spec in specs]
+    marks = [t for t in control.t_marks if 0.0 < t <= control.t_end]
+    t = 0.0
     verdict, reason, t_detect = COMPLETED, "t_end", None
     steps = 0
-    grad_prev = float(np.max(state.grad_mag))
+    h, d = specs[0].grid.h_min, specs[0].grid.dimension
+    grad_prev = max([tr.kernel.w for tr in tracks])
     while True:
-        w_now = float(np.max(state.grad_mag))
-        while pending and w_now >= pending[0]:
-            crossings[pending.pop(0)] = state.t
+        w_now = max([tr.kernel.w for tr in tracks])
+        for tr in tracks:
+            while tr.pending and tr.kernel.w >= tr.pending[0]:
+                tr.crossings[tr.pending.pop(0)] = t
         if w_now >= control.gbu_threshold:
-            verdict, reason, t_detect = GBU_DETECTED, "threshold", state.t
+            verdict, reason, t_detect = GBU_DETECTED, "threshold", t
             break
-        if state.t >= control.t_end:
+        if t >= control.t_end:
             break
         if control.max_steps and steps >= control.max_steps:
             verdict, reason = STALLED, "max_steps"
             break
 
-        dt_stable = stable_dt(state, spec, control)
+        dt_stable = min([_dt_bound(tr.kernel.w, h, d, tr.spec, control.theta) for tr in tracks])
         if dt_stable < control.dt_min:
             if w_now > grad_prev:
-                verdict, reason, t_detect = GBU_DETECTED, "dt_floor", state.t
+                verdict, reason, t_detect = GBU_DETECTED, "dt_floor", t
             else:
                 verdict, reason = STALLED, "dt_floor"
             break
         grad_prev = w_now
 
-        while marks and marks[0] <= state.t:
+        while marks and marks[0] <= t:
             marks.pop(0)
         target = min(marks[0], control.t_end) if marks else control.t_end
-        if dt_stable >= target - state.t:
-            dt = target - state.t
+        if dt_stable >= target - t:
+            dt = target - t
             t_new = target  # assign exactly so marks and t_end are hit bit-exactly
-            if marks and target == marks[0]:
+            hit = bool(marks) and target == marks[0]
+            if hit:
                 marks.pop(0)
-                hit = target
-            else:
-                hit = None
         else:
-            dt = dt_stable
-            t_new = state.t + dt
-            hit = None
+            dt, t_new, hit = dt_stable, t + dt_stable, False
 
-        diff = regularized_diffusion(state, spec.p, spec.epsilon)
-        # source inlined with the same operation order as gradient_source so
-        # the half-power can be reused by the energy accumulator
-        w_mag = state.grad_mag
-        s_half = np.power(w_mag * w_mag + spec.epsilon, spec.q / 2.0)
-        src = spec.mu * (s_half - spec.epsilon ** (spec.q / 2.0))
-        rhs_inner = diff[inner] + src[inner]
-        src_energy_acc += dt * float(np.sum(qw * (s_half * s_half)))
-        u_new = state.u.copy()
-        u_new[inner] += dt * rhs_inner
-        u_new[bd] = spec.boundary_values[bd]
-        mn, mx = float(np.min(u_new)), float(np.max(u_new))
-        if not (math.isfinite(mn) and math.isfinite(mx)):
+        if not all([tr.advance(dt) for tr in tracks]):
             verdict, reason = STALLED, "nonfinite"
             break
-        state = SolutionState(grid, u_new, t_new)
+        t = t_new
         steps += 1
+        record = steps % control.monitor_stride == 0
+        snapshot = hit or bool(control.snapshot_every and steps % control.snapshot_every == 0)
+        for tr in tracks:
+            tr.accept(t, dt, record, snapshot)
+        if on_step is not None:
+            on_step(tracks, t)
 
-        max_ut = float(np.max(rhs_inner))
-        min_src = float(np.min(src[inner]))
-        ut_l2_acc += dt * float(np.sum(qw[inner] * rhs_inner * rhs_inner))
-        min_overall = min(min_overall, mn)
-        max_overall = max(max_overall, mx)
-        if steps % control.monitor_stride == 0:
-            record(dt, max_ut, min_src, mn, mx)
-        if hit is not None or (
-            control.snapshot_every and steps % control.snapshot_every == 0
-        ):
-            snapshots.append(state.copy())
+    outcome = (verdict, reason, t_detect, time.perf_counter() - t_start)
+    return [tr.finish(t, steps, outcome, control) for tr in tracks]
 
-    if snapshots[-1].t != state.t:
-        snapshots.append(state.copy())
-    monitors = buf.finish()
-    if monitors["t"][-1] != state.t:
-        # final partial-stride step still gets a row
-        state_row_needed = True
-    else:
-        state_row_needed = False
-    if state_row_needed:
-        record(monitors["dt"][-1] if steps else 0.0, math.nan, math.nan)
-        monitors = buf.finish()
 
-    report = RunReport(
-        verdict=verdict,
-        t_detect=t_detect,
-        monitors=monitors,
-        config=_config_echo(spec, control),
-        wall_time=time.perf_counter() - t_start,
-        reason=reason,
-        steps=steps,
-        threshold_crossings=crossings,
-        min_u_overall=min_overall,
-        max_u_overall=max_overall,
-        initial_gradient_energy=e0,
-    )
-    traj = Trajectory(grid=grid, spec=spec, states=snapshots, monitors=monitors)
-    return traj, report
+def run(spec: ProblemSpec, control: StepControl) -> tuple[Trajectory, RunReport]:
+    """Integrate until t_end, threshold crossing, or stall."""
+    return _integrate([spec], control)[0]
 
 
 @dataclass
@@ -385,6 +372,7 @@ def run_pair(
 ) -> PairReport:
     """Run two ordered problems in lockstep (dt = min of both stability bounds).
 
+    Same verdicts as `run`, with W the larger of the two fields' gradients.
     Preconditions: same grid, u0_low <= u0_high, g_low <= g_high.
     """
     if spec_low.grid is not spec_high.grid and spec_low.grid != spec_high.grid:
@@ -394,91 +382,18 @@ def run_pair(
     if np.any(spec_low.boundary_values > spec_high.boundary_values):
         raise ValueError("boundary data must be ordered: g_low <= g_high")
 
-    grid = spec_low.grid
-    inner = grid.interior_slice()
-    bd = grid.boundary_mask()
-    states = [spec_low.initial_state(), spec_high.initial_state()]
-    specs = [spec_low, spec_high]
-    bufs = [_MonitorBuffer(("t", "min_u", "max_u", "grad_inf", "dt")) for _ in range(2)]
-    snaps: list[list[SolutionState]] = [[states[0].copy()], [states[1].copy()]]
-    margins = [float(np.min(states[1].u - states[0].u))]
+    margins = [float(np.min(spec_high.initial - spec_low.initial))]
     times = [0.0]
 
-    for k, s in enumerate(states):
-        bufs[k].append((0.0, float(np.min(s.u)), float(np.max(s.u)),
-                        float(np.max(s.grad_mag)), 0.0))
+    def on_step(tracks, t):
+        margins.append(float(np.min(tracks[1].kernel.u - tracks[0].kernel.u)))
+        times.append(t)
 
-    verdict, reason = COMPLETED, "t_end"
-    steps = 0
-    while states[0].t < control.t_end:
-        dt_stable = min(stable_dt(states[k], specs[k], control) for k in range(2))
-        if dt_stable < control.dt_min:
-            verdict, reason = STALLED, "dt_floor"
-            break
-        if max(float(np.max(s.grad_mag)) for s in states) >= control.gbu_threshold:
-            verdict, reason = GBU_DETECTED, "threshold"
-            break
-        if control.max_steps and steps >= control.max_steps:
-            verdict, reason = STALLED, "max_steps"
-            break
-        gap = control.t_end - states[0].t
-        if dt_stable >= gap:
-            dt, t_new = gap, control.t_end
-        else:
-            dt, t_new = dt_stable, states[0].t + dt_stable
-        new_states = []
-        for k in range(2):
-            diff = regularized_diffusion(states[k], specs[k].p, specs[k].epsilon)
-            src = gradient_source(states[k], specs[k].q, specs[k].epsilon, specs[k].mu)
-            u_new = states[k].u.copy()
-            u_new[inner] += dt * (diff[inner] + src[inner])
-            u_new[bd] = specs[k].boundary_values[bd]
-            if not np.all(np.isfinite(u_new)):
-                raise StalledStepError("non-finite field in lockstep run")
-            new_states.append(SolutionState(grid, u_new, t_new))
-        states = new_states
-        steps += 1
-        margins.append(float(np.min(states[1].u - states[0].u)))
-        times.append(t_new)
-        for k, s in enumerate(states):
-            bufs[k].append((s.t, float(np.min(s.u)), float(np.max(s.u)),
-                            float(np.max(s.grad_mag)), dt))
-        if control.snapshot_every and steps % control.snapshot_every == 0:
-            for k in range(2):
-                snaps[k].append(states[k].copy())
-
-    for k in range(2):
-        if snaps[k][-1].t != states[k].t:
-            snaps[k].append(states[k].copy())
-
-    trajs = [
-        Trajectory(grid=grid, spec=specs[k], states=snaps[k], monitors=bufs[k].finish())
-        for k in range(2)
-    ]
-    reports = [
-        RunReport(
-            verdict=verdict,
-            t_detect=None,
-            monitors=trajs[k].monitors,
-            config=_config_echo(specs[k], control),
-            wall_time=0.0,
-            reason=reason,
-            steps=steps,
-            threshold_crossings={},
-            min_u_overall=float(np.min(trajs[k].monitors["min_u"])),
-            max_u_overall=float(np.max(trajs[k].monitors["max_u"])),
-            initial_gradient_energy=math.nan,
-        )
-        for k in range(2)
-    ]
-    return PairReport(
-        traj_low=trajs[0],
-        traj_high=trajs[1],
-        report_low=reports[0],
-        report_high=reports[1],
-        ordering_margin=np.array(margins),
-        times=np.array(times),
+    (traj_low, report_low), (traj_high, report_high) = _integrate(
+        [spec_low, spec_high], control, on_step
     )
+    return PairReport(traj_low, traj_high, report_low, report_high, np.array(margins),
+                      np.array(times))
 
 
 # -- GBU verdict over threshold/resolution families ---------------------------

@@ -156,6 +156,37 @@ def test_run_first_step_bitwise_matches_step():
     assert np.array_equal(traj.states[-1].u, manual.u)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_run_bitwise_matches_repeated_step(dim):
+    if dim == 1:
+        spec = sine_spec(51, q=2.7, eps=1e-3)
+    else:
+        g = build_grid([(0.0, 1.0), (0.0, 1.5)], (17, 21))
+        spec = make_spec(g, p=3.4, q=3.0, epsilon=1e-3, mu=0.8, profile="sine", amplitude=2.0)
+    ctl = StepControl(t_end=1.0, max_steps=200, snapshot_every=1)
+    traj, rep = run(spec, ctl)
+    assert rep.steps == 200
+    st = spec.initial_state()
+    for k in range(200):
+        dt = rep.monitors["dt"][k + 1]
+        assert stable_dt(st, spec, ctl) == dt
+        st = step(st, spec, dt)
+        assert np.array_equal(traj.states[k + 1].u, st.u)
+        assert rep.monitors["grad_inf"][k + 1] == np.max(st.grad_mag)
+
+
+def test_run_gbu_reference_step_count_and_detection_time():
+    # pinned step count and detection time: any change to the arithmetic of
+    # the update or of the step bound shows here
+    spec = sine_spec(201, q=4.0, amp=1.5)
+    ctl = StepControl(t_end=0.35, theta=1.0, dt_min=1e-13, gbu_threshold=400.0,
+                      report_thresholds=(100.0, 200.0, 400.0))
+    _, rep = run(spec, ctl)
+    assert rep.verdict == GBU_DETECTED and rep.reason == "threshold"
+    assert rep.steps == 49131
+    assert rep.t_detect == 0.0012135032549389752
+
+
 def test_run_determinism_bit_identical():
     spec = sine_spec(41, q=2.7, eps=1e-3)
     ctl = StepControl(t_end=0.01)
@@ -265,6 +296,41 @@ def test_run_pair_translation_invariance_exact_ordering():
                      boundary_values=np.ones(41), initial=u0 + 1.0)
     pair = run_pair(lo, hi, StepControl(t_end=0.005))
     assert np.min(pair.ordering_margin) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "control",
+    [
+        StepControl(t_end=0.25, gbu_threshold=60.0),
+        # the threshold is crossed and the step is below dt_min at once:
+        # the threshold wins, as in run
+        StepControl(t_end=0.25, gbu_threshold=5.0, dt_min=1.0),
+        StepControl(t_end=0.25, dt_min=2e-8),
+    ],
+    ids=["threshold", "threshold-and-floor", "dt-floor"],
+)
+def test_run_pair_gives_run_verdict(control):
+    spec = sine_spec(101, q=4.0, amp=3.0)
+    _, rep = run(spec, control)
+    pair = run_pair(spec, spec, control)
+    assert rep.verdict == GBU_DETECTED
+    for r in (pair.report_low, pair.report_high):
+        assert (r.verdict, r.reason, r.steps, r.t_detect) == (
+            rep.verdict, rep.reason, rep.steps, rep.t_detect)
+    assert np.array_equal(pair.report_high.monitors["dt"], rep.monitors["dt"])
+
+
+def test_run_pair_nonfinite_field_is_a_verdict():
+    # |u'| ~ 3e98: the source (W^2)^(q/2) overflows to inf, so the first
+    # update is not finite while the step bound is still positive
+    spec = sine_spec(41, q=4.0, amp=1e98)
+    ctl = StepControl(t_end=0.01, dt_min=1e-320, gbu_threshold=1e300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, rep = run(spec, ctl)
+        pair = run_pair(spec, spec, ctl)
+    assert (rep.verdict, rep.reason) == (STALLED, "nonfinite")
+    for r in (pair.report_low, pair.report_high):
+        assert (r.verdict, r.reason, r.steps) == (STALLED, "nonfinite", rep.steps)
 
 
 def test_run_pair_rejects_crossing_data():
