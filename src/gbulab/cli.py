@@ -319,8 +319,9 @@ def _validate_constraints(cfg: RunConfig) -> None:
             bad = set(cfg["compliance"]["checks"]) - {"max_principle"}
             if bad:
                 raise ConfigError(
-                    "stored-trajectory checking supports only max_principle "
-                    f"(monitor CSV carries no fields for {sorted(bad)})"
+                    f"stored-trajectory checking supports only max_principle; run {sorted(bad)} "
+                    "as a fresh check (regularizing_effect and energy_estimate need its "
+                    "snapshots and initial field)"
                 )
     if cfg.kind == "compliance_suite":
         has_traj = cfg.has("compliance") and bool(cfg["compliance"]["trajectory"])
@@ -372,10 +373,8 @@ def _grid_from_cfg(cfg: RunConfig) -> Grid:
     return build_grid(extents, g["points"])
 
 
-def _spec_from_cfg(cfg: RunConfig, grid: Grid, points=None):
+def _spec_from_cfg(cfg: RunConfig, grid: Grid):
     pr = cfg["problem"]
-    if points is not None:
-        grid = build_grid([tuple(e) for e in cfg["grid"]["extents"]], points)
     return make_spec(
         grid,
         p=pr["p"],
@@ -606,7 +605,7 @@ def _do_compliance(cfg: RunConfig, out: Path, jobs: int, seed: int) -> int:
 
 def _do_eig(cfg: RunConfig, out: Path, jobs: int, seed: int) -> int:
     grid = _grid_from_cfg(cfg)
-    tol = cfg.sections.get("eig", {"tol": 1e-10})["tol"]
+    tol = cfg.sections.get("eig", _section_defaults("eig"))["tol"]
     eig = spectral.principal_eigenpair(grid, tol=tol)
     fieldio.write_field(out / "phi1.field", eig.phi1, 0.0)
     doc = {

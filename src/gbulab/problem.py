@@ -49,6 +49,8 @@ class ProblemSpec:
         u0 = np.asarray(self.initial, dtype=float)
         if not self.grid.compatible_field(g) or not self.grid.compatible_field(u0):
             raise ValueError("boundary_values and initial must be full grid fields")
+        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(u0))):
+            raise ValueError("data must be finite (no NaN or inf in g or u0)")
         if np.any(g < 0) or np.any(u0 < 0):
             raise ValueError("data must be nonnegative (g >= 0, u0 >= 0)")
         bd = self.grid.boundary_mask()

@@ -37,20 +37,20 @@ COMPLETED = "Completed"
 GBU_DETECTED = "GBUDetected"
 STALLED = "StalledStep"
 
+# the columns of monitors.csv, in order; a run's monitor rows use the same order
 MONITOR_COLUMNS = (
     "t",
-    "min_u",
     "max_u",
-    "sup_u",
+    "min_u",
     "grad_inf",
     "y",
     "ut_l2_acc",
+    "sup_u",
     "max_ut",
     "min_source",
     "source_energy_acc",
     "dt",
 )
-CSV_COLUMNS = ("t", "max_u", "min_u", "grad_inf", "y", "ut_l2_acc")
 
 
 class StalledStepError(RuntimeError):
@@ -139,15 +139,18 @@ class RunReport:
             "min_u_overall": self.min_u_overall,
             "max_u_overall": self.max_u_overall,
             "initial_gradient_energy": self.initial_gradient_energy,
-            "series": {k: v.tolist() for k, v in self.monitors.items()},
         }
 
 
 def _dt_bound(w: float, h: float, d: int, spec: ProblemSpec, theta: float) -> float:
-    """The stability bound of the module docstring for max gradient W = w."""
+    """The stability bound of the module docstring for max gradient W = w;
+    0 when a power of W^2 + eps leaves the float range."""
     s = w * w + spec.epsilon
-    denom = 2.0 * d * (spec.p - 1.0) * s ** ((spec.p - 2.0) / 2.0)
-    denom += h * spec.q * s ** ((spec.q - 1.0) / 2.0)
+    try:
+        denom = 2.0 * d * (spec.p - 1.0) * s ** ((spec.p - 2.0) / 2.0)
+        denom += h * spec.q * s ** ((spec.q - 1.0) / 2.0)
+    except OverflowError:
+        return 0.0
     if denom == 0.0:
         return math.inf
     return theta * h * h / denom
@@ -229,8 +232,8 @@ class _Track:
             np.multiply(self.qw, self.kernel.u, out=self._tmp)
             y = float(_sum(np.multiply(self._tmp, self.weight, out=self._tmp), None))
         mn, mx = self.mn, self.mx
-        self.rows.extend((t, mn, mx, max(abs(mn), abs(mx)), self.kernel.w, y, self.ut_l2_acc,
-                         max_ut, min_src, self.src_energy_acc, dt_used))
+        self.rows.extend((t, mx, mn, self.kernel.w, y, self.ut_l2_acc, max(abs(mn), abs(mx)),
+                          max_ut, min_src, self.src_energy_acc, dt_used))
 
     def advance(self, dt: float) -> bool:
         """Write the stepped field into the kernel's spare buffer; False when
@@ -572,9 +575,9 @@ def restore(
 # -- monitor CSV --------------------------------------------------------------
 
 def write_monitors_csv(path, monitors: dict[str, np.ndarray]) -> None:
-    cols = [monitors[c] for c in CSV_COLUMNS]
+    cols = [monitors[c] for c in MONITOR_COLUMNS]
     with open(path, "w") as f:
-        f.write(",".join(CSV_COLUMNS) + "\n")
+        f.write(",".join(MONITOR_COLUMNS) + "\n")
         for row in zip(*cols):
             f.write(",".join(repr(float(v)) for v in row) + "\n")
 
@@ -582,10 +585,10 @@ def write_monitors_csv(path, monitors: dict[str, np.ndarray]) -> None:
 def read_monitors_csv(path) -> dict[str, np.ndarray]:
     with open(path) as f:
         header = f.readline().strip().split(",")
-        if tuple(header) != CSV_COLUMNS:
+        if tuple(header) != MONITOR_COLUMNS:
             raise ValueError(f"unexpected monitor columns {header}")
         rows = [
             [float(v) for v in line.strip().split(",")] for line in f if line.strip()
         ]
-    data = np.array(rows) if rows else np.empty((0, len(CSV_COLUMNS)))
-    return {name: data[:, k] for k, name in enumerate(CSV_COLUMNS)}
+    data = np.array(rows) if rows else np.empty((0, len(MONITOR_COLUMNS)))
+    return {name: data[:, k] for k, name in enumerate(MONITOR_COLUMNS)}

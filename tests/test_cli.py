@@ -193,6 +193,19 @@ def test_dispatch_deterministic_outputs(tmp_path):
     ).read_bytes()
 
 
+def test_run_report_carries_no_per_step_data(tmp_path):
+    # the per-step monitors live in monitors.csv only: a run with 5x the steps
+    # writes a report of the same size, up to its config and counters
+    short, long = tmp_path / "short", tmp_path / "long"
+    dispatch(parse_config(MINIMAL_SIMULATE), short)
+    dispatch(parse_config(MINIMAL_SIMULATE.replace("t_end = 0.002", "t_end = 0.02")), long)
+    rs, rl = (json.loads((d / "run_report.json").read_text()) for d in (short, long))
+    assert rl["steps"] >= 5 * rs["steps"]
+    assert "series" not in rl and "series" not in load_schema("run_report")["properties"]
+    size = [(d / "run_report.json").stat().st_size for d in (short, long)]
+    assert abs(size[1] - size[0]) < 100
+
+
 # -- dispatch: compliance -------------------------------------------------------------
 
 COMPLIANCE_CFG = """

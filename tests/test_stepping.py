@@ -18,6 +18,7 @@ from gbulab import (
 from gbulab.stepping import (
     COMPLETED,
     GBU_DETECTED,
+    MONITOR_COLUMNS,
     STALLED,
     StalledStepError,
     ThresholdCrossing,
@@ -333,6 +334,18 @@ def test_run_pair_nonfinite_field_is_a_verdict():
         assert (r.verdict, r.reason, r.steps) == (STALLED, "nonfinite", rep.steps)
 
 
+def test_step_bound_overflow_ends_in_dt_floor_verdict():
+    # |u'| ~ 3e130: (W^2)^((q-1)/2) leaves the float range inside the step bound
+    spec = sine_spec(41, q=4.0, amp=1e130)
+    ctl = StepControl(t_end=0.01, gbu_threshold=1e300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert stable_dt(spec.initial_state(), spec, ctl) == 0.0
+        _, rep = run(spec, ctl)
+        pair = run_pair(spec, spec, ctl)
+    for r in (rep, pair.report_low, pair.report_high):
+        assert (r.verdict, r.reason, r.steps) == (STALLED, "dt_floor", 0)
+
+
 def test_run_pair_rejects_crossing_data():
     g = build_grid((0.0, 1.0), 41)
     a = make_spec(g, p=3.0, q=2.5, profile="sine", amplitude=2.0)
@@ -407,11 +420,25 @@ def test_continuation_requires_three_entries():
 
 def test_monitor_csv_roundtrip(tmp_path):
     spec = sine_spec(31)
-    _, rep = run(spec, StepControl(t_end=0.002))
+    weight = np.sin(np.pi * spec.grid.axis_coords(0))  # so that y is recorded
+    _, rep = run(spec, StepControl(t_end=0.002, functional_weight=weight))
     path = tmp_path / "monitors.csv"
     write_monitors_csv(path, rep.monitors)
     header = path.read_text().splitlines()[0]
-    assert header == "t,max_u,min_u,grad_inf,y,ut_l2_acc"
+    assert header == ("t,max_u,min_u,grad_inf,y,ut_l2_acc,"
+                      "sup_u,max_ut,min_source,source_energy_acc,dt")
     back = read_monitors_csv(path)
-    for col in ("t", "max_u", "min_u", "grad_inf", "ut_l2_acc"):
-        assert np.array_equal(back[col], rep.monitors[col])
+    assert list(back) == list(MONITOR_COLUMNS)
+    for col in MONITOR_COLUMNS:
+        a, b = rep.monitors[col], back[col]
+        nan = np.isnan(a)
+        assert np.array_equal(nan, np.isnan(b)), col
+        assert a[~nan].tobytes() == b[~nan].tobytes(), col  # bit-exact, -0.0 included
+    assert not np.all(np.isnan(back["y"]))
+
+
+def test_monitor_csv_rejects_old_six_column_file(tmp_path):
+    path = tmp_path / "monitors.csv"
+    path.write_text("t,max_u,min_u,grad_inf,y,ut_l2_acc\n0.0,1.0,0.0,3.1,nan,0.0\n")
+    with pytest.raises(ValueError, match="unexpected monitor columns"):
+        read_monitors_csv(path)
