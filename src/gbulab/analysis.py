@@ -275,12 +275,12 @@ def shell_maxima(state: SolutionState) -> tuple[np.ndarray, np.ndarray]:
     """(delta values, max |grad u| per delta shell), ascending, delta > 0."""
     delta = boundary_distance(state.grid)
     mag = state.grad_mag
-    keys = np.round(delta, 12).ravel()
-    vals = mag.ravel()
-    uniq = np.unique(keys)
-    uniq = uniq[uniq > 0]
-    maxima = np.array([float(np.max(vals[keys == d])) for d in uniq])
-    return uniq, maxima
+    uniq, shell = np.unique(np.round(delta, 12).ravel(), return_inverse=True)
+    maxima = np.full(len(uniq), -np.inf)
+    with np.errstate(invalid="ignore"):  # a NaN node makes its shell's max NaN, as np.max does
+        np.maximum.at(maxima, shell, mag.ravel())
+    pos = uniq > 0
+    return uniq[pos], maxima[pos]
 
 
 def _anchored_slope(deltas: np.ndarray, vals: np.ndarray) -> float:

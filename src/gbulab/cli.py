@@ -263,8 +263,8 @@ def _validate_constraints(cfg: RunConfig) -> None:
             raise ConfigError(
                 f"unknown profile {cfg['problem']['profile']!r}; known: {sorted(PROFILES)}"
             )
-        if cfg["problem"]["amplitude"] < 0:
-            raise ConfigError("requires amplitude >= 0")
+        if not 0 <= cfg["problem"]["amplitude"] < math.inf:
+            raise ConfigError("requires a finite amplitude >= 0")
     if cfg.kind == "criterion_bisect":
         p, q = cfg["problem"]["p"], cfg["problem"]["q"]
         if not q > p > 2:

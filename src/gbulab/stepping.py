@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import math
 import time
-from array import array
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -200,9 +200,18 @@ def _config_echo(spec: ProblemSpec, control: StepControl) -> dict:
 # what np.max, np.min and np.sum call, minus their per-call Python wrapper
 _max, _min, _sum = np.maximum.reduce, np.minimum.reduce, np.add.reduce
 
+# values held by each of a track's step-block buffers: about 80 steps per
+# block at n=201, and one step per block on a 2D grid of more nodes than this
+_BLOCK_VALUES = 16384
+
 
 class _Track:
-    """One field of a run: its kernel, monitors, accumulators and snapshots."""
+    """One field of a run: its kernel, monitors, accumulators and snapshots.
+
+    Each accepted step puts its rhs, its (|grad u|^2+eps)^(q/2) values and its
+    new field into a row of three block buffers. The monitors are reduced a
+    block at a time, with the same bits as one step at a time: a row-wise
+    reduction sums each row as a reduction over that row alone does."""
 
     def __init__(self, spec: ProblemSpec, control: StepControl):
         grid = spec.grid
@@ -215,60 +224,107 @@ class _Track:
             raise ValueError("functional_weight must be a grid field")
         self.qw = quadrature_weights(grid)
         self.qw_inner = self.qw[grid.interior_slice()]
-        self._tmp = np.empty(grid.shape)
-        self._tmp_inner = np.empty(self.qw_inner.shape)
-        self.rows = array("d")  # MONITOR_COLUMNS, one row after another
+        rows = max(1, _BLOCK_VALUES // grid.num_nodes())
+        self._u, self._s_half = np.empty((rows,) + grid.shape), np.empty((rows,) + grid.shape)
+        self._rhs = np.empty((rows,) + kernel.rhs.shape)
+        self._s_half_inner = self._s_half[(slice(None),) + grid.interior_slice()]
+        self._tmp, self._tmp_inner = np.empty_like(self._u), np.empty_like(self._rhs)
+        self._row_views = list(zip(self._u, self._s_half, self._rhs))
+        self._steps: list[tuple] = []  # (t, dt, W, record) of each buffered step
+        self.blocks: list[np.ndarray] = []  # monitor rows in MONITOR_COLUMNS order
         self.snapshots = [SolutionState(grid, spec.initial.copy(), 0.0)]
         self.crossings: dict[float, float] = {}
         self.pending = list(control.report_thresholds)
         self.ut_l2_acc = self.src_energy_acc = 0.0
-        self.mn, self.mx = float(_min(kernel.u, None)), float(_max(kernel.u, None))
-        self.min_overall, self.max_overall = self.mn, self.mx
-        self.record(0.0, 0.0, math.nan, math.nan)
+        self.min_overall, self.max_overall = math.inf, -math.inf
+        self._record_current(0.0, 0.0)
 
-    def record(self, t: float, dt_used: float, max_ut: float, min_src: float) -> None:
-        y = math.nan
-        if self.weight is not None:
-            np.multiply(self.qw, self.kernel.u, out=self._tmp)
-            y = float(_sum(np.multiply(self._tmp, self.weight, out=self._tmp), None))
-        mn, mx = self.mn, self.mx
-        self.rows.extend((t, mx, mn, self.kernel.w, y, self.ut_l2_acc, max(abs(mn), abs(mx)),
-                          max_ut, min_src, self.src_energy_acc, dt_used))
+    def _fields(self, u: np.ndarray) -> tuple:
+        """(min, max, y) of each field in the block u; min and max also go
+        into the overall extrema."""
+        axes = tuple(range(1, u.ndim))
+        mn, mx = _min(u, axes), _max(u, axes)
+        self.min_overall = min([self.min_overall, *mn.tolist()])
+        self.max_overall = max([self.max_overall, *mx.tolist()])
+        if self.weight is None:
+            return mn, mx, np.full(len(u), math.nan)
+        tmp = np.multiply(self.qw, u, out=self._tmp[: len(u)])
+        return mn, mx, _sum(np.multiply(tmp, self.weight, out=tmp), axes)
+
+    def _emit(self, t, mx, mn, w, y, ut_l2_acc, max_ut, min_src, src_energy_acc, dt) -> None:
+        """Keep monitor rows, given as MONITOR_COLUMNS without sup_u."""
+        sup = np.maximum(np.abs(mn), np.abs(mx))
+        self.blocks.append(np.column_stack(
+            (t, mx, mn, w, y, ut_l2_acc, sup, max_ut, min_src, src_energy_acc, dt)))
+
+    def _record_current(self, t: float, dt_used: float) -> None:
+        """The monitor row of the current field outside a step: the first
+        row, and the last one when the run ends off the monitor stride."""
+        mn, mx, y = self._fields(self.kernel.u[None])
+        self._emit([t], mx, mn, [self.kernel.w], y, [self.ut_l2_acc], [math.nan], [math.nan],
+                   [self.src_energy_acc], [dt_used])
 
     def advance(self, dt: float) -> bool:
-        """Write the stepped field into the kernel's spare buffer; False when
-        it is not finite."""
+        """Step the field and make it current; False when it is not finite.
+        Every node enters some gradient stencil, so a non-finite node makes
+        W non-finite, and only then are the nodes themselves tested."""
         kernel = self.kernel
-        new = kernel.advance(dt)
-        np.multiply(kernel.s_half, kernel.s_half, out=self._tmp)
-        np.multiply(self.qw, self._tmp, out=self._tmp)
-        self.src_energy_acc += dt * float(_sum(self._tmp, None))
-        self.new_mn, self.new_mx = float(_min(new, None)), float(_max(new, None))
-        return math.isfinite(self.new_mn) and math.isfinite(self.new_mx)
+        kernel.advance(dt)
+        kernel.commit()
+        return math.isfinite(kernel.w) or bool(np.isfinite(kernel.u).all())
 
     def accept(self, t: float, dt: float, record: bool, snapshot: bool) -> None:
         kernel = self.kernel
-        kernel.commit()
-        self.mn, self.mx = self.new_mn, self.new_mx
-        max_ut = float(_max(kernel.rhs, None))
-        min_src = float(_min(kernel.src_inner, None))
-        np.multiply(self.qw_inner, kernel.rhs, out=self._tmp_inner)
-        np.multiply(self._tmp_inner, kernel.rhs, out=self._tmp_inner)
-        self.ut_l2_acc += dt * float(_sum(self._tmp_inner, None))
-        self.min_overall = min(self.min_overall, self.mn)
-        self.max_overall = max(self.max_overall, self.mx)
-        if record:
-            self.record(t, dt, max_ut, min_src)
+        u_row, s_row, rhs_row = self._row_views[len(self._steps)]
+        np.copyto(u_row, kernel.u)
+        np.copyto(s_row, kernel.s_half)
+        np.copyto(rhs_row, kernel.rhs)
+        self._steps.append((t, dt, kernel.w, record))
+        if len(self._steps) == len(self._row_views):
+            self._flush()
         if snapshot:
             self.snapshots.append(SolutionState(self.spec.grid, kernel.u.copy(), t))
 
+    def _flush(self) -> None:
+        """Reduce the buffered steps to monitors, advance the accumulators in
+        step order and keep the recorded steps' rows."""
+        m = len(self._steps)
+        if not m:
+            return
+        t, dt, w, record = (np.array(c) for c in zip(*self._steps))
+        self._steps.clear()
+        mn, mx, y = self._fields(self._u[:m])
+        rhs, s_half = self._rhs[:m], self._s_half[:m]
+        axes = tuple(range(1, rhs.ndim))
+        max_ut = _max(rhs, axes)
+        # the source is nondecreasing in s_half, so it maps the least s_half
+        # to the least source
+        min_src = self.kernel.source_of(_min(self._s_half_inner[:m], axes))
+        tmp = np.multiply(self.qw_inner, rhs, out=self._tmp_inner[:m])
+        ut_l2 = _sum(np.multiply(tmp, rhs, out=tmp), axes)
+        tmp = np.multiply(s_half, s_half, out=self._tmp[:m])
+        src_energy = _sum(np.multiply(self.qw, tmp, out=tmp), axes)
+        ut_l2_acc = list(accumulate((dt * ut_l2).tolist(), initial=self.ut_l2_acc))[1:]
+        src_energy_acc = list(accumulate((dt * src_energy).tolist(),
+                                         initial=self.src_energy_acc))[1:]
+        self.ut_l2_acc, self.src_energy_acc = ut_l2_acc[-1], src_energy_acc[-1]
+        if record.any():
+            cols = (t, mx, mn, w, y, np.array(ut_l2_acc), max_ut, min_src,
+                    np.array(src_energy_acc), dt)
+            self._emit(*(c[record] for c in cols))
+
     def finish(self, t: float, steps: int, outcome: tuple, control: StepControl):
+        self._flush()
         if self.snapshots[-1].t != t:
             self.snapshots.append(SolutionState(self.spec.grid, self.kernel.u.copy(), t))
-        if self.rows[-len(MONITOR_COLUMNS)] != t:  # final partial-stride step still gets a row
-            self.record(t, self.rows[-1] if steps else 0.0, math.nan, math.nan)
-        rows = np.frombuffer(self.rows).reshape(-1, len(MONITOR_COLUMNS))  # no copy
-        monitors = {name: rows[:, k] for k, name in enumerate(MONITOR_COLUMNS)}
+        last = self.blocks[-1][-1]
+        if last[0] != t:  # final partial-stride step still gets a row
+            self._record_current(t, last[-1])
+        # one array per column: a single (rows, columns) array would need one
+        # allocation of every row's size, which a heap fragmented by earlier
+        # runs' snapshots fits less often
+        monitors = {name: np.concatenate([b[:, k] for b in self.blocks])
+                    for k, name in enumerate(MONITOR_COLUMNS)}
         verdict, reason, t_detect, wall_time = outcome
         report = RunReport(
             verdict=verdict,
@@ -338,6 +394,8 @@ def _integrate(specs, control: StepControl, on_step=None) -> list[tuple[Trajecto
             dt, t_new, hit = dt_stable, t + dt_stable, False
 
         if not all([tr.advance(dt) for tr in tracks]):
+            for tr in tracks:
+                tr.kernel.commit()  # back to the last accepted field
             verdict, reason = STALLED, "nonfinite"
             break
         t = t_new

@@ -23,6 +23,7 @@ from gbulab.analysis import (
     monotonicity_margin_small_sigma,
     shell_maxima,
 )
+from gbulab.grid import boundary_distance
 
 
 def sine_run(n=101, p=3.0, q=2.5, amp=1.0, t_end=0.01, **ctl):
@@ -233,6 +234,27 @@ def test_shell_maxima_excludes_boundary():
     shells, mx = shell_maxima(st)
     assert np.all(shells > 0)
     assert len(shells) == 20
+
+
+@pytest.mark.parametrize("shape", [(41,), (17, 23)])
+def test_shell_maxima_matches_per_shell_loop(shape):
+    # the reference takes the max over each distance shell in turn; a NaN
+    # node makes its neighbours' gradients NaN, and NaN wins a shell's max
+    extents = [(0.0, 1.0), (0.0, 1.5)][: len(shape)]
+    g = build_grid(extents, shape)
+    rng = np.random.default_rng(3)
+    u = rng.random(shape)
+    u[(shape[0] // 3,) * len(shape)] = np.nan
+    st = SolutionState(g, u)
+    keys = np.round(boundary_distance(g), 12).ravel()
+    vals = st.grad_mag.ravel()
+    uniq = np.unique(keys)
+    uniq = uniq[uniq > 0]
+    expected = np.array([np.max(vals[keys == d]) for d in uniq])
+    assert np.isnan(expected).any() and not np.isnan(expected).all()
+    shells, maxima = shell_maxima(st)
+    assert np.array_equal(shells, uniq)
+    assert np.array_equal(maxima, expected, equal_nan=True)
 
 
 def test_smooth_state_trivially_compliant():

@@ -407,6 +407,13 @@ def test_main_config_error_exit_2(tmp_path):
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("amplitude", ["nan", "inf"])
+def test_main_nonfinite_amplitude_exit_2(tmp_path, amplitude):
+    text = MINIMAL_SIMULATE.replace("q = 2.5", f"q = 2.5\namplitude = {amplitude}")
+    path = write_cfg(tmp_path, text)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
 def test_main_missing_config_exit_2(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 2
 
@@ -416,6 +423,22 @@ def test_main_simulate_exit_0(tmp_path):
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
     assert (out / "run_report.json").exists()
+
+
+def test_main_nonfinite_initial_energy_writes_run_artifacts(tmp_path):
+    # |u0'| ~ 3e130: the initial gradient energy overflows to inf, which the
+    # report writes as null, and the step bound ends the run at dt_floor
+    text = MINIMAL_SIMULATE.replace("q = 2.5", "q = 4.0\nprofile = sine\namplitude = 1e130")
+    path = write_cfg(tmp_path, text + "gbu_threshold = 1e300\n")
+    out = tmp_path / "out"
+    with np.errstate(over="ignore"):
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 3
+    report = json.loads((out / "run_report.json").read_text())
+    assert (report["verdict"], report["reason"]) == ("StalledStep", "dt_floor")
+    assert report["initial_gradient_energy"] is None
+    validate(report, load_schema("run_report"))
+    assert read_monitors_csv(out / "monitors.csv")["t"].tolist() == [0.0]
+    assert not (out / "failure.json").exists()
 
 
 def test_main_env_var_output_root(tmp_path, monkeypatch):

@@ -15,6 +15,7 @@ from gbulab import (
     stable_dt,
     step,
 )
+from gbulab.operators import gradient_source, interior_rhs, quadrature_weights
 from gbulab.stepping import (
     COMPLETED,
     GBU_DETECTED,
@@ -159,21 +160,53 @@ def test_run_first_step_bitwise_matches_step():
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_run_bitwise_matches_repeated_step(dim):
+    # eps > 0 and mu != 1, so the source is not (|grad u|^2+eps)^(q/2); 200
+    # steps cross two monitor blocks and end in a partial one (81 steps a
+    # block at n=201, 45 on 17x21), and the run ends off the monitor stride
     if dim == 1:
-        spec = sine_spec(51, q=2.7, eps=1e-3)
+        g = build_grid((0.0, 1.0), 201)
+        spec = make_spec(g, p=3.0, q=2.7, epsilon=1e-3, mu=0.9, profile="sine", amplitude=1.0)
     else:
         g = build_grid([(0.0, 1.0), (0.0, 1.5)], (17, 21))
         spec = make_spec(g, p=3.4, q=3.0, epsilon=1e-3, mu=0.8, profile="sine", amplitude=2.0)
-    ctl = StepControl(t_end=1.0, max_steps=200, snapshot_every=1)
+    weight = 1.0 + g.coords()[0]
+    ctl = StepControl(t_end=1.0, max_steps=200, snapshot_every=1, monitor_stride=3,
+                      functional_weight=weight)
     traj, rep = run(spec, ctl)
     assert rep.steps == 200
+    qw, inner = quadrature_weights(g), g.interior_slice()
+    eps, q = spec.epsilon, spec.q
+
+    def field_row(st):
+        mn, mx = np.min(st.u), np.max(st.u)
+        return {"t": st.t, "max_u": mx, "min_u": mn, "grad_inf": np.max(st.grad_mag),
+                "y": np.sum(qw * st.u * weight), "sup_u": max(abs(mn), abs(mx))}
+
     st = spec.initial_state()
+    ut_l2 = src_energy = 0.0
+    rows = [{**field_row(st), "ut_l2_acc": 0.0, "max_ut": math.nan, "min_source": math.nan,
+             "source_energy_acc": 0.0, "dt": 0.0}]
     for k in range(200):
-        dt = rep.monitors["dt"][k + 1]
-        assert stable_dt(st, spec, ctl) == dt
+        dt = stable_dt(st, spec, ctl)
+        rhs = interior_rhs(st, spec)[inner]
+        s_half = np.power(st.grad_mag * st.grad_mag + eps, q / 2.0)
+        ut_l2 += dt * np.sum(qw[inner] * rhs * rhs)
+        src_energy += dt * np.sum(qw * (s_half * s_half))
+        max_ut = np.max(rhs)
+        min_source = np.min(gradient_source(st, q, eps, spec.mu)[inner])
         st = step(st, spec, dt)
         assert np.array_equal(traj.states[k + 1].u, st.u)
-        assert rep.monitors["grad_inf"][k + 1] == np.max(st.grad_mag)
+        if (k + 1) % 3 == 0:
+            rows.append({**field_row(st), "ut_l2_acc": ut_l2, "max_ut": max_ut,
+                         "min_source": min_source, "source_energy_acc": src_energy, "dt": dt})
+    # the final off-stride row has no step terms and repeats the last recorded dt
+    rows.append({**field_row(st), "ut_l2_acc": ut_l2, "max_ut": math.nan,
+                 "min_source": math.nan, "source_energy_acc": src_energy,
+                 "dt": rows[-1]["dt"]})
+    for col in MONITOR_COLUMNS:
+        assert np.array_equal(rep.monitors[col], [r[col] for r in rows], equal_nan=True), col
+    assert (rep.min_u_overall, rep.max_u_overall) == (
+        min(np.min(s.u) for s in traj.states), max(np.max(s.u) for s in traj.states))
 
 
 def test_run_gbu_reference_step_count_and_detection_time():
@@ -332,6 +365,24 @@ def test_run_pair_nonfinite_field_is_a_verdict():
     assert (rep.verdict, rep.reason) == (STALLED, "nonfinite")
     for r in (pair.report_low, pair.report_high):
         assert (r.verdict, r.reason, r.steps) == (STALLED, "nonfinite", rep.steps)
+
+
+def test_nonfinite_stop_keeps_last_accepted_field():
+    # after 87 106 steps the source next to the boundary overflows, and the
+    # update is not finite
+    spec = sine_spec(41, q=4.0, amp=2e73)
+    ctl = StepControl(t_end=0.01, dt_min=1e-320, gbu_threshold=1e300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj, rep = run(spec, ctl)
+        final = traj.states[-1]
+        assert (rep.verdict, rep.reason) == (STALLED, "nonfinite")
+        assert np.all(np.isfinite(final.u))
+        assert final.t == rep.monitors["t"][-1]
+        assert (np.min(final.u), np.max(final.u)) == (
+            rep.monitors["min_u"][-1], rep.monitors["max_u"][-1])
+        # the step the run rejected
+        with pytest.raises(StalledStepError):
+            step(final, spec, stable_dt(final, spec, ctl))
 
 
 def test_step_bound_overflow_ends_in_dt_floor_verdict():
