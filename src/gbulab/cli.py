@@ -14,14 +14,14 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, barriers, fieldio, spectral, stepping
 from .grid import Grid, build_grid
-from .problem import PROFILES, make_spec
+from .problem import ProblemSpec, make_spec
 from .schema import validate_output
 from .stepping import COMPLETED, GBU_DETECTED, StepControl
 
@@ -91,8 +91,6 @@ def _parse_extents(s: str) -> list[list[float]]:
         if len(vals) != 2:
             raise ConfigError(f"extent needs two numbers, got {ax!r}")
         out.append(vals)
-    if len(out) not in (1, 2):
-        raise ConfigError("extents must describe 1 or 2 axes")
     return out
 
 
@@ -183,9 +181,25 @@ _KIND_SECTIONS: dict[str, tuple[set[str], set[str]]] = {
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The parsed sections and the objects built from them: the grid of
+    [grid], a spec per grid the run uses (one per [gbu] grids entry for
+    gbu_detect) and a control per threshold (one per [gbu] thresholds entry)."""
+
     kind: str
     seed: int
     sections: dict
+    grid: Grid | None = None
+    specs: tuple[ProblemSpec, ...] = ()
+    controls: tuple[StepControl, ...] = ()
+    alpha: float | None = None  # the [criterion] exponent, "mid" resolved
+
+    @property
+    def spec(self) -> ProblemSpec:
+        return self.specs[0]
+
+    @property
+    def control(self) -> StepControl:
+        return self.controls[0]
 
     def __getitem__(self, section: str) -> dict:
         return self.sections[section]
@@ -202,7 +216,8 @@ def parse_config(text: str) -> RunConfig:
     """Parse and validate a flat key=value config with [section] headers.
 
     Unknown sections and keys are errors; constraint violations name the
-    violated hypothesis."""
+    violated hypothesis. A value that a domain constructor rejects raises
+    ConfigError with the constructor's message."""
     cp = configparser.ConfigParser(interpolation=None, delimiters=("=",))
     cp.optionxform = str
     try:
@@ -245,60 +260,19 @@ def parse_config(text: str) -> RunConfig:
 
     config = RunConfig(kind=kind, seed=sections["experiment"]["seed"], sections=sections)
     _validate_constraints(config)
-    return config
+    try:
+        return _build(config)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _validate_constraints(cfg: RunConfig) -> None:
-    if cfg.has("problem"):
-        p, q = cfg["problem"]["p"], cfg["problem"]["q"]
-        if not p > 2:
-            raise ConfigError(f"p={p} rejected: requires p > 2")
-        if not q > p - 1:
-            raise ConfigError(f"q={q} rejected: requires q > p - 1 (got p - 1 = {p - 1})")
-        if cfg["problem"]["epsilon"] < 0:
-            raise ConfigError("requires epsilon >= 0")
-        if cfg["problem"]["mu"] < 0:
-            raise ConfigError("requires mu >= 0")
-        if cfg["problem"]["profile"] not in PROFILES:
-            raise ConfigError(
-                f"unknown profile {cfg['problem']['profile']!r}; known: {sorted(PROFILES)}"
-            )
-        if not 0 <= cfg["problem"]["amplitude"] < math.inf:
-            raise ConfigError("requires a finite amplitude >= 0")
-    if cfg.kind == "criterion_bisect":
-        p, q = cfg["problem"]["p"], cfg["problem"]["q"]
-        if not q > p > 2:
-            raise ConfigError(f"criterion_bisect with p={p}, q={q} rejected: requires q > p > 2")
-        alpha_key = cfg["criterion"]["alpha"]
-        if alpha_key != "mid":
-            from .spectral import alpha_window
-
-            alpha = _parse_float(alpha_key)
-            window = alpha_window(p, q)
-            if not window.contains(alpha):
-                raise ConfigError(
-                    f"alpha={alpha} outside the admissible exponent window "
-                    f"({window.lo}, {window.hi})"
-                )
-    if cfg.has("grid"):
-        if len(cfg["grid"]["extents"]) != len(cfg["grid"]["points"]):
-            raise ConfigError("grid extents and points must have matching dimensions")
-        if any(n < 3 for n in cfg["grid"]["points"]):
-            raise ConfigError("requires at least 3 points per axis")
-        if any(b <= a for a, b in cfg["grid"]["extents"]):
-            raise ConfigError("degenerate grid extents")
+    """The checks no domain constructor makes; `_build` makes the others."""
     if cfg.has("control"):
-        c = cfg["control"]
-        if not c["t_end"] > 0:
-            raise ConfigError("requires t_end > 0")
-        if not 0 < c["theta"] <= 1:
-            raise ConfigError("requires theta in (0, 1]")
-        if c["alpha"] is not None and c["alpha"] < 1:
+        if cfg["control"]["alpha"] is not None and cfg["control"]["alpha"] < 1:
             raise ConfigError("requires alpha >= 1")
-    if cfg.has("continuation"):
-        eps = cfg["continuation"]["epsilons"]
-        if len(eps) < 3 or any(e1 >= e0 for e0, e1 in zip(eps, eps[1:])):
-            raise ConfigError("epsilons must be strictly decreasing with >= 3 entries")
     if cfg.has("gbu"):
         g = cfg["gbu"]
         if len(g["thresholds"]) * len(g["grids"]) < 2:
@@ -327,6 +301,40 @@ def _validate_constraints(cfg: RunConfig) -> None:
         has_traj = cfg.has("compliance") and bool(cfg["compliance"]["trajectory"])
         if not has_traj and not cfg.has("control"):
             raise ConfigError("compliance_suite without a stored trajectory requires [control]")
+
+
+def _build(cfg: RunConfig) -> RunConfig:
+    """cfg with the grid, specs, controls and criterion exponent its run
+    uses. Their constructors check every value they take."""
+    s = cfg.sections
+    grid = build_grid(s["grid"]["extents"], s["grid"]["points"]) if cfg.has("grid") else None
+    if cfg.kind == "gbu_detect":
+        extents = s["grid"]["extents"]
+        grids = [build_grid(extents, [n] * len(extents)) for n in s["gbu"]["grids"]]
+    elif cfg.kind == "barrier_certify":
+        # no [grid]: the smallest grid lets [problem] pass the same constructor
+        grids = [build_grid((0.0, 1.0), 3)]
+    else:
+        grids = [grid]
+    specs = tuple(make_spec(g, **s["problem"]) for g in grids) if cfg.has("problem") else ()
+    controls = ()
+    if cfg.has("control"):
+        c = {k: v for k, v in s["control"].items() if k != "alpha"}
+        thresholds = s["gbu"]["thresholds"] if cfg.has("gbu") else [c["gbu_threshold"]]
+        controls = tuple(StepControl(**{**c, "gbu_threshold": g}) for g in thresholds)
+    if cfg.has("continuation"):
+        stepping.continuation_epsilons(s["continuation"]["epsilons"])
+    alpha = None
+    if cfg.kind == "criterion_bisect":
+        window = spectral.alpha_window(specs[0].p, specs[0].q)  # EmptyAlphaWindow unless q > p
+        key = s["criterion"]["alpha"]
+        alpha = window.midpoint() if key == "mid" else _parse_float(key)
+        if not window.contains(alpha):
+            raise ConfigError(
+                f"alpha={alpha} outside the admissible exponent window "
+                f"({window.lo}, {window.hi})"
+            )
+    return replace(cfg, grid=grid, specs=specs, controls=controls, alpha=alpha)
 
 
 def canonical_text(cfg: RunConfig) -> str:
@@ -367,41 +375,14 @@ def write_json(path: Path, schema_name: str, obj: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _grid_from_cfg(cfg: RunConfig) -> Grid:
-    g = cfg["grid"]
-    extents = [tuple(e) for e in g["extents"]]
-    return build_grid(extents, g["points"])
+def _weight(cfg: RunConfig, grid: Grid) -> np.ndarray | None:
+    """The functional weight phi1^alpha on grid when [control] sets alpha."""
+    alpha = cfg["control"]["alpha"]
+    return None if alpha is None else np.power(spectral.principal_eigenpair(grid).phi1, alpha)
 
 
-def _spec_from_cfg(cfg: RunConfig, grid: Grid):
-    pr = cfg["problem"]
-    return make_spec(
-        grid,
-        p=pr["p"],
-        q=pr["q"],
-        epsilon=pr["epsilon"],
-        mu=pr["mu"],
-        profile=pr["profile"],
-        amplitude=pr["amplitude"],
-    )
-
-
-def _control_from_cfg(cfg: RunConfig, grid: Grid, gbu_threshold=None) -> StepControl:
-    c = cfg["control"]
-    weight = None
-    if c["alpha"] is not None:
-        eig = spectral.principal_eigenpair(grid)
-        weight = np.power(eig.phi1, c["alpha"])
-    return StepControl(
-        t_end=c["t_end"],
-        theta=c["theta"],
-        dt_min=c["dt_min"],
-        gbu_threshold=gbu_threshold if gbu_threshold is not None else c["gbu_threshold"],
-        snapshot_every=c["snapshot_every"],
-        monitor_stride=c["monitor_stride"],
-        max_steps=c["max_steps"],
-        functional_weight=weight,
-    )
+def _run_control(cfg: RunConfig) -> StepControl:
+    return replace(cfg.control, functional_weight=_weight(cfg, cfg.spec.grid))
 
 
 def _write_run_artifacts(out: Path, traj, report) -> None:
@@ -433,10 +414,8 @@ def dispatch(cfg: RunConfig, out: Path, jobs: int = 1, seed: int | None = None) 
 
 
 def _do_simulate(cfg: RunConfig, out: Path, jobs: int, seed: int) -> int:
-    grid = _grid_from_cfg(cfg)
-    spec = _spec_from_cfg(cfg, grid)
-    control = _control_from_cfg(cfg, grid)
-    traj, report = stepping.run(spec, control)
+    spec = cfg.spec
+    traj, report = stepping.run(spec, _run_control(cfg))
     _write_run_artifacts(out, traj, report)
     gamma_star = 1.0 / (spec.q - spec.p + 1.0)
     analysis.write_shell_profile_csv(
@@ -446,10 +425,8 @@ def _do_simulate(cfg: RunConfig, out: Path, jobs: int, seed: int) -> int:
 
 
 def _do_continuation(cfg: RunConfig, out: Path, jobs: int, seed: int) -> int:
-    grid = _grid_from_cfg(cfg)
-    spec = _spec_from_cfg(cfg, grid)
-    control = _control_from_cfg(cfg, grid)
-    report = stepping.epsilon_continuation(spec, cfg["continuation"]["epsilons"], control)
+    control = _run_control(cfg)
+    report = stepping.epsilon_continuation(cfg.spec, cfg["continuation"]["epsilons"], control)
     write_json(out / "continuation.json", "continuation", report.to_dict())
     for eps, field in zip(report.epsilons, report.final_fields):
         fieldio.write_field(out / f"final_eps_{eps:g}.field", field, control.t_end)
@@ -458,10 +435,8 @@ def _do_continuation(cfg: RunConfig, out: Path, jobs: int, seed: int) -> int:
 
 
 def _gbu_job(args) -> tuple[int, float, float | None, str]:
-    cfg, n, threshold, out_str = args
-    grid = build_grid([tuple(e) for e in cfg["grid"]["extents"]], [n] * len(cfg["grid"]["extents"]))
-    spec = _spec_from_cfg(cfg, grid)
-    control = _control_from_cfg(cfg, grid, gbu_threshold=threshold)
+    spec, control, out_str = args
+    n, threshold = spec.grid.points_per_axis[0], control.gbu_threshold
     traj, report = stepping.run(spec, control)
     job_out = Path(out_str)
     job_out.mkdir(parents=True, exist_ok=True)
@@ -474,14 +449,13 @@ def _gbu_job(args) -> tuple[int, float, float | None, str]:
 
 
 def _do_gbu_detect(cfg: RunConfig, out: Path, jobs: int, seed: int) -> int:
-    pairs = [
-        (n, g)
-        for n in cfg["gbu"]["grids"]
-        for g in cfg["gbu"]["thresholds"]
-    ]
-    job_args = [
-        (cfg, n, g, str(out / "runs" / f"n{n}_G{g:g}")) for n, g in pairs
-    ]
+    job_args = []
+    for spec in cfg.specs:
+        weight = _weight(cfg, spec.grid)
+        n = spec.grid.points_per_axis[0]
+        for c in cfg.controls:
+            run_dir = out / "runs" / f"n{n}_G{c.gbu_threshold:g}"
+            job_args.append((spec, replace(c, functional_weight=weight), str(run_dir)))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_gbu_job, job_args))
@@ -508,10 +482,9 @@ def _do_gbu_detect(cfg: RunConfig, out: Path, jobs: int, seed: int) -> int:
 
 def _do_barrier(cfg: RunConfig, out: Path, jobs: int, seed: int) -> int:
     b = cfg["barrier"]
-    pr = cfg["problem"]
     params = barriers.find_barrier_params(
-        pr["p"],
-        pr["q"],
+        cfg.spec.p,
+        cfg.spec.q,
         b["n"],
         b["rho"],
         g_norms=(b["grad_g"], b["hess_g"], b["g_sup"]),
@@ -524,22 +497,17 @@ def _do_barrier(cfg: RunConfig, out: Path, jobs: int, seed: int) -> int:
 
 
 def _do_bisect(cfg: RunConfig, out: Path, jobs: int, seed: int) -> int:
-    grid = _grid_from_cfg(cfg)
-    pr = cfg["problem"]
-    window = spectral.alpha_window(pr["p"], pr["q"])
-    alpha_key = cfg["criterion"]["alpha"]
-    alpha = window.midpoint() if alpha_key == "mid" else _parse_float(alpha_key)
-    control = _control_from_cfg(cfg, grid)
+    spec = cfg.spec
     result = spectral.criterion_experiment(
-        grid,
-        pr["p"],
-        pr["q"],
-        alpha,
-        control,
+        spec.grid,
+        spec.p,
+        spec.q,
+        cfg.alpha,
+        _run_control(cfg),
         amplitude_low=cfg["criterion"]["amplitude_low"],
         amplitude_high=cfg["criterion"]["amplitude_high"],
-        epsilon=pr["epsilon"],
-        mu=pr["mu"],
+        epsilon=spec.epsilon,
+        mu=spec.mu,
         bisect_iters=cfg["criterion"]["bisect_iters"],
     )
     doc = {
@@ -550,7 +518,7 @@ def _do_bisect(cfg: RunConfig, out: Path, jobs: int, seed: int) -> int:
         "threshold_functional": result.threshold_functional,
         "t_detect": result.t_detect,
         "runs": result.runs,
-        "alpha": alpha,
+        "alpha": cfg.alpha,
         "history": result.history,
     }
     write_json(out / "bisect_report.json", "bisect_report", doc)
@@ -568,17 +536,15 @@ def _section_defaults(name: str) -> dict:
 def _do_compliance(cfg: RunConfig, out: Path, jobs: int, seed: int) -> int:
     comp = cfg.sections.get("compliance", _section_defaults("compliance"))
     checks = comp["checks"]
-    grid = _grid_from_cfg(cfg)
     reports: list[analysis.ComplianceReport] = []
 
     if comp["trajectory"]:
         monitors = stepping.read_monitors_csv(comp["trajectory"])
-        traj = stepping.Trajectory(grid=grid, spec=None, states=[], monitors=monitors)
+        traj = stepping.Trajectory(grid=cfg.grid, spec=None, states=[], monitors=monitors)
         reports.append(analysis.max_principle_check(traj))
     else:
-        spec = _spec_from_cfg(cfg, grid)
-        control = _control_from_cfg(cfg, grid)
-        traj, run_report = stepping.run(spec, control)
+        spec = cfg.spec
+        traj, run_report = stepping.run(spec, _run_control(cfg))
         _write_run_artifacts(out, traj, run_report)
         u0_sup = float(np.max(np.abs(spec.initial)))
         if "max_principle" in checks:
@@ -604,7 +570,7 @@ def _do_compliance(cfg: RunConfig, out: Path, jobs: int, seed: int) -> int:
 
 
 def _do_eig(cfg: RunConfig, out: Path, jobs: int, seed: int) -> int:
-    grid = _grid_from_cfg(cfg)
+    grid = cfg.grid
     tol = cfg.sections.get("eig", _section_defaults("eig"))["tol"]
     eig = spectral.principal_eigenpair(grid, tol=tol)
     fieldio.write_field(out / "phi1.field", eig.phi1, 0.0)

@@ -182,6 +182,8 @@ def make_spec(
         builder = PROFILES[profile]
     except KeyError:
         raise ValueError(f"unknown data profile {profile!r}; known: {sorted(PROFILES)}") from None
+    if not 0 <= amplitude < np.inf:
+        raise ValueError(f"requires a finite amplitude >= 0, got {amplitude}")
     g, u0 = builder(grid, amplitude)
     return ProblemSpec(
         grid=grid, p=p, q=q, epsilon=epsilon, mu=mu, boundary_values=g, initial=u0

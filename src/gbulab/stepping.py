@@ -85,6 +85,8 @@ class StepControl:
             raise ValueError("snapshot_every must be >= 0")
         if self.monitor_stride < 1:
             raise ValueError("monitor_stride must be >= 1")
+        if self.max_steps < 0:
+            raise ValueError("max_steps must be >= 0")
         object.__setattr__(self, "t_marks", tuple(sorted(float(t) for t in self.t_marks)))
         object.__setattr__(
             self, "report_thresholds", tuple(sorted(float(g) for g in self.report_thresholds))
@@ -236,6 +238,7 @@ class _Track:
         self.crossings: dict[float, float] = {}
         self.pending = list(control.report_thresholds)
         self.ut_l2_acc = self.src_energy_acc = 0.0
+        self.dt_last = 0.0  # of the last accepted step
         self.min_overall, self.max_overall = math.inf, -math.inf
         self._record_current(0.0, 0.0)
 
@@ -280,6 +283,7 @@ class _Track:
         np.copyto(s_row, kernel.s_half)
         np.copyto(rhs_row, kernel.rhs)
         self._steps.append((t, dt, kernel.w, record))
+        self.dt_last = dt
         if len(self._steps) == len(self._row_views):
             self._flush()
         if snapshot:
@@ -317,9 +321,8 @@ class _Track:
         self._flush()
         if self.snapshots[-1].t != t:
             self.snapshots.append(SolutionState(self.spec.grid, self.kernel.u.copy(), t))
-        last = self.blocks[-1][-1]
-        if last[0] != t:  # final partial-stride step still gets a row
-            self._record_current(t, last[-1])
+        if self.blocks[-1][-1][0] != t:  # final partial-stride step still gets a row
+            self._record_current(t, self.dt_last)
         # one array per column: a single (rows, columns) array would need one
         # allocation of every row's size, which a heap fragmented by earlier
         # runs' snapshots fits less often
@@ -563,17 +566,23 @@ class ContinuationReport:
         }
 
 
-def epsilon_continuation(
-    spec: ProblemSpec, epsilons, control: StepControl
-) -> ContinuationReport:
-    """Run the same problem for each eps (strictly decreasing, >= 3 entries)
-    and study convergence of the final-time fields as eps -> 0."""
+def continuation_epsilons(epsilons) -> list[float]:
+    """The eps of a continuation study as floats: at least 3 of them,
+    strictly decreasing and nonnegative."""
     eps = [float(e) for e in epsilons]
     if len(eps) < 3:
         raise ValueError("need at least 3 epsilon values")
     if any(e1 >= e0 for e0, e1 in zip(eps, eps[1:])) or any(e < 0 for e in eps):
         raise ValueError("epsilons must be strictly decreasing and nonnegative")
+    return eps
 
+
+def epsilon_continuation(
+    spec: ProblemSpec, epsilons, control: StepControl
+) -> ContinuationReport:
+    """Run the same problem for each eps (see `continuation_epsilons`) and
+    study convergence of the final-time fields as eps -> 0."""
+    eps = continuation_epsilons(epsilons)
     finals = []
     for e in eps:
         traj, report = run(replace(spec, epsilon=e), control)

@@ -329,9 +329,7 @@ n_radial = 1000
     assert doc["params"]["beta"] == pytest.approx(1 / 6)
 
 
-def test_dispatch_continuation(tmp_path):
-    cfg = parse_config(
-        """
+CONTINUATION_CFG = """
 [experiment]
 kind = epsilon_continuation
 
@@ -349,7 +347,10 @@ t_end = 0.002
 [continuation]
 epsilons = 1e-2, 1e-3, 1e-4
 """
-    )
+
+
+def test_dispatch_continuation(tmp_path):
+    cfg = parse_config(CONTINUATION_CFG)
     code = dispatch(cfg, tmp_path / "out")
     assert code == 0
     doc = json.loads((tmp_path / "out" / "continuation.json").read_text())
@@ -358,9 +359,7 @@ epsilons = 1e-2, 1e-3, 1e-4
     assert (tmp_path / "out" / "final_extrapolated.field").exists()
 
 
-def test_dispatch_gbu_detect(tmp_path):
-    cfg = parse_config(
-        """
+GBU_DETECT_CFG = """
 [experiment]
 kind = gbu_detect
 
@@ -381,7 +380,19 @@ dt_min = 1e-13
 thresholds = 40, 80, 160
 grids = 101
 """
-    )
+
+
+def test_parse_builds_one_spec_per_grid_and_one_control_per_threshold():
+    cfg = parse_config(GBU_DETECT_CFG.replace("grids = 101", "grids = 101, 201"))
+    assert [s.grid.points_per_axis for s in cfg.specs] == [(101,), (201,)]
+    assert [(s.p, s.q) for s in cfg.specs] == [(3.0, 4.0)] * 2
+    assert [c.gbu_threshold for c in cfg.controls] == [40.0, 80.0, 160.0]
+    assert {(c.t_end, c.dt_min) for c in cfg.controls} == {(0.05, 1e-13)}
+    assert cfg.grid.points_per_axis == (51,)
+
+
+def test_dispatch_gbu_detect(tmp_path):
+    cfg = parse_config(GBU_DETECT_CFG)
     code = dispatch(cfg, tmp_path / "out")
     doc = json.loads((tmp_path / "out" / "gbu_verdict.json").read_text())
     validate(doc, load_schema("gbu_verdict"))
@@ -412,6 +423,37 @@ def test_main_nonfinite_amplitude_exit_2(tmp_path, amplitude):
     text = MINIMAL_SIMULATE.replace("q = 2.5", f"q = 2.5\namplitude = {amplitude}")
     path = write_cfg(tmp_path, text)
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+RAMP_2D = MINIMAL_SIMULATE.replace("points = 41", "points = 11, 11").replace(
+    "extents = 0, 1", "extents = 0, 1; 0, 1").replace("q = 2.5", "q = 2.5\nprofile = ramp")
+
+
+@pytest.mark.parametrize(("verb", "text", "message"), [
+    ("simulate", MINIMAL_SIMULATE + "monitor_stride = 0\n", "monitor_stride must be >= 1"),
+    ("simulate", MINIMAL_SIMULATE + "dt_min = 0\n", "dt_min must be positive"),
+    ("simulate", MINIMAL_SIMULATE + "gbu_threshold = -1\n", "gbu_threshold must be positive"),
+    ("simulate", MINIMAL_SIMULATE + "snapshot_every = -1\n", "snapshot_every must be >= 0"),
+    ("simulate", MINIMAL_SIMULATE + "max_steps = -1\n", "max_steps must be >= 0"),
+    ("simulate", RAMP_2D, "ramp profile is 1D only"),
+    ("detect-gbu", GBU_DETECT_CFG.replace("grids = 101", "grids = 2"),
+     "need at least 3 nodes per axis, got 2"),
+    ("detect-gbu", GBU_DETECT_CFG.replace("thresholds = 40, 80, 160", "thresholds = -5, 200"),
+     "gbu_threshold must be positive"),
+    ("continue-eps", CONTINUATION_CFG.replace("1e-2, 1e-3, 1e-4", "0.1, 0.01, -0.001"),
+     "epsilons must be strictly decreasing and nonnegative"),
+], ids=["monitor_stride", "dt_min", "gbu_threshold", "snapshot_every", "max_steps", "ramp_2d",
+        "gbu_grids", "gbu_thresholds", "epsilons"])
+def test_main_value_rejected_by_constructor_exit_2_before_any_run(
+    tmp_path, capsys, verb, text, message
+):
+    # the constructors' own checks run at parse time: config error, no run
+    path = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main([verb, "--config", str(path), "--out", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (out / "failure.json").exists()
+    assert not (out / "runs").exists()
 
 
 def test_main_missing_config_exit_2(tmp_path):

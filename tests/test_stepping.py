@@ -199,10 +199,9 @@ def test_run_bitwise_matches_repeated_step(dim):
         if (k + 1) % 3 == 0:
             rows.append({**field_row(st), "ut_l2_acc": ut_l2, "max_ut": max_ut,
                          "min_source": min_source, "source_energy_acc": src_energy, "dt": dt})
-    # the final off-stride row has no step terms and repeats the last recorded dt
+    # the final off-stride row has no step terms; its dt is the last step's
     rows.append({**field_row(st), "ut_l2_acc": ut_l2, "max_ut": math.nan,
-                 "min_source": math.nan, "source_energy_acc": src_energy,
-                 "dt": rows[-1]["dt"]})
+                 "min_source": math.nan, "source_energy_acc": src_energy, "dt": dt})
     for col in MONITOR_COLUMNS:
         assert np.array_equal(rep.monitors[col], [r[col] for r in rows], equal_nan=True), col
     assert (rep.min_u_overall, rep.max_u_overall) == (
@@ -248,6 +247,20 @@ def test_run_gbu_detection_and_crossings():
     t30 = rep.threshold_crossings[30.0]
     t60 = rep.threshold_crossings[60.0]
     assert 0 < t15 <= t30 <= t60 == rep.t_detect
+
+
+@pytest.mark.parametrize(("key", "value", "message"), [
+    ("t_end", 0.0, "t_end must be positive"),
+    ("theta", 1.5, r"theta must be in \(0, 1\]"),
+    ("dt_min", 0.0, "dt_min must be positive"),
+    ("gbu_threshold", -1.0, "gbu_threshold must be positive"),
+    ("snapshot_every", -1, "snapshot_every must be >= 0"),
+    ("monitor_stride", 0, "monitor_stride must be >= 1"),
+    ("max_steps", -1, "max_steps must be >= 0"),
+])
+def test_step_control_rejects_out_of_range_values(key, value, message):
+    with pytest.raises(ValueError, match=message):
+        StepControl(**{"t_end": 1.0, key: value})
 
 
 def test_run_max_steps_stalls():
