@@ -137,7 +137,6 @@ def find_barrier_params(
     g_norms: tuple[float, float, float] = (0.0, 0.0, 0.0),
     g_min: float = 0.0,
     data_sup: float = 1.0,
-    data_lipschitz: float | None = None,
 ) -> BarrierParams:
     """Admissible (delta=eta, beta, K, C) for the collar construction.
 
@@ -145,7 +144,8 @@ def find_barrier_params(
     found by bisection downward from rho (the constraint set is monotone:
     shrinking an admissible delta preserves admissibility). K exceeds the
     rate floor (N+p-3)/rho; C dominates the initial data: bounded by
-    data_sup overall and Lipschitz near the contact point.
+    data_sup overall and Lipschitz near the contact point with constant
+    data_sup.
 
     g_norms is (|grad g|_inf, |D2 g|_inf, |g|_inf).
     """
@@ -156,8 +156,7 @@ def find_barrier_params(
     grad_g, hess_g, g_sup = (float(v) for v in g_norms)
     beta = beta_exponent(p, q)
     K = max((N + p - 3.0) / rho, 0.0) + 1.0
-    lam = data_lipschitz if data_lipschitz is not None else data_sup
-    C = max(data_sup, lam * rho) / (1.0 - math.exp(-K * rho))
+    C = max(data_sup, data_sup * rho) / (1.0 - math.exp(-K * rho))
 
     def make(delta: float) -> BarrierParams:
         return BarrierParams(

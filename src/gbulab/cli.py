@@ -183,23 +183,20 @@ _KIND_SECTIONS: dict[str, tuple[set[str], set[str]]] = {
 class RunConfig:
     """The parsed sections and the objects built from them: the grid of
     [grid], a spec per grid the run uses (one per [gbu] grids entry for
-    gbu_detect) and a control per threshold (one per [gbu] thresholds entry)."""
+    gbu_detect) and the run control (for gbu_detect it stops at the largest
+    [gbu] thresholds entry and reports the crossing of each)."""
 
     kind: str
     seed: int
     sections: dict
     grid: Grid | None = None
     specs: tuple[ProblemSpec, ...] = ()
-    controls: tuple[StepControl, ...] = ()
+    control: StepControl | None = None
     alpha: float | None = None  # the [criterion] exponent, "mid" resolved
 
     @property
     def spec(self) -> ProblemSpec:
         return self.specs[0]
-
-    @property
-    def control(self) -> StepControl:
-        return self.controls[0]
 
     def __getitem__(self, section: str) -> dict:
         return self.sections[section]
@@ -257,6 +254,13 @@ def parse_config(text: str) -> RunConfig:
             else:
                 values[key] = default if not isinstance(default, list) else list(default)
         sections[sec] = values
+    if kind == "gbu_detect":
+        if "gbu_threshold" in cp["control"]:
+            raise ConfigError(
+                "gbu_detect takes no [control] gbu_threshold: it stops at the largest "
+                "[gbu] thresholds entry"
+            )
+        del sections["control"]["gbu_threshold"]
 
     config = RunConfig(kind=kind, seed=sections["experiment"]["seed"], sections=sections)
     _validate_constraints(config)
@@ -276,7 +280,7 @@ def _validate_constraints(cfg: RunConfig) -> None:
     if cfg.has("gbu"):
         g = cfg["gbu"]
         if len(g["thresholds"]) * len(g["grids"]) < 2:
-            raise ConfigError("gbu_detect needs at least 2 (threshold, grid) runs")
+            raise ConfigError("gbu_detect needs at least 2 (threshold, grid) pairs")
         if any(t1 <= t0 for t0, t1 in zip(g["thresholds"], g["thresholds"][1:])):
             raise ConfigError("thresholds must be strictly increasing")
     if cfg.has("barrier"):
@@ -304,7 +308,7 @@ def _validate_constraints(cfg: RunConfig) -> None:
 
 
 def _build(cfg: RunConfig) -> RunConfig:
-    """cfg with the grid, specs, controls and criterion exponent its run
+    """cfg with the grid, specs, control and criterion exponent its run
     uses. Their constructors check every value they take."""
     s = cfg.sections
     grid = build_grid(s["grid"]["extents"], s["grid"]["points"]) if cfg.has("grid") else None
@@ -317,11 +321,13 @@ def _build(cfg: RunConfig) -> RunConfig:
     else:
         grids = [grid]
     specs = tuple(make_spec(g, **s["problem"]) for g in grids) if cfg.has("problem") else ()
-    controls = ()
+    control = None
     if cfg.has("control"):
         c = {k: v for k, v in s["control"].items() if k != "alpha"}
-        thresholds = s["gbu"]["thresholds"] if cfg.has("gbu") else [c["gbu_threshold"]]
-        controls = tuple(StepControl(**{**c, "gbu_threshold": g}) for g in thresholds)
+        if cfg.has("gbu"):
+            thresholds = s["gbu"]["thresholds"]
+            c.update(gbu_threshold=max(thresholds), report_thresholds=thresholds)
+        control = StepControl(**c)
     if cfg.has("continuation"):
         stepping.continuation_epsilons(s["continuation"]["epsilons"])
     alpha = None
@@ -334,7 +340,7 @@ def _build(cfg: RunConfig) -> RunConfig:
                 f"alpha={alpha} outside the admissible exponent window "
                 f"({window.lo}, {window.hi})"
             )
-    return replace(cfg, grid=grid, specs=specs, controls=controls, alpha=alpha)
+    return replace(cfg, grid=grid, specs=specs, control=control, alpha=alpha)
 
 
 def canonical_text(cfg: RunConfig) -> str:
@@ -345,7 +351,7 @@ def canonical_text(cfg: RunConfig) -> str:
             continue
         lines.append(f"[{sec}]")
         for key in _SCHEMA[sec]:
-            value = cfg.sections[sec][key]
+            value = cfg.sections[sec].get(key)
             if value is None:
                 continue
             lines.append(f"{key} = {_fmt(value)}")
@@ -434,38 +440,31 @@ def _do_continuation(cfg: RunConfig, out: Path, jobs: int, seed: int) -> int:
     return 0
 
 
-def _gbu_job(args) -> tuple[int, float, float | None, str]:
-    spec, control, out_str = args
-    n, threshold = spec.grid.points_per_axis[0], control.gbu_threshold
+def _gbu_job(spec: ProblemSpec, control: StepControl, out: Path) -> list:
+    """Run spec once; one ThresholdCrossing per report threshold, timed by
+    its crossing, else by the run's GBU time (a dt_floor stop), else None."""
+    n = spec.grid.points_per_axis[0]
     traj, report = stepping.run(spec, control)
-    job_out = Path(out_str)
-    job_out.mkdir(parents=True, exist_ok=True)
-    _write_run_artifacts(job_out, traj, report)
-    if report.verdict == GBU_DETECTED:
-        return n, threshold, report.t_detect, report.verdict
-    if report.verdict == COMPLETED:
-        return n, threshold, None, report.verdict
-    raise stepping.StalledStepError(f"run n={n}, G={threshold} stalled: {report.reason}")
+    out.mkdir(parents=True, exist_ok=True)
+    _write_run_artifacts(out, traj, report)
+    if report.verdict not in (COMPLETED, GBU_DETECTED):
+        raise stepping.StalledStepError(f"run n={n} stalled: {report.reason}")
+    return [
+        stepping.ThresholdCrossing(n, g, report.threshold_crossings.get(g, report.t_detect))
+        for g in control.report_thresholds
+    ]
 
 
 def _do_gbu_detect(cfg: RunConfig, out: Path, jobs: int, seed: int) -> int:
-    job_args = []
-    for spec in cfg.specs:
-        weight = _weight(cfg, spec.grid)
-        n = spec.grid.points_per_axis[0]
-        for c in cfg.controls:
-            run_dir = out / "runs" / f"n{n}_G{c.gbu_threshold:g}"
-            job_args.append((spec, replace(c, functional_weight=weight), str(run_dir)))
+    specs = cfg.specs
+    controls = [replace(cfg.control, functional_weight=_weight(cfg, s.grid)) for s in specs]
+    dirs = [out / "runs" / f"n{s.grid.points_per_axis[0]}" for s in specs]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_gbu_job, job_args))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(specs))) as pool:
+            results = list(pool.map(_gbu_job, specs, controls, dirs))
     else:
-        results = [_gbu_job(a) for a in job_args]
-
-    evidence = [
-        stepping.ThresholdCrossing(resolution=n, threshold=g, t_detect=t)
-        for n, g, t, _ in results
-    ]
+        results = list(map(_gbu_job, specs, controls, dirs))
+    evidence = [e for crossings in results for e in crossings]
     verdict = stepping.detect_gbu(evidence)
     doc = {
         "status": verdict.status,

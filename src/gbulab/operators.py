@@ -63,9 +63,9 @@ class StepKernel:
     def __init__(self, grid: Grid, p=None, q=None, eps=0.0, mu=1.0, boundary_values=None):
         if p is not None and not p > 2:
             raise ValueError(f"requires p > 2, got {p}")
-        if eps < 0:
+        if not eps >= 0:
             raise ValueError("requires eps >= 0")
-        if mu < 0:
+        if not mu >= 0:
             raise ValueError("requires mu >= 0")
         dim, shape = grid.dimension, grid.shape
         inner, ishape = grid.interior_slice(), tuple(n - 2 for n in shape)

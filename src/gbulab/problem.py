@@ -41,9 +41,9 @@ class ProblemSpec:
             raise ValueError(f"requires p > 2, got p={self.p}")
         if not self.q > self.p - 1:
             raise ValueError(f"requires q > p - 1, got q={self.q}, p-1={self.p - 1}")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise ValueError("requires eps >= 0")
-        if self.mu < 0:
+        if not self.mu >= 0:
             raise ValueError("requires mu >= 0")
         g = np.asarray(self.boundary_values, dtype=float)
         u0 = np.asarray(self.initial, dtype=float)
@@ -93,10 +93,6 @@ class SolutionState:
         self.grid = grid
         self.u = u
         self.t = float(t)
-        self._grad = None
-        self._grad_mag = None
-
-    def invalidate(self) -> None:
         self._grad = None
         self._grad_mag = None
 

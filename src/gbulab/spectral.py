@@ -290,7 +290,6 @@ def criterion_experiment(
     mu: float = 1.0,
     bisect_iters: int = 6,
     max_expand: int = 8,
-    eigen: EigenData | None = None,
 ) -> CriterionResult:
     """Bisect the sine-bump amplitude between a completed and a blown-up run.
 
@@ -302,8 +301,7 @@ def criterion_experiment(
     window = alpha_window(p, q)
     if not window.contains(alpha):
         raise ValueError(f"alpha={alpha} outside admissible window {window}")
-    eig = eigen if eigen is not None else principal_eigenpair(grid)
-    weight = np.power(eig.phi1, alpha)
+    weight = np.power(principal_eigenpair(grid).phi1, alpha)
     qw = quadrature_weights(grid)
 
     history = []

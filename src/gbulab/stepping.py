@@ -87,6 +87,8 @@ class StepControl:
             raise ValueError("monitor_stride must be >= 1")
         if self.max_steps < 0:
             raise ValueError("max_steps must be >= 0")
+        if not all(g > 0 for g in self.report_thresholds):
+            raise ValueError("report_thresholds must be positive")
         object.__setattr__(self, "t_marks", tuple(sorted(float(t) for t in self.t_marks)))
         object.__setattr__(
             self, "report_thresholds", tuple(sorted(float(g) for g in self.report_thresholds))

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from gbulab import fieldio
 from gbulab.cli import ConfigError, canonical_text, dispatch, main, parse_config
 from gbulab.schema import SchemaError, load_schema, validate
-from gbulab.stepping import read_monitors_csv
+from gbulab.stepping import read_monitors_csv, run
 
 try:
     import jsonschema
@@ -382,13 +383,16 @@ grids = 101
 """
 
 
-def test_parse_builds_one_spec_per_grid_and_one_control_per_threshold():
+def test_parse_builds_one_spec_per_grid_and_one_control():
     cfg = parse_config(GBU_DETECT_CFG.replace("grids = 101", "grids = 101, 201"))
     assert [s.grid.points_per_axis for s in cfg.specs] == [(101,), (201,)]
     assert [(s.p, s.q) for s in cfg.specs] == [(3.0, 4.0)] * 2
-    assert [c.gbu_threshold for c in cfg.controls] == [40.0, 80.0, 160.0]
-    assert {(c.t_end, c.dt_min) for c in cfg.controls} == {(0.05, 1e-13)}
+    # the control stops at the largest threshold and reports every crossing
+    assert cfg.control.gbu_threshold == 160.0
+    assert cfg.control.report_thresholds == (40.0, 80.0, 160.0)
+    assert (cfg.control.t_end, cfg.control.dt_min) == (0.05, 1e-13)
     assert cfg.grid.points_per_axis == (51,)
+    assert parse_config(canonical_text(cfg)).sections == cfg.sections
 
 
 def test_dispatch_gbu_detect(tmp_path):
@@ -398,12 +402,50 @@ def test_dispatch_gbu_detect(tmp_path):
     validate(doc, load_schema("gbu_verdict"))
     assert doc["status"] == "GBU"
     assert code == 0
-    # one run report per (grid, threshold) pair
-    run_dirs = sorted(p.name for p in (tmp_path / "out" / "runs").iterdir())
-    assert len(run_dirs) == 3
-    for d in run_dirs:
-        assert (tmp_path / "out" / "runs" / d / "run_report.json").exists()
-        assert (tmp_path / "out" / "runs" / d / "monitors.csv").exists()
+    # one run per grid, whose report holds every threshold's crossing
+    runs = tmp_path / "out" / "runs"
+    assert [p.name for p in runs.iterdir()] == ["n101"]
+    assert (runs / "n101" / "monitors.csv").exists()
+    report = json.loads((runs / "n101" / "run_report.json").read_text())
+    assert report["threshold_crossings"] == {
+        repr(e["threshold"]): e["t_detect"] for e in doc["evidence"]
+    }
+
+
+@pytest.mark.parametrize(("text", "top_reason"), [
+    (GBU_DETECT_CFG, "threshold"),
+    (GBU_DETECT_CFG.replace("dt_min = 1e-13", "dt_min = 1e-8"), "dt_floor"),  # before 80
+    (GBU_DETECT_CFG.replace("t_end = 0.05", "t_end = 0.00026"), "t_end"),  # before 160
+], ids=["threshold", "dt_floor", "never_reached"])
+def test_gbu_detect_evidence_matches_one_run_per_threshold(tmp_path, text, top_reason):
+    cfg = parse_config(text)
+    assert dispatch(cfg, tmp_path / "out") in (0, 1)
+    doc = json.loads((tmp_path / "out" / "gbu_verdict.json").read_text())
+    expected, reasons = [], []
+    for g in cfg.control.report_thresholds:
+        _, rep = run(cfg.spec, replace(cfg.control, gbu_threshold=g, report_thresholds=()))
+        expected.append({"resolution": 101, "threshold": g, "t_detect": rep.t_detect})
+        reasons.append(rep.reason)
+    assert doc["evidence"] == expected
+    assert reasons[-1] == top_reason
+
+
+def test_gbu_detect_jobs_2_matches_jobs_1(tmp_path):
+    path = write_cfg(tmp_path, GBU_DETECT_CFG.replace("grids = 101", "grids = 51, 101"))
+    trees = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        code = main(["detect-gbu", "--config", str(path), "--out", str(out), "--jobs", jobs])
+        files = {"exit code": code}
+        for f in sorted(out.rglob("*")):
+            if f.name == "run_report.json":
+                files[f.relative_to(out)] = {
+                    k: v for k, v in json.loads(f.read_text()).items() if k != "wall_time"}
+            elif f.is_file():
+                files[f.relative_to(out)] = f.read_bytes()
+        trees.append(files)
+    assert sorted(p.name for p in (tmp_path / "jobs2" / "runs").iterdir()) == ["n101", "n51"]
+    assert trees[0] == trees[1]
 
 
 # -- entry point -------------------------------------------------------------------------
@@ -439,15 +481,22 @@ RAMP_2D = MINIMAL_SIMULATE.replace("points = 41", "points = 11, 11").replace(
     ("detect-gbu", GBU_DETECT_CFG.replace("grids = 101", "grids = 2"),
      "need at least 3 nodes per axis, got 2"),
     ("detect-gbu", GBU_DETECT_CFG.replace("thresholds = 40, 80, 160", "thresholds = -5, 200"),
-     "gbu_threshold must be positive"),
+     "report_thresholds must be positive"),
+    ("simulate", MINIMAL_SIMULATE.replace("q = 2.5", "q = 2.5\nepsilon = nan"),
+     "requires eps >= 0"),
+    ("detect-gbu", GBU_DETECT_CFG.replace("t_end", "gbu_threshold = -1\nt_end"),
+     "gbu_detect takes no [control] gbu_threshold: it stops at the largest [gbu] thresholds"),
+    ("detect-gbu", GBU_DETECT_CFG.replace("t_end", "gbu_threshold = 300\nt_end"),
+     "gbu_detect takes no [control] gbu_threshold: it stops at the largest [gbu] thresholds"),
     ("continue-eps", CONTINUATION_CFG.replace("1e-2, 1e-3, 1e-4", "0.1, 0.01, -0.001"),
      "epsilons must be strictly decreasing and nonnegative"),
 ], ids=["monitor_stride", "dt_min", "gbu_threshold", "snapshot_every", "max_steps", "ramp_2d",
-        "gbu_grids", "gbu_thresholds", "epsilons"])
+        "gbu_grids", "gbu_thresholds", "epsilon_nan", "gbu_detect_control_threshold_neg",
+        "gbu_detect_control_threshold_300", "epsilons"])
 def test_main_value_rejected_by_constructor_exit_2_before_any_run(
     tmp_path, capsys, verb, text, message
 ):
-    # the constructors' own checks run at parse time: config error, no run
+    # the parser and the constructors check values at parse time: config error, no run
     path = write_cfg(tmp_path, text)
     out = tmp_path / "out"
     assert main([verb, "--config", str(path), "--out", str(out)]) == 2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gbulab import ProblemSpec, build_grid, make_spec
+from gbulab.operators import StepKernel
 
 
 @pytest.mark.parametrize("field", ["initial", "boundary_values"])
@@ -23,3 +24,14 @@ def test_spec_rejects_nonfinite_data(field, value):
 def test_nan_amplitude_profile_is_rejected():
     with pytest.raises(ValueError, match="finite"):
         make_spec(build_grid((0.0, 1.0), 41), p=3.0, q=2.5, profile="sine", amplitude=math.nan)
+
+
+@pytest.mark.parametrize("value", [math.nan, -1.0])
+@pytest.mark.parametrize(("spec_key", "kernel_key", "message"), [
+    ("epsilon", "eps", "eps >= 0"), ("mu", "mu", "mu >= 0")])
+def test_spec_and_kernel_reject_nan_or_negative_eps_and_mu(spec_key, kernel_key, message, value):
+    g = build_grid((0.0, 1.0), 41)
+    with pytest.raises(ValueError, match=message):
+        make_spec(g, p=3.0, q=2.5, **{spec_key: value})
+    with pytest.raises(ValueError, match=message):
+        StepKernel(g, p=3.0, q=2.5, **{kernel_key: value})

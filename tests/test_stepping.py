@@ -257,6 +257,8 @@ def test_run_gbu_detection_and_crossings():
     ("snapshot_every", -1, "snapshot_every must be >= 0"),
     ("monitor_stride", 0, "monitor_stride must be >= 1"),
     ("max_steps", -1, "max_steps must be >= 0"),
+    ("report_thresholds", (-5.0, 200.0), "report_thresholds must be positive"),
+    ("report_thresholds", (math.nan,), "report_thresholds must be positive"),
 ])
 def test_step_control_rejects_out_of_range_values(key, value, message):
     with pytest.raises(ValueError, match=message):
