@@ -19,7 +19,7 @@ certified when it is nonnegative for every tested regularization eps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -98,8 +98,6 @@ class BarrierParams:
 
     def scaled_delta(self, factor: float) -> "BarrierParams":
         """Same parameters with delta (and the tied collar width) scaled."""
-        from dataclasses import replace
-
         return replace(self, delta=self.delta * factor, eta=self.eta * factor)
 
 
@@ -127,6 +125,23 @@ def is_admissible(params: BarrierParams) -> bool:
     m = check_invariants(params)
     strict = m["k_rate"] > 0
     return strict and all(v >= 0 for k, v in m.items() if k != "k_rate")
+
+
+def _largest_admissible_delta(make, lo: float, hi: float) -> float:
+    """Largest delta in [lo, hi] whose make(delta) is admissible: hi when it
+    is, else 80 bisection steps up from an admissible lo, else nan. Shrinking
+    an admissible delta preserves admissibility, so the bisection is sound."""
+    if is_admissible(make(hi)):
+        return hi
+    if not is_admissible(make(lo)):
+        return math.nan
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if is_admissible(make(mid)):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def find_barrier_params(
@@ -165,23 +180,14 @@ def find_barrier_params(
             g_min=g_min, data_sup=data_sup,
         )
 
-    hi = rho
-    if is_admissible(make(hi)):
-        return make(hi)
-    lo = hi
+    lo = rho
     while not is_admissible(make(lo)):
         lo *= 0.5
         if lo < 1e-300:
             raise NoAdmissibleParams(
                 f"no admissible delta above float precision for p={p}, q={q}, N={N}"
             )
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if is_admissible(make(mid)):
-            lo = mid
-        else:
-            hi = mid
-    return make(lo)
+    return make(_largest_admissible_delta(make, lo, rho))
 
 
 def _kappas(p: float) -> tuple[float, ...]:
@@ -280,19 +286,16 @@ def exp_barrier_residual(
     q: float,
     N: int,
     eps: float,
-    g_sup: float = 0.0,
     span: float | None = None,
     n_radial: int = 10000,
-    t: float = 0.0,
 ) -> ExpBarrierCertificate:
     """Residual of (C^2 K^2 + 1)^(q/2) t + C (1 - e^(-K(r-rho))) + |g|_inf.
 
-    The residual is affine-free in t (the profile is affine in time), so t
-    only participates formally. Evaluated on r in [rho, rho+span] with the
+    The profile is affine in time and |g|_inf enters additively, so the
+    residual depends on neither. Evaluated on r in [rho, rho+span] with the
     kappa sweep; reports the minimum residual and the minimum of the
     diffusion term, whose sign is what K > (N+p-3)/rho guarantees.
     """
-    del t, g_sup  # residual is t-independent and g enters additively
     if not (C > 0 and K > 0 and rho > 0):
         raise ValueError("C, K, rho must be positive")
     if eps < 0:
@@ -342,27 +345,9 @@ def certify(
 ) -> dict:
     """Certification report: parameters, per-inequality minimum residuals
     for each eps, the admissible-delta upper bound, and the T0 window."""
-    del_hi = params.rho
-    del_lo = params.delta
-    from dataclasses import replace
-
-    def adm(dd: float) -> bool:
-        return is_admissible(replace(params, delta=dd, eta=dd))
-
-    if adm(del_hi):
-        delta_upper = del_hi
-    else:
-        lo, hi = del_lo, del_hi
-        if not adm(lo):
-            delta_upper = math.nan
-        else:
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if adm(mid):
-                    lo = mid
-                else:
-                    hi = mid
-            delta_upper = lo
+    delta_upper = _largest_admissible_delta(
+        lambda dd: replace(params, delta=dd, eta=dd), params.delta, params.rho
+    )
 
     sup_reports = {}
     exp_reports = {}

@@ -261,6 +261,11 @@ def parse_config(text: str) -> RunConfig:
                 "[gbu] thresholds entry"
             )
         del sections["control"]["gbu_threshold"]
+    if kind in ("criterion_bisect", "epsilon_continuation") and "alpha" in cp["control"]:
+        raise ConfigError(
+            f"{kind} takes no [control] alpha: it writes no monitors, so the weighted "
+            "mass would go unrecorded"
+        )
 
     config = RunConfig(kind=kind, seed=sections["experiment"]["seed"], sections=sections)
     _validate_constraints(config)
@@ -283,6 +288,8 @@ def _validate_constraints(cfg: RunConfig) -> None:
             raise ConfigError("gbu_detect needs at least 2 (threshold, grid) pairs")
         if any(t1 <= t0 for t0, t1 in zip(g["thresholds"], g["thresholds"][1:])):
             raise ConfigError("thresholds must be strictly increasing")
+        if len(set(g["grids"])) < len(g["grids"]):
+            raise ConfigError(f"grids must not repeat an entry, got {g['grids']}")
     if cfg.has("barrier"):
         b = cfg["barrier"]
         if not b["rho"] > 0:
@@ -431,7 +438,7 @@ def _do_simulate(cfg: RunConfig, out: Path, jobs: int, seed: int) -> int:
 
 
 def _do_continuation(cfg: RunConfig, out: Path, jobs: int, seed: int) -> int:
-    control = _run_control(cfg)
+    control = cfg.control
     report = stepping.epsilon_continuation(cfg.spec, cfg["continuation"]["epsilons"], control)
     write_json(out / "continuation.json", "continuation", report.to_dict())
     for eps, field in zip(report.epsilons, report.final_fields):
@@ -502,7 +509,7 @@ def _do_bisect(cfg: RunConfig, out: Path, jobs: int, seed: int) -> int:
         spec.p,
         spec.q,
         cfg.alpha,
-        _run_control(cfg),
+        cfg.control,
         amplitude_low=cfg["criterion"]["amplitude_low"],
         amplitude_high=cfg["criterion"]["amplitude_high"],
         epsilon=spec.epsilon,

@@ -5,6 +5,7 @@ criterion experiment.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,64 +73,33 @@ def _thomas_constant(m: int, diag: float, off: float, rhs: np.ndarray) -> np.nda
     return x
 
 
-def _cg_solve(grid: Grid, b: np.ndarray, rtol: float = 1e-13, maxiter: int = 20000) -> np.ndarray:
-    x = np.zeros_like(b)
-    r = b - _neg_laplacian(x, grid)
-    p = r.copy()
-    rs = float(np.sum(r * r))
-    bnorm = math.sqrt(float(np.sum(b * b)))
-    if bnorm == 0.0:
-        return x
-    for _ in range(maxiter):
-        ap = _neg_laplacian(p, grid)
-        alpha = rs / float(np.sum(p * ap))
-        x += alpha * p
-        r -= alpha * ap
-        rs_new = float(np.sum(r * r))
-        if math.sqrt(rs_new) <= rtol * bnorm:
-            return x
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    raise EigenSolveError("inner conjugate-gradient solve did not converge")
+def _axis_pair(grid: Grid, tol: float, maxiter: int) -> tuple[float, np.ndarray, int]:
+    """Inverse power iteration (Thomas solve) on a 1D grid.
 
-
-def principal_eigenpair(grid: Grid, tol: float = 1e-10, maxiter: int = 400) -> EigenData:
-    """Inverse power iteration on the 3-point (1D) / 5-point (2D) Laplacian.
-
-    Returns the eigenpair with phi1 positive at interior nodes, zero on the
-    boundary, normalized to ||phi1||_inf = 1, and eigen-residual
-    ||(-Delta_h - lambda1) phi1||_inf below tol.
+    Stops once the eigen-residual reaches tol, or once an iterate repeats
+    within the rounding floor eps * ||-Delta_h||_inf = eps * 4/h^2: the
+    iteration has then reached a fixed point or cycle of its rounding and
+    the residual can fall no further. A run that reaches tol never repeats
+    an iterate first, so the floor changes no such run.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    inner_shape = tuple(n - 2 for n in grid.shape)
-    v = np.ones(inner_shape)
+    h2 = grid.spacing[0] ** 2
+    m = grid.shape[0] - 2
+    floor = np.finfo(float).eps * 4.0 / h2
+    v = np.ones(m)
     v /= math.sqrt(float(np.sum(v * v)))
-
-    if grid.dimension == 1:
-        h2 = grid.spacing[0] ** 2
-        m = inner_shape[0]
-
-        def solve(b):
-            return _thomas_constant(m, 2.0 / h2, -1.0 / h2, b)
-
-    else:
-
-        def solve(b):
-            return _cg_solve(grid, b)
-
-    lam = math.nan
     residual = math.inf
-    iterations = 0
+    seen = set()
     for iterations in range(1, maxiter + 1):
-        w = solve(v)
+        w = _thomas_constant(m, 2.0 / h2, -1.0 / h2, v)
         w /= math.sqrt(float(np.sum(w * w)))
         av = _neg_laplacian(w, grid)
         lam = float(np.sum(w * av))
         residual = float(np.max(np.abs(av - lam * w))) / float(np.max(np.abs(w)))
         v = w
-        if residual <= tol:
+        state = w.tobytes()
+        if residual <= tol or (residual <= floor and state in seen):
             break
+        seen.add(state)
     else:
         raise EigenSolveError(
             f"no convergence after {maxiter} iterations (residual {residual:.3e})"
@@ -140,9 +110,34 @@ def principal_eigenpair(grid: Grid, tol: float = 1e-10, maxiter: int = 400) -> E
     phi = np.zeros(grid.shape)
     phi[grid.interior_slice()] = v
     phi /= float(np.max(np.abs(phi)))
+    return lam, phi, iterations
+
+
+def principal_eigenpair(grid: Grid, tol: float = 1e-10, maxiter: int = 400) -> EigenData:
+    """Principal Dirichlet eigenpair of the 3-point (1D) / 5-point (2D) Laplacian.
+
+    The 5-point Laplacian on a rectangle is the Kronecker sum of the axes'
+    3-point Laplacians, so its principal pair is the product of theirs:
+    lambda1 is the sum of the axes' lambda, phi1 the outer product of the
+    axes' phi. Each axis runs inverse power iteration to residual tol, or to
+    its rounding floor eps * 4/h^2 where that lies above tol.
+
+    Returns phi1 positive at interior nodes, zero on the boundary,
+    normalized to ||phi1||_inf = 1, and the eigen-residual
+    ||(-Delta_h - lambda1) phi1||_inf on the full grid. In 2D that residual
+    is bounded by the sum of the axes' residuals plus rounding.
+    """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    lams, phis, counts = zip(*(
+        _axis_pair(Grid((ext,), (n,)), tol, maxiter)
+        for ext, n in zip(grid.extents, grid.points_per_axis)
+    ))
+    lam = sum(lams)
+    phi = functools.reduce(np.multiply.outer, phis)
     av = _neg_laplacian(phi[grid.interior_slice()], grid)
     residual = float(np.max(np.abs(av - lam * phi[grid.interior_slice()])))
-    return EigenData(lambda1=lam, phi1=phi, residual=residual, iterations=iterations)
+    return EigenData(lambda1=lam, phi1=phi, residual=residual, iterations=sum(counts))
 
 
 @dataclass(frozen=True)

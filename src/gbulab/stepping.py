@@ -488,12 +488,14 @@ def detect_gbu(
     A resolution supports GBU when every threshold was crossed, detection
     times are nondecreasing, and increments shrink (ratio <= the given
     bound); its T_max estimate is the geometric extrapolation of the
-
     crossing times. Resolutions must agree within resolution_tol or the
-    verdict is Inconclusive.
+    verdict is Inconclusive. Each (resolution, threshold) pair may appear once.
     """
     if len(evidence) < 2:
         raise ValueError("need at least 2 runs (nested thresholds or grids)")
+    pairs = [(rec.resolution, rec.threshold) for rec in evidence]
+    if len(set(pairs)) < len(pairs):
+        raise ValueError("repeated (resolution, threshold) record in the evidence")
     groups: dict[int, list[ThresholdCrossing]] = {}
     for rec in evidence:
         groups.setdefault(rec.resolution, []).append(rec)

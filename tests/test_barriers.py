@@ -187,12 +187,6 @@ def test_exp_barrier_low_k_reported_failed():
     assert not cert.certified
 
 
-def test_exp_barrier_residual_time_independent():
-    a = exp_barrier_residual(1.5, 6.0, 0.5, 3.0, 4.0, 1, eps=0.1, t=0.0)
-    b = exp_barrier_residual(1.5, 6.0, 0.5, 3.0, 4.0, 1, eps=0.1, t=1.0)
-    assert a == b
-
-
 def test_exp_barrier_time_term_dominates_source():
     # |grad| <= C K, so the time term beats the source for every eps in [0,1]
     for eps in (0.0, 0.5, 1.0):

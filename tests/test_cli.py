@@ -470,6 +470,24 @@ def test_main_nonfinite_amplitude_exit_2(tmp_path, amplitude):
 RAMP_2D = MINIMAL_SIMULATE.replace("points = 41", "points = 11, 11").replace(
     "extents = 0, 1", "extents = 0, 1; 0, 1").replace("q = 2.5", "q = 2.5\nprofile = ramp")
 
+BISECT_CFG = """
+[experiment]
+kind = criterion_bisect
+
+[grid]
+extents = 0, 1
+points = 41
+
+[problem]
+p = 3.0
+q = 4.0
+
+[control]
+t_end = 0.01
+
+[criterion]
+"""
+
 
 @pytest.mark.parametrize(("verb", "text", "message"), [
     ("simulate", MINIMAL_SIMULATE + "monitor_stride = 0\n", "monitor_stride must be >= 1"),
@@ -490,9 +508,16 @@ RAMP_2D = MINIMAL_SIMULATE.replace("points = 41", "points = 11, 11").replace(
      "gbu_detect takes no [control] gbu_threshold: it stops at the largest [gbu] thresholds"),
     ("continue-eps", CONTINUATION_CFG.replace("1e-2, 1e-3, 1e-4", "0.1, 0.01, -0.001"),
      "epsilons must be strictly decreasing and nonnegative"),
+    ("detect-gbu", GBU_DETECT_CFG.replace("grids = 101", "grids = 101, 101"),
+     "grids must not repeat an entry, got [101, 101]"),
+    ("bisect-criterion", BISECT_CFG.replace("t_end", "alpha = 2\nt_end"),
+     "criterion_bisect takes no [control] alpha"),
+    ("continue-eps", CONTINUATION_CFG.replace("t_end", "alpha = 2\nt_end"),
+     "epsilon_continuation takes no [control] alpha"),
 ], ids=["monitor_stride", "dt_min", "gbu_threshold", "snapshot_every", "max_steps", "ramp_2d",
         "gbu_grids", "gbu_thresholds", "epsilon_nan", "gbu_detect_control_threshold_neg",
-        "gbu_detect_control_threshold_300", "epsilons"])
+        "gbu_detect_control_threshold_300", "epsilons", "gbu_grids_repeated",
+        "bisect_control_alpha", "continuation_control_alpha"])
 def test_main_value_rejected_by_constructor_exit_2_before_any_run(
     tmp_path, capsys, verb, text, message
 ):

@@ -70,6 +70,66 @@ def test_eigenpair_rejects_bad_tol():
         principal_eigenpair(build_grid((0.0, 1.0), 11), tol=0.0)
 
 
+def dense_neg_laplacian(grid) -> np.ndarray:
+    """-Delta_h on the interior nodes as a dense matrix, assembled node by node."""
+    inner = [n - 2 for n in grid.shape]
+    size = int(np.prod(inner))
+    a = np.zeros((size, size))
+    for k, idx in enumerate(np.ndindex(*inner)):
+        for axis, h in enumerate(grid.spacing):
+            a[k, k] += 2.0 / h**2
+            for step in (-1, 1):
+                nb = list(idx)
+                nb[axis] += step
+                if 0 <= nb[axis] < inner[axis]:
+                    a[k, np.ravel_multi_index(nb, inner)] -= 1.0 / h**2
+    return a
+
+
+@pytest.mark.parametrize(("extents", "points"), [
+    ((0.0, 2.0), 9),
+    ([(0, 1), (0, 3)], (7, 11)),
+    ([(0, 1), (0, 3)], (9, 5)),
+], ids=["1d_0_2_n9", "2d_7x11", "2d_9x5"])
+def test_eigenpair_matches_dense_eigh(extents, points):
+    g = build_grid(extents, points)
+    vals, vecs = np.linalg.eigh(dense_neg_laplacian(g))
+    ref = vecs[:, 0] * np.sign(vecs[:, 0].sum())
+    ref /= np.max(np.abs(ref))
+    eig = principal_eigenpair(g)
+    assert abs(eig.lambda1 - vals[0]) <= 1e-12 * vals[0]
+    interior = eig.phi1[g.interior_slice()].ravel()
+    assert np.max(np.abs(interior - ref)) < 1e-10
+    assert np.all(eig.phi1[g.boundary_mask()] == 0.0)
+
+
+@pytest.mark.parametrize("n", [551, 601, 1001])
+def test_eigenpair_fine_1d_stops_at_rounding_floor(n):
+    # eps * 4/h^2 exceeds the default tol here; the iteration ends at that floor
+    g = build_grid((0.0, 1.0), n)
+    eig = principal_eigenpair(g)
+    exact = discrete_lambda1(g.spacing[0])
+    assert abs(eig.lambda1 - exact) <= 1e-10 * exact
+
+
+def test_eigenpair_floor_does_not_cut_a_run_that_reaches_tol():
+    # at n=501 the residual rises once inside the rounding floor (iteration 15)
+    # and still reaches tol at iteration 17
+    assert principal_eigenpair(build_grid((0.0, 1.0), 501)).iterations == 17
+
+
+def test_eigenpair_2d_is_product_of_axis_pairs():
+    g = build_grid([(0, 1), (0, 2)], (41, 61))
+    x, y = (principal_eigenpair(build_grid(ext, n))
+            for ext, n in zip(g.extents, g.points_per_axis))
+    eig = principal_eigenpair(g)
+    assert eig.lambda1 == x.lambda1 + y.lambda1
+    assert np.array_equal(eig.phi1, np.multiply.outer(x.phi1, y.phi1))
+    assert eig.iterations == x.iterations + y.iterations
+    assert np.max(eig.phi1) == 1.0
+    assert eig.residual <= x.residual + y.residual + 1e-12
+
+
 # -- alpha window ------------------------------------------------------------------
 
 def test_alpha_window_p3_q5():

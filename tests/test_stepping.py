@@ -458,6 +458,13 @@ def test_detect_gbu_needs_two_runs():
         detect_gbu([ev(101, 1.0, 0.5)])
 
 
+def test_detect_gbu_rejects_repeated_record():
+    # a grid listed twice would pool two copies of one run's crossings
+    recs = [ev(101, 1.0, 0.50), ev(101, 2.0, 0.52), ev(101, 4.0, 0.525)]
+    with pytest.raises(ValueError, match="repeated"):
+        detect_gbu(recs + recs)
+
+
 # -- epsilon continuation ------------------------------------------------------------
 
 def test_continuation_eps_independent_for_linear_data():
