@@ -9,12 +9,13 @@ deterministic functions of their inputs.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import boundary_distance
+from .grid import Grid, boundary_distance
 from .operators import integrate, quadrature_weights
 from .problem import ProblemSpec, SolutionState
 from .stepping import COMPLETED, StepControl, Trajectory, run
@@ -271,16 +272,28 @@ class ProfileFit:
     t: float
 
 
+@functools.lru_cache(maxsize=8)
+def _shells(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distance shells off the boundary: (their delta values, ascending;
+    the nodes off the boundary ordered by shell; where each shell starts in
+    that order). A shell holds the nodes whose boundary distances agree to
+    12 decimals. Computed once per grid and read-only."""
+    keys = np.round(boundary_distance(grid), 12).ravel()
+    uniq, shell = np.unique(keys, return_inverse=True)
+    order = np.argsort(shell, kind="stable")
+    starts = np.searchsorted(shell[order], np.arange(len(uniq)))
+    first = int(np.searchsorted(uniq, 0.0, side="right"))  # the first shell with delta > 0
+    out = uniq[first:], order[starts[first]:], starts[first:] - starts[first]
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def shell_maxima(state: SolutionState) -> tuple[np.ndarray, np.ndarray]:
     """(delta values, max |grad u| per delta shell), ascending, delta > 0."""
-    delta = boundary_distance(state.grid)
-    mag = state.grad_mag
-    uniq, shell = np.unique(np.round(delta, 12).ravel(), return_inverse=True)
-    maxima = np.full(len(uniq), -np.inf)
+    deltas, order, starts = _shells(state.grid)
     with np.errstate(invalid="ignore"):  # a NaN node makes its shell's max NaN, as np.max does
-        np.maximum.at(maxima, shell, mag.ravel())
-    pos = uniq > 0
-    return uniq[pos], maxima[pos]
+        return deltas, np.maximum.reduceat(state.grad_mag.ravel()[order], starts)
 
 
 def _anchored_slope(deltas: np.ndarray, vals: np.ndarray) -> float:
@@ -289,14 +302,19 @@ def _anchored_slope(deltas: np.ndarray, vals: np.ndarray) -> float:
 
     The profile estimate is a one-sided envelope, so outer shells that fall
     below it (an under-filled tail) must not count against the exponent; an
-    exact power law returns its exponent exactly, and steepness persisting
-    at the innermost resolved scales is never forgiven."""
-    logs = np.log(deltas)
-    logv = np.log(vals)
-    best = -math.inf
-    for m in range(2, len(vals) + 1):
-        best = max(best, float(np.polyfit(logs[:m], logv[:m], 1)[0]))
-    return best
+    exact power law returns its exponent up to rounding, and steepness
+    persisting at the innermost resolved scales is never forgiven. Every
+    window's slope comes from running sums of x, y, xy and x^2, with x and y
+    taken relative to the innermost shell against cancellation."""
+    x = np.log(deltas)
+    y = np.log(vals)
+    x -= x[0]
+    y -= y[0]
+    # the windows of m = 2, 3, ... shells
+    m = np.arange(2.0, len(x) + 1.0)
+    sx, sy = np.cumsum(x)[1:], np.cumsum(y)[1:]
+    sxy, sxx = np.cumsum(x * y)[1:], np.cumsum(x * x)[1:]
+    return float(np.max((sxy - sx * sy / m) / (sxx - sx * sx / m)))
 
 
 def envelope_constants(

@@ -207,6 +207,20 @@ class SupersolutionCertificate:
     certified: bool
 
 
+def certify_sampling(eps_values, n_radial: int) -> list[float]:
+    """The eps values of a certification as floats, checked together with
+    its radial sample count: at least one eps, every eps in [0, 1], at least
+    2 radial points."""
+    eps = [float(e) for e in eps_values]
+    if n_radial < 2:
+        raise ValueError("need at least 2 radial points")
+    if not eps:
+        raise ValueError("need at least one eps value")
+    if not all(0.0 <= e <= 1.0 for e in eps):
+        raise ValueError("requires eps in [0, 1]")
+    return eps
+
+
 def supersolution_residual(
     params: BarrierParams, eps: float, n_radial: int = 10000
 ) -> SupersolutionCertificate:
@@ -217,10 +231,7 @@ def supersolution_residual(
     Laplacian contribution of g bounded by sqrt(N) |D2 g|), and sweeps the
     diffusivity ratio kappa over the endpoints and midpoint of [0, p-2].
     """
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("requires eps in [0, 1]")
-    if n_radial < 2:
-        raise ValueError("need at least 2 radial points")
+    certify_sampling((eps,), n_radial)
     p, q, N = params.p, params.q, params.N
     d, b, rho = params.delta, params.beta, params.rho
     s = np.linspace(0.0, params.eta, n_radial)
@@ -344,7 +355,9 @@ def certify(
     params: BarrierParams, eps_values=(0.0, 1e-3, 1e-1, 1.0), n_radial: int = 10000
 ) -> dict:
     """Certification report: parameters, per-inequality minimum residuals
-    for each eps, the admissible-delta upper bound, and the T0 window."""
+    for each eps, the admissible-delta upper bound, and the T0 window.
+    `certify_sampling` checks eps_values and n_radial."""
+    eps_values = certify_sampling(eps_values, n_radial)
     delta_upper = _largest_admissible_delta(
         lambda dd: replace(params, delta=dd, eta=dd), params.delta, params.rho
     )

@@ -337,6 +337,10 @@ def _build(cfg: RunConfig) -> RunConfig:
         control = StepControl(**c)
     if cfg.has("continuation"):
         stepping.continuation_epsilons(s["continuation"]["epsilons"])
+    if cfg.has("barrier"):
+        barriers.certify_sampling(s["barrier"]["eps_values"], s["barrier"]["n_radial"])
+    if cfg.has("eig"):
+        spectral.eigen_tol(s["eig"]["tol"])
     alpha = None
     if cfg.kind == "criterion_bisect":
         window = spectral.alpha_window(specs[0].p, specs[0].q)  # EmptyAlphaWindow unless q > p

@@ -6,6 +6,7 @@ distance-to-boundary field is exact for these geometries.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,15 +116,19 @@ def _normalize_extents(extents) -> tuple[tuple[float, float], ...]:
     return tuple((float(a), float(b)) for a, b in ext)
 
 
+@functools.lru_cache(maxsize=8)
 def boundary_distance(grid: Grid) -> np.ndarray:
     """Exact Euclidean distance from each node to the extent boundary.
 
     For intervals/rectangles this is the min over the face distances; it is
-    0 exactly on boundary nodes and 1-Lipschitz on the grid.
+    0 exactly on boundary nodes and 1-Lipschitz on the grid. Computed once
+    per grid and shared by every caller, so the array is read-only.
     """
     coords = grid.coords()
     dist = np.full(grid.shape, np.inf)
     for axis, (a, b) in enumerate(grid.extents):
         x = coords[axis]
         dist = np.minimum(dist, np.minimum(x - a, b - x))
-    return np.maximum(dist, 0.0)
+    dist = np.maximum(dist, 0.0)
+    dist.flags.writeable = False
+    return dist

@@ -10,10 +10,12 @@ central differences at interior nodes and one-sided second-order stencils on
 the faces.
 
 `StepKernel` computes all of these into buffers it allocates once; the
-public functions below are thin wrappers that build a kernel per call.
+public functions below are thin wrappers that build a kernel per call,
+except `gradient`, which reuses one kernel per grid.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -28,8 +30,9 @@ def _power(e: float):
     if e == 0.5:
         return np.sqrt
     if e == 2.0:
-        return lambda x, out: np.multiply(x, x, out=out)
-    return lambda x, out: np.power(x, e, out=out)
+        return lambda x, out: np.multiply(x, x, out)
+    e = np.array(e)
+    return lambda x, out: np.power(x, e, out)
 
 
 def _along(dim: int, axis: int, part, rest=slice(None)) -> tuple:
@@ -46,13 +49,21 @@ def _shrunk(shape: tuple, axis: int, by: int) -> tuple:
 class StepKernel:
     """The explicit update u <- u + dt * (diffusion + source) for one problem.
 
-    Parameters are checked once, here, and every buffer is allocated here;
-    given boundary values, that includes two field buffers that swap roles
-    each step. `load` copies a field in and computes its gradient; `advance`
-    writes the updated field into the spare buffer with the boundary nodes
-    pinned to `boundary_values`; `commit` makes it current and computes its
-    gradient, so a step computes the gradient once. p (diffusion) or q
-    (source) may be None to build only the other term.
+    Parameters are checked once, here, and every buffer is allocated here.
+    The field buffers form a ring of `slots`: 2 by default given boundary
+    values, 1 without them. Every slot's boundary nodes are pinned to
+    `boundary_values` when it is allocated and, after a `load`, when
+    `advance` first writes it; the update writes interior nodes only. Each
+    slot also holds the rhs and the (|grad u|^2+eps)^(q/2) values that
+    `advance` computed for the field it wrote there (`fields`, `rhs_slots`
+    and `s_half_slots`, one row per slot).
+
+    `load` copies a field into the last slot and computes its gradient;
+    `advance` writes the updated field into the next slot (slot 0 after a
+    `load`) and returns it; `commit` makes it current and computes its
+    gradient, so a step computes the gradient once; `revert` makes the
+    previous slot current again. p (diffusion) or q (source) may be None to
+    build only the other term.
 
     Along each axis the nodal gradient is central where both neighbours
     exist and one-sided on the two faces across that axis (scalars in 1D).
@@ -60,31 +71,48 @@ class StepKernel:
     source at boundary nodes; the update reads interior nodes only.
     """
 
-    def __init__(self, grid: Grid, p=None, q=None, eps=0.0, mu=1.0, boundary_values=None):
+    def __init__(self, grid: Grid, p=None, q=None, eps=0.0, mu=1.0, boundary_values=None,
+                 slots=None):
         if p is not None and not p > 2:
             raise ValueError(f"requires p > 2, got {p}")
         if not eps >= 0:
             raise ValueError("requires eps >= 0")
         if not mu >= 0:
             raise ValueError("requires mu >= 0")
+        if slots is None:
+            slots = 1 if boundary_values is None else 2
+        if boundary_values is not None and slots < 2:
+            raise ValueError("advancing a field needs at least 2 slots")
         dim, shape = grid.dimension, grid.shape
         inner, ishape = grid.interior_slice(), tuple(n - 2 for n in shape)
-        self.grid, self._eps, self._boundary = grid, eps, boundary_values
+        self.grid, self._boundary = grid, boundary_values
+        # scalar operands of the per-step ufunc calls are 0-d arrays: a call
+        # converts a Python float operand every time, which costs about as
+        # much as the arithmetic on a few hundred values
+        self._eps = np.array(eps) if eps else None
+        self._h = [np.array(h) for h in grid.spacing]
         self._pins = [_along(dim, a, end) for a in range(dim) for end in (0, -1)]
-        # a second field buffer only where `advance` can pin its boundary
-        self._fields = [np.empty(shape) for _ in range(1 if boundary_values is None else 2)]
-        self._cur = 0
-        self._inner = [f[inner] for f in self._fields]
-        # per field buffer and axis: the views that the central differences
-        # and the face differences subtract
+        self.fields = np.empty((slots,) + shape)
+        if boundary_values is not None:
+            for f in self.fields:
+                self._pin(f)
+        self._last = slots - 1
+        self._cur, self._unpinned = self._last, None
+        self._inner = [f[inner] for f in self.fields]
+        # per slot and axis: the views that the central differences and the
+        # face differences subtract
         self._pairs = [
             [tuple(f[_along(dim, a, s)] for s in (
                 slice(2, None), slice(0, -2), slice(1, None), slice(0, -1))) for a in range(dim)]
-            for f in self._fields
+            for f in self.fields
         ]
+        self._two_h = [2.0 * h for h in grid.spacing]  # a float for the 1D one-sided stencils
+        self._two_h_op = [np.array(h) for h in self._two_h]
         self.grad = [np.empty(shape) for _ in range(dim)]
         self._grad_mid = [g[_along(dim, a, slice(1, -1))] for a, g in enumerate(self.grad)]
-        self._ends = [[_along(dim, a, i) for i in (0, 1, 2, -1, -2, -3)] for a in range(dim)]
+        # 1D reads its one-sided stencils as floats
+        self._ends = None if dim == 1 else [
+            [_along(dim, a, i) for i in (0, 1, 2, -1, -2, -3)] for a in range(dim)]
         # undivided node-centred differences: the nodal gradient and the 2D
         # tangential face gradients are both built from them
         self._cdiff = [np.empty(_shrunk(shape, a, 2)) for a in range(dim)]
@@ -104,76 +132,103 @@ class StepKernel:
             self._tang = [] if dim == 1 else [
                 np.empty(_shrunk(s, 1 - a, 2)) for a, s in enumerate(fshapes)]
             self.div, self._div_axis = np.empty(ishape), np.empty(ishape)
+        # per slot: the s_half, src, src_inner and rhs that `advance` writes
+        self._terms = [(None,) * 4] * slots
         if q is not None:
             self._pow_q = _power(q / 2.0)
-            self._mu, self._shift = mu, eps ** (q / 2.0)
-            self.s_half = np.empty(shape)
-            self.src = self.s_half if mu == 1.0 and self._shift == 0.0 else np.empty(shape)
-            self.src_inner = self.src[inner]
-        if p is not None and q is not None:
-            self.rhs, self._incr = np.empty(ishape), np.empty(ishape)
+            shift = eps ** (q / 2.0)
+            self._mu, self._shift = np.array(mu), np.array(shift)
+            self.s_half_slots = np.empty((slots,) + shape)
+            # the source is s_half itself when mu = 1 and eps = 0
+            own_src = None if mu == 1.0 and shift == 0.0 else np.empty(shape)
+            rhss = [None] * slots
+            if p is not None:
+                self.rhs_slots, self._incr = np.empty((slots,) + ishape), np.empty(ishape)
+                self._dt = np.array(0.0)
+                rhss = self.rhs_slots
+            self._terms = []
+            for s_half, rhs in zip(self.s_half_slots, rhss):
+                src = s_half if own_src is None else own_src
+                self._terms.append((s_half, src, src[inner], rhs))
 
     @classmethod
-    def of(cls, spec: ProblemSpec) -> "StepKernel":
-        return cls(spec.grid, spec.p, spec.q, spec.epsilon, spec.mu, spec.boundary_values)
+    def of(cls, spec: ProblemSpec, slots=None) -> "StepKernel":
+        return cls(spec.grid, spec.p, spec.q, spec.epsilon, spec.mu, spec.boundary_values,
+                   slots)
+
+    def _pin(self, f: np.ndarray) -> None:
+        for idx in self._pins:
+            f[idx] = self._boundary[idx]
+
+    def _use_terms(self, slot: int) -> None:
+        self.s_half, self.src, self.src_inner, self.rhs = self._terms[slot]
 
     @property
     def u(self) -> np.ndarray:
         """The current field (a kernel buffer: copy it to keep it)."""
-        return self._fields[self._cur]
+        return self.fields[self._cur]
 
     def load(self, u: np.ndarray) -> "StepKernel":
-        np.copyto(self._fields[self._cur], u)
+        self._cur = self._unpinned = self._last
+        self._use_terms(self._cur)
+        np.copyto(self.fields[self._cur], u)
         self._gradient()
         return self
 
     def _gradient(self) -> None:
-        u, spacing = self.u, self.grid.spacing
+        u = self.fields[self._cur]
         for a, (c_hi, c_lo, _, _) in enumerate(self._pairs[self._cur]):
-            two_h, g, (f0, f1, f2, l0, l1, l2) = 2.0 * spacing[a], self.grad[a], self._ends[a]
-            np.divide(np.subtract(c_hi, c_lo, out=self._cdiff[a]), two_h, out=self._grad_mid[a])
-            g[f0] = (-3.0 * u[f0] + 4.0 * u[f1] - u[f2]) / two_h
-            g[l0] = (3.0 * u[l0] - 4.0 * u[l1] + u[l2]) / two_h
+            two_h, g = self._two_h[a], self.grad[a]
+            np.divide(np.subtract(c_hi, c_lo, self._cdiff[a]), self._two_h_op[a],
+                      self._grad_mid[a])
+            if self._ends is None:
+                g[0] = (-3.0 * u.item(0) + 4.0 * u.item(1) - u.item(2)) / two_h
+                g[-1] = (3.0 * u.item(-1) - 4.0 * u.item(-2) + u.item(-3)) / two_h
+            else:
+                f0, f1, f2, l0, l1, l2 = self._ends[a]
+                g[f0] = (-3.0 * u[f0] + 4.0 * u[f1] - u[f2]) / two_h
+                g[l0] = (3.0 * u[l0] - 4.0 * u[l1] + u[l2]) / two_h
+        mag, sq = self.mag, self._sq
         if len(self.grad) == 1:
-            np.abs(self.grad[0], out=self.mag)
+            np.abs(self.grad[0], mag)
         else:
             gx, gy = self.grad
-            np.add(np.multiply(gx, gx, out=self.mag), np.multiply(gy, gy, out=self._sq),
-                   out=self.mag)
-            np.sqrt(self.mag, out=self.mag)
-        self.w = float(np.maximum.reduce(self.mag, None))
-        np.multiply(self.mag, self.mag, out=self._sq)
-        if self._eps:
-            np.add(self._sq, self._eps, out=self._sq)
+            np.add(np.multiply(gx, gx, mag), np.multiply(gy, gy, sq), mag)
+            np.sqrt(mag, mag)
+        # argmax finds the first NaN, as a max reduction returns NaN
+        self.w = mag.item(mag.argmax())
+        np.multiply(mag, mag, sq)
+        if self._eps is not None:
+            np.add(sq, self._eps, sq)
 
     def diffusion(self) -> np.ndarray:
         """div((|grad u|^2+eps)^((p-2)/2) grad u) on interior nodes."""
-        spacing = self.grid.spacing
+        spacing, h = self.grid.spacing, self._h
         for a, (_, _, f_hi, f_lo) in enumerate(self._pairs[self._cur]):
-            dn = np.divide(np.subtract(f_hi, f_lo, out=self._dn[a]), spacing[a], out=self._dn[a])
-            np.multiply(dn, dn, out=self._fsq[a])
+            dn = np.divide(np.subtract(f_hi, f_lo, self._dn[a]), h[a], self._dn[a])
+            np.multiply(dn, dn, self._fsq[a])
         # 2D tangential component: the mean of the two node-centred
         # differences across the face
         for a, tang in enumerate(self._tang):
             o, cd = 1 - a, self._cdiff[1 - a]
-            np.add(cd[_along(2, a, slice(0, -1))], cd[_along(2, a, slice(1, None))], out=tang)
-            np.divide(tang, 4.0 * spacing[o], out=tang)
+            np.add(cd[_along(2, a, slice(0, -1))], cd[_along(2, a, slice(1, None))], tang)
+            np.divide(tang, 4.0 * spacing[o], tang)
             fsq_mid = self._fsq[a][_along(2, o, slice(1, -1))]
-            np.add(fsq_mid, np.multiply(tang, tang, out=tang), out=fsq_mid)
+            np.add(fsq_mid, np.multiply(tang, tang, tang), fsq_mid)
         for a, (hi, lo) in enumerate(self._flux_ends):
             fsq = self._fsq[a]
-            if self._eps:
-                np.add(fsq, self._eps, out=fsq)
-            np.multiply(self._pow_p(fsq, out=fsq), self._dn[a], out=self.flux[a])
+            if self._eps is not None:
+                np.add(fsq, self._eps, fsq)
+            np.multiply(self._pow_p(fsq, fsq), self._dn[a], self.flux[a])
             out = self._div_axis if a else self.div
-            np.divide(np.subtract(hi, lo, out=out), spacing[a], out=out)
+            np.divide(np.subtract(hi, lo, out), h[a], out)
             if a:
-                np.add(self.div, out, out=self.div)
+                np.add(self.div, out, self.div)
         return self.div
 
     def source(self) -> np.ndarray:
         """mu * ((|grad u|^2+eps)^(q/2) - eps^(q/2)) at every node."""
-        self._pow_q(self._sq, out=self.s_half)
+        self._pow_q(self._sq, self.s_half)
         if self.src is not self.s_half:
             self.source_of(self.s_half, out=self.src)
         return self.src
@@ -182,32 +237,51 @@ class StepKernel:
         """mu * (s_half - eps^(q/2)): the source where (|grad u|^2+eps)^(q/2)
         is s_half. Nondecreasing in s_half, and s_half itself when mu = 1
         and eps = 0."""
-        return np.multiply(self._mu, np.subtract(s_half, self._shift, out=out), out=out)
+        return np.multiply(self._mu, np.subtract(s_half, self._shift, out), out)
 
     def interior_rhs(self) -> np.ndarray:
         """diffusion + source on interior nodes."""
         self.diffusion()
         self.source()
-        return np.add(self.div, self.src_inner, out=self.rhs)
+        return np.add(self.div, self.src_inner, self.rhs)
 
     def advance(self, dt: float) -> np.ndarray:
-        """Write u + dt * (diffusion + source) into the spare buffer, boundary
-        nodes pinned, and return it; `commit` makes it current."""
-        np.multiply(dt, self.interior_rhs(), out=self._incr)
-        new = self._fields[1 - self._cur]
-        np.add(self._inner[self._cur], self._incr, out=self._inner[1 - self._cur])
-        for idx in self._pins:
-            new[idx] = self._boundary[idx]
+        """Write u + dt * (diffusion + source) into the next slot, with the
+        rhs and s_half it was computed from, and return it; `commit` makes it
+        current."""
+        cur = self._cur
+        nxt = 0 if cur == self._last else cur + 1
+        self._use_terms(nxt)
+        self._dt[()] = dt
+        np.multiply(self._dt, self.interior_rhs(), self._incr)
+        np.add(self._inner[cur], self._incr, self._inner[nxt])
+        new = self.fields[nxt]
+        if nxt == self._unpinned:
+            self._pin(new)
+            self._unpinned = None
         return new
 
     def commit(self) -> None:
-        self._cur = 1 - self._cur
+        self._cur = 0 if self._cur == self._last else self._cur + 1
+        self._gradient()
+
+    def revert(self) -> None:
+        """Make the field before the last `commit` current again."""
+        self._cur = self._last if self._cur == 0 else self._cur - 1
         self._gradient()
 
 
+@functools.lru_cache(maxsize=4)
+def _gradient_kernel(grid: Grid) -> StepKernel:
+    return StepKernel(grid)
+
+
 def gradient(state: SolutionState) -> tuple[np.ndarray, ...]:
-    """Nodal gradient, one array per axis."""
-    return tuple(StepKernel(state.grid).load(state.u).grad)
+    """Nodal gradient, one array per axis. One gradient kernel per grid
+    serves every call on it, so a call must not overlap another one in a
+    second thread (gbulab runs parallel jobs in processes)."""
+    kernel = _gradient_kernel(state.grid).load(state.u)
+    return tuple(g.copy() for g in kernel.grad)
 
 
 def face_fluxes(u: np.ndarray, grid: Grid, p: float, eps: float) -> list[np.ndarray]:

@@ -113,6 +113,13 @@ def _axis_pair(grid: Grid, tol: float, maxiter: int) -> tuple[float, np.ndarray,
     return lam, phi, iterations
 
 
+def eigen_tol(tol: float) -> float:
+    """The residual tolerance of `principal_eigenpair`, checked: positive."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    return tol
+
+
 def principal_eigenpair(grid: Grid, tol: float = 1e-10, maxiter: int = 400) -> EigenData:
     """Principal Dirichlet eigenpair of the 3-point (1D) / 5-point (2D) Laplacian.
 
@@ -127,8 +134,7 @@ def principal_eigenpair(grid: Grid, tol: float = 1e-10, maxiter: int = 400) -> E
     ||(-Delta_h - lambda1) phi1||_inf on the full grid. In 2D that residual
     is bounded by the sum of the axes' residuals plus rounding.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    tol = eigen_tol(tol)
     lams, phis, counts = zip(*(
         _axis_pair(Grid((ext,), (n,)), tol, maxiter)
         for ext, n in zip(grid.extents, grid.points_per_axis)

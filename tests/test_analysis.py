@@ -20,6 +20,8 @@ from gbulab import (
 )
 from gbulab.analysis import (
     InsufficientCollar,
+    _anchored_slope,
+    _shells,
     monotonicity_margin_small_sigma,
     shell_maxima,
 )
@@ -255,6 +257,34 @@ def test_shell_maxima_matches_per_shell_loop(shape):
     shells, maxima = shell_maxima(st)
     assert np.array_equal(shells, uniq)
     assert np.array_equal(maxima, expected, equal_nan=True)
+
+
+def test_cached_grid_arrays_are_read_only():
+    # the distance and the shell index are shared by every fit on a grid,
+    # so a write into them must fail rather than skew later fits
+    g = build_grid([(0.0, 1.0), (0.0, 1.5)], (17, 23))
+    shells, _ = shell_maxima(SolutionState(g, np.zeros(g.shape)))
+    for cached in (boundary_distance(g), shells, *_shells(g)):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[1] = 0
+
+
+def _polyfit_slope(deltas, vals):
+    # the reference: one least-squares line per inner-anchored window
+    logs, logv = np.log(deltas), np.log(vals)
+    return max(float(np.polyfit(logs[:m], logv[:m], 1)[0]) for m in range(2, len(vals) + 1))
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 200])
+def test_anchored_slope_matches_polyfit_windows(n):
+    rng = np.random.default_rng(n)
+    grid_shells = np.arange(1, n + 1) / (2.0 * n + 2.0)
+    random_shells = np.sort(rng.uniform(1e-4, 0.5, n))
+    for deltas in (grid_shells, random_shells):
+        power_law = 3.0 * deltas**-0.4
+        assert _anchored_slope(deltas, power_law) == pytest.approx(-0.4, abs=1e-12)
+        for vals in (power_law, rng.uniform(0.1, 100.0, n)):
+            assert abs(_anchored_slope(deltas, vals) - _polyfit_slope(deltas, vals)) <= 1e-12
 
 
 def test_smooth_state_trivially_compliant():

@@ -285,9 +285,7 @@ trajectory = {csv_path}
 
 # -- dispatch: other kinds -------------------------------------------------------------
 
-def test_dispatch_eig(tmp_path):
-    cfg = parse_config(
-        """
+EIG_CFG = """
 [experiment]
 kind = eig
 
@@ -295,7 +293,23 @@ kind = eig
 extents = 0, 1
 points = 101
 """
-    )
+
+BARRIER_CFG = """
+[experiment]
+kind = barrier_certify
+
+[problem]
+p = 3.0
+q = 4.0
+
+[barrier]
+rho = 0.5
+n = 1
+"""
+
+
+def test_dispatch_eig(tmp_path):
+    cfg = parse_config(EIG_CFG)
     code = dispatch(cfg, tmp_path / "out")
     assert code == 0
     doc = json.loads((tmp_path / "out" / "eigen.json").read_text())
@@ -307,21 +321,7 @@ points = 101
 
 
 def test_dispatch_barrier(tmp_path):
-    cfg = parse_config(
-        """
-[experiment]
-kind = barrier_certify
-
-[problem]
-p = 3.0
-q = 4.0
-
-[barrier]
-rho = 0.5
-n = 1
-n_radial = 1000
-"""
-    )
+    cfg = parse_config(BARRIER_CFG + "n_radial = 1000\n")
     code = dispatch(cfg, tmp_path / "out")
     assert code == 0
     doc = json.loads((tmp_path / "out" / "barrier_certificate.json").read_text())
@@ -514,10 +514,15 @@ t_end = 0.01
      "criterion_bisect takes no [control] alpha"),
     ("continue-eps", CONTINUATION_CFG.replace("t_end", "alpha = 2\nt_end"),
      "epsilon_continuation takes no [control] alpha"),
+    ("eig", EIG_CFG + "\n[eig]\ntol = 0\n", "tol must be positive"),
+    ("certify-barrier", BARRIER_CFG + "n_radial = 1\n", "need at least 2 radial points"),
+    ("certify-barrier", BARRIER_CFG + "eps_values = 0, 2\n", "requires eps in [0, 1]"),
+    ("certify-barrier", BARRIER_CFG + "eps_values =\n", "need at least one eps value"),
 ], ids=["monitor_stride", "dt_min", "gbu_threshold", "snapshot_every", "max_steps", "ramp_2d",
         "gbu_grids", "gbu_thresholds", "epsilon_nan", "gbu_detect_control_threshold_neg",
         "gbu_detect_control_threshold_300", "epsilons", "gbu_grids_repeated",
-        "bisect_control_alpha", "continuation_control_alpha"])
+        "bisect_control_alpha", "continuation_control_alpha", "eig_tol", "barrier_n_radial",
+        "barrier_eps_values", "barrier_eps_values_empty"])
 def test_main_value_rejected_by_constructor_exit_2_before_any_run(
     tmp_path, capsys, verb, text, message
 ):

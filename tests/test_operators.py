@@ -11,7 +11,7 @@ from gbulab import (
     strong_residual,
     weak_residual,
 )
-from gbulab.operators import face_fluxes, integrate, quadrature_weights
+from gbulab.operators import StepKernel, face_fluxes, integrate, quadrature_weights
 from gbulab.problem import ProblemSpec
 
 
@@ -24,6 +24,24 @@ def state_2d(f, n=11):
     g = build_grid([(0, 1), (0, 1)], (n, n))
     x, y = g.coords()
     return SolutionState(g, f(x, y))
+
+
+# -- step kernel ----------------------------------------------------------------
+
+@pytest.mark.parametrize("shape", [(41,), (9, 11)])
+def test_kernel_pins_g_on_a_field_loaded_with_other_boundary_values(shape):
+    # boundary nodes are pinned once per slot; the slot a field is loaded
+    # into keeps that field's boundary until the second step writes it again
+    extents = [(0.0, 1.0), (0.0, 1.5)][: len(shape)]
+    g = build_grid(extents, shape)
+    spec = make_spec(g, p=3.0, q=2.5, profile="sine", amplitude=1.0)
+    bd = g.boundary_mask()
+    kernel = StepKernel.of(spec).load(spec.initial + 0.25)
+    for _ in range(4):
+        new = kernel.advance(1e-5)
+        assert np.array_equal(new[bd], spec.boundary_values[bd])
+        kernel.commit()
+        assert np.array_equal(kernel.u[bd], spec.boundary_values[bd])
 
 
 # -- gradient ------------------------------------------------------------------

@@ -208,6 +208,41 @@ def test_run_bitwise_matches_repeated_step(dim):
         min(np.min(s.u) for s in traj.states), max(np.max(s.u) for s in traj.states))
 
 
+def test_run_bitwise_matches_repeated_step_on_a_grid_larger_than_a_block():
+    # 129 x 129 nodes are more values than a step block holds, so a block
+    # holds 2 steps, the fewest the kernel's slots can cycle through; 5 steps
+    # fill two blocks and end in a partial one
+    g = build_grid([(0.0, 1.0), (0.0, 1.0)], (129, 129))
+    spec = make_spec(g, p=3.4, q=3.0, epsilon=1e-3, mu=0.8, profile="sine", amplitude=2.0)
+    weight = 1.0 + g.coords()[0]
+    ctl = StepControl(t_end=1.0, max_steps=5, snapshot_every=1, functional_weight=weight)
+    traj, rep = run(spec, ctl)
+    qw, inner = quadrature_weights(g), g.interior_slice()
+    st, dt, max_ut, min_source = spec.initial_state(), 0.0, math.nan, math.nan
+    ut_l2 = src_energy = 0.0
+    rows = []
+    for k in range(6):
+        mn, mx = np.min(st.u), np.max(st.u)
+        rows.append({"t": st.t, "max_u": mx, "min_u": mn, "grad_inf": np.max(st.grad_mag),
+                     "y": np.sum(qw * st.u * weight), "ut_l2_acc": ut_l2,
+                     "sup_u": max(abs(mn), abs(mx)), "max_ut": max_ut, "min_source": min_source,
+                     "source_energy_acc": src_energy, "dt": dt})
+        if k == 5:
+            break
+        dt = stable_dt(st, spec, ctl)
+        rhs = interior_rhs(st, spec)[inner]
+        s_half = np.power(st.grad_mag * st.grad_mag + spec.epsilon, spec.q / 2.0)
+        ut_l2 += dt * np.sum(qw[inner] * rhs * rhs)
+        src_energy += dt * np.sum(qw * (s_half * s_half))
+        max_ut = np.max(rhs)
+        min_source = np.min(gradient_source(st, spec.q, spec.epsilon, spec.mu)[inner])
+        st = step(st, spec, dt)
+        assert np.array_equal(traj.states[k + 1].u, st.u)
+    assert len(MONITOR_COLUMNS) == 11
+    for col in MONITOR_COLUMNS:
+        assert np.array_equal(rep.monitors[col], [r[col] for r in rows], equal_nan=True), col
+
+
 def test_run_gbu_reference_step_count_and_detection_time():
     # pinned step count and detection time: any change to the arithmetic of
     # the update or of the step bound shows here
@@ -508,6 +543,15 @@ def test_monitor_csv_roundtrip(tmp_path):
         assert np.array_equal(nan, np.isnan(b)), col
         assert a[~nan].tobytes() == b[~nan].tobytes(), col  # bit-exact, -0.0 included
     assert not np.all(np.isnan(back["y"]))
+
+
+def test_monitor_csv_rejects_rows_of_the_wrong_length(tmp_path):
+    path = tmp_path / "monitors.csv"
+    path.write_text(",".join(MONITOR_COLUMNS) + "\n0.0,1.0,0.0\n0.1,1.0,0.0\n")
+    with pytest.raises(ValueError, match="monitor rows hold 3 values, not 11"):
+        read_monitors_csv(path)
+    path.write_text(",".join(MONITOR_COLUMNS) + "\n")
+    assert read_monitors_csv(path)["t"].shape == (0,)
 
 
 def test_monitor_csv_rejects_old_six_column_file(tmp_path):
