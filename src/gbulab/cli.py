@@ -161,7 +161,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "trajectory": (_parse_str, ""),
         "monotonicity_samples": (_parse_int, 20000),
     },
-    "eig": {"tol": (_parse_float, 1e-10)},
     "output": {"directory": (_parse_str, "")},
 }
 
@@ -175,7 +174,7 @@ _KIND_SECTIONS: dict[str, tuple[set[str], set[str]]] = {
     "barrier_certify": ({"problem", "barrier"}, set()),
     "criterion_bisect": ({"grid", "problem", "control", "criterion"}, set()),
     "compliance_suite": ({"grid", "problem"}, {"control", "compliance"}),
-    "eig": ({"grid"}, {"eig"}),
+    "eig": ({"grid"}, set()),
 }
 
 
@@ -305,8 +304,8 @@ def _validate_constraints(cfg: RunConfig) -> None:
             if bad:
                 raise ConfigError(
                     f"stored-trajectory checking supports only max_principle; run {sorted(bad)} "
-                    "as a fresh check (regularizing_effect and energy_estimate need its "
-                    "snapshots and initial field)"
+                    "as a fresh check (regularizing_effect needs its snapshots and "
+                    "energy_estimate its initial gradient energy)"
                 )
     if cfg.kind == "compliance_suite":
         has_traj = cfg.has("compliance") and bool(cfg["compliance"]["trajectory"])
@@ -339,8 +338,10 @@ def _build(cfg: RunConfig) -> RunConfig:
         stepping.continuation_epsilons(s["continuation"]["epsilons"])
     if cfg.has("barrier"):
         barriers.certify_sampling(s["barrier"]["eps_values"], s["barrier"]["n_radial"])
-    if cfg.has("eig"):
-        spectral.eigen_tol(s["eig"]["tol"])
+    if cfg.has("criterion"):
+        spectral.criterion_bracket(
+            s["criterion"]["amplitude_low"], s["criterion"]["amplitude_high"]
+        )
     alpha = None
     if cfg.kind == "criterion_bisect":
         window = spectral.alpha_window(specs[0].p, specs[0].q)  # EmptyAlphaWindow unless q > p
@@ -446,7 +447,7 @@ def _do_continuation(cfg: RunConfig, out: Path, jobs: int, seed: int) -> int:
     report = stepping.epsilon_continuation(cfg.spec, cfg["continuation"]["epsilons"], control)
     write_json(out / "continuation.json", "continuation", report.to_dict())
     for eps, field in zip(report.epsilons, report.final_fields):
-        fieldio.write_field(out / f"final_eps_{eps:g}.field", field, control.t_end)
+        fieldio.write_field(out / f"final_eps_{eps!r}.field", field, control.t_end)
     fieldio.write_field(out / "final_extrapolated.field", report.extrapolated, control.t_end)
     return 0
 
@@ -564,7 +565,7 @@ def _do_compliance(cfg: RunConfig, out: Path, jobs: int, seed: int) -> int:
                 analysis.regularizing_effect_check(traj, spec.p, u0_sup)
             )
         if "energy_estimate" in checks:
-            reports.append(analysis.energy_estimate(traj, spec))
+            reports.append(analysis.energy_estimate(run_report, spec))
         if "monotonicity" in checks:
             reports.append(
                 analysis.monotonicity_suite(comp["monotonicity_samples"], seed=seed)
@@ -581,13 +582,11 @@ def _do_compliance(cfg: RunConfig, out: Path, jobs: int, seed: int) -> int:
 
 def _do_eig(cfg: RunConfig, out: Path, jobs: int, seed: int) -> int:
     grid = cfg.grid
-    tol = cfg.sections.get("eig", _section_defaults("eig"))["tol"]
-    eig = spectral.principal_eigenpair(grid, tol=tol)
+    eig = spectral.principal_eigenpair(grid)
     fieldio.write_field(out / "phi1.field", eig.phi1, 0.0)
     doc = {
         "lambda1": eig.lambda1,
         "residual": eig.residual,
-        "iterations": eig.iterations,
         "grid": {
             "extents": [list(e) for e in grid.extents],
             "points_per_axis": list(grid.points_per_axis),

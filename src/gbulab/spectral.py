@@ -17,10 +17,6 @@ from .problem import SolutionState, make_spec
 from .stepping import COMPLETED, GBU_DETECTED, RunReport, StepControl, run
 
 
-class EigenSolveError(RuntimeError):
-    """Inverse power iteration failed to reach the residual tolerance."""
-
-
 class EmptyAlphaWindow(ValueError):
     """The admissible-exponent interval is empty (hypothesis q > p > 2 fails)."""
 
@@ -36,7 +32,7 @@ class EigenData:
     lambda1: float
     phi1: np.ndarray
     residual: float
-    iterations: int
+    iterations: int = 0  # always 0: the pair is closed-form; callers still read it
 
 
 def _neg_laplacian(v: np.ndarray, grid: Grid) -> np.ndarray:
@@ -56,94 +52,42 @@ def _neg_laplacian(v: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
-def _thomas_constant(m: int, diag: float, off: float, rhs: np.ndarray) -> np.ndarray:
-    """Tridiagonal solve with constant diagonal/off-diagonal entries."""
-    c = np.empty(m)
-    d = np.empty(m)
-    c[0] = off / diag
-    d[0] = rhs[0] / diag
-    for i in range(1, m):
-        w = diag - off * c[i - 1]
-        c[i] = off / w
-        d[i] = (rhs[i] - off * d[i - 1]) / w
-    x = np.empty(m)
-    x[-1] = d[-1]
-    for i in range(m - 2, -1, -1):
-        x[i] = d[i] - c[i] * x[i + 1]
-    return x
+def _axis_pair(n: int, h: float) -> tuple[float, np.ndarray]:
+    """Principal pair of the 3-point Dirichlet Laplacian on n nodes of
+    spacing h, in closed form: lambda = (4/h^2) sin^2(pi/(2(n-1))) and
+    phi_i = sin(pi i/(n-1)), normalized to max 1.
 
-
-def _axis_pair(grid: Grid, tol: float, maxiter: int) -> tuple[float, np.ndarray, int]:
-    """Inverse power iteration (Thomas solve) on a 1D grid.
-
-    Stops once the eigen-residual reaches tol, or once an iterate repeats
-    within the rounding floor eps * ||-Delta_h||_inf = eps * 4/h^2: the
-    iteration has then reached a fixed point or cycle of its rounding and
-    the residual can fall no further. A run that reaches tol never repeats
-    an iterate first, so the floor changes no such run.
+    The sine is evaluated at min(i, n-1-i), an argument of at most pi/2: near
+    pi the rounding of the argument would be a relative error of about
+    eps * n in phi at the nodes next to the boundary. phi is then also
+    exactly symmetric.
     """
-    h2 = grid.spacing[0] ** 2
-    m = grid.shape[0] - 2
-    floor = np.finfo(float).eps * 4.0 / h2
-    v = np.ones(m)
-    v /= math.sqrt(float(np.sum(v * v)))
-    residual = math.inf
-    seen = set()
-    for iterations in range(1, maxiter + 1):
-        w = _thomas_constant(m, 2.0 / h2, -1.0 / h2, v)
-        w /= math.sqrt(float(np.sum(w * w)))
-        av = _neg_laplacian(w, grid)
-        lam = float(np.sum(w * av))
-        residual = float(np.max(np.abs(av - lam * w))) / float(np.max(np.abs(w)))
-        v = w
-        state = w.tobytes()
-        if residual <= tol or (residual <= floor and state in seen):
-            break
-        seen.add(state)
-    else:
-        raise EigenSolveError(
-            f"no convergence after {maxiter} iterations (residual {residual:.3e})"
-        )
-
-    if float(np.sum(v)) < 0:
-        v = -v
-    phi = np.zeros(grid.shape)
-    phi[grid.interior_slice()] = v
-    phi /= float(np.max(np.abs(phi)))
-    return lam, phi, iterations
+    m = n - 1
+    i = np.arange(n)
+    phi = np.sin(np.pi * np.minimum(i, m - i) / m)
+    phi /= np.max(phi)
+    return 4.0 / h**2 * math.sin(math.pi / (2 * m)) ** 2, phi
 
 
-def eigen_tol(tol: float) -> float:
-    """The residual tolerance of `principal_eigenpair`, checked: positive."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    return tol
-
-
-def principal_eigenpair(grid: Grid, tol: float = 1e-10, maxiter: int = 400) -> EigenData:
+def principal_eigenpair(grid: Grid) -> EigenData:
     """Principal Dirichlet eigenpair of the 3-point (1D) / 5-point (2D) Laplacian.
 
     The 5-point Laplacian on a rectangle is the Kronecker sum of the axes'
     3-point Laplacians, so its principal pair is the product of theirs:
     lambda1 is the sum of the axes' lambda, phi1 the outer product of the
-    axes' phi. Each axis runs inverse power iteration to residual tol, or to
-    its rounding floor eps * 4/h^2 where that lies above tol.
+    axes' phi (see `_axis_pair`).
 
     Returns phi1 positive at interior nodes, zero on the boundary,
     normalized to ||phi1||_inf = 1, and the eigen-residual
-    ||(-Delta_h - lambda1) phi1||_inf on the full grid. In 2D that residual
-    is bounded by the sum of the axes' residuals plus rounding.
+    ||(-Delta_h - lambda1) phi1||_inf on the full grid, which measures how
+    far the closed form is from the operator's pair in floating point.
     """
-    tol = eigen_tol(tol)
-    lams, phis, counts = zip(*(
-        _axis_pair(Grid((ext,), (n,)), tol, maxiter)
-        for ext, n in zip(grid.extents, grid.points_per_axis)
-    ))
+    lams, phis = zip(*map(_axis_pair, grid.points_per_axis, grid.spacing))
     lam = sum(lams)
     phi = functools.reduce(np.multiply.outer, phis)
     av = _neg_laplacian(phi[grid.interior_slice()], grid)
     residual = float(np.max(np.abs(av - lam * phi[grid.interior_slice()])))
-    return EigenData(lambda1=lam, phi1=phi, residual=residual, iterations=sum(counts))
+    return EigenData(lambda1=lam, phi1=phi, residual=residual)
 
 
 @dataclass(frozen=True)
@@ -279,6 +223,13 @@ class CriterionResult:
         return 0.5 * (self.functional_low + self.functional_high)
 
 
+def criterion_bracket(amplitude_low: float, amplitude_high: float) -> None:
+    """Check the starting amplitude bracket of a bisection: finite
+    0 <= amplitude_low < amplitude_high."""
+    if not (0.0 <= amplitude_low < amplitude_high and math.isfinite(amplitude_high)):
+        raise ValueError("requires finite 0 <= amplitude_low < amplitude_high")
+
+
 def criterion_experiment(
     grid: Grid,
     p: float,
@@ -302,6 +253,7 @@ def criterion_experiment(
     window = alpha_window(p, q)
     if not window.contains(alpha):
         raise ValueError(f"alpha={alpha} outside admissible window {window}")
+    criterion_bracket(amplitude_low, amplitude_high)
     weight = np.power(principal_eigenpair(grid).phi1, alpha)
     qw = quadrature_weights(grid)
 

@@ -349,15 +349,15 @@ def test_scaling_transform_check_p4_q4():
 def test_energy_estimate_stationary():
     g = build_grid((0.0, 1.0), 31)
     spec = make_spec(g, p=3.0, q=2.5, epsilon=1.0, profile="constant", amplitude=1.0)
-    traj, _ = run(spec, StepControl(t_end=0.01))
-    report = energy_estimate(traj, spec)
+    _, rep = run(spec, StepControl(t_end=0.01))
+    report = energy_estimate(rep, spec)
     assert report.passed
     assert report.details["lhs"] == 0.0
 
 
 def test_energy_estimate_smooth_run_ratio_below_one():
-    spec, traj, _ = sine_run(n=101, q=2.5, t_end=0.02)
-    report = energy_estimate(traj, spec)
+    spec, _, rep = sine_run(n=101, q=2.5, t_end=0.02)
+    report = energy_estimate(rep, spec)
     assert report.passed
     assert report.details["ratio"] < 1.0
 
@@ -365,6 +365,6 @@ def test_energy_estimate_smooth_run_ratio_below_one():
 def test_energy_estimate_ratio_stable_under_refinement():
     ratios = []
     for n in (101, 201):
-        spec, traj, _ = sine_run(n=n, q=2.5, t_end=0.02)
-        ratios.append(energy_estimate(traj, spec).details["ratio"])
+        spec, _, rep = sine_run(n=n, q=2.5, t_end=0.02)
+        ratios.append(energy_estimate(rep, spec).details["ratio"])
     assert abs(ratios[0] - ratios[1]) / ratios[1] < 0.1

@@ -7,7 +7,7 @@ import pytest
 from gbulab import fieldio
 from gbulab.cli import ConfigError, canonical_text, dispatch, main, parse_config
 from gbulab.schema import SchemaError, load_schema, validate
-from gbulab.stepping import read_monitors_csv, run
+from gbulab.stepping import epsilon_continuation, read_monitors_csv, run
 
 try:
     import jsonschema
@@ -314,6 +314,7 @@ def test_dispatch_eig(tmp_path):
     assert code == 0
     doc = json.loads((tmp_path / "out" / "eigen.json").read_text())
     validate(doc, load_schema("eigen"))
+    assert "iterations" not in doc
     assert doc["lambda1"] == pytest.approx(np.pi**2, abs=2e-3)
     phi, _ = fieldio.read_field(tmp_path / "out" / "phi1.field")
     assert phi.shape == (101,)
@@ -358,6 +359,18 @@ def test_dispatch_continuation(tmp_path):
     validate(doc, load_schema("continuation"))
     assert doc["monotone"]
     assert (tmp_path / "out" / "final_extrapolated.field").exists()
+
+
+def test_dispatch_continuation_writes_one_field_per_eps(tmp_path):
+    # the first two eps agree to 6 significant digits; each run keeps its file
+    cfg = parse_config(CONTINUATION_CFG.replace("1e-2, 1e-3, 1e-4", "0.1234562, 0.1234561, 0"))
+    assert dispatch(cfg, tmp_path / "out") == 0
+    report = epsilon_continuation(cfg.spec, cfg["continuation"]["epsilons"], cfg.control)
+    files = sorted((tmp_path / "out").glob("final_eps_*.field"))
+    assert len(files) == 3
+    for eps, field in zip(report.epsilons, report.final_fields):
+        u, _ = fieldio.read_field(tmp_path / "out" / f"final_eps_{eps!r}.field")
+        assert np.array_equal(u, field)
 
 
 GBU_DETECT_CFG = """
@@ -514,14 +527,21 @@ t_end = 0.01
      "criterion_bisect takes no [control] alpha"),
     ("continue-eps", CONTINUATION_CFG.replace("t_end", "alpha = 2\nt_end"),
      "epsilon_continuation takes no [control] alpha"),
-    ("eig", EIG_CFG + "\n[eig]\ntol = 0\n", "tol must be positive"),
+    ("eig", EIG_CFG + "\n[eig]\ntol = 1e-10\n", "section [eig] is not allowed for kind 'eig'"),
+    ("bisect-criterion", BISECT_CFG + "amplitude_low = -1\n",
+     "requires finite 0 <= amplitude_low < amplitude_high"),
+    ("bisect-criterion", BISECT_CFG + "amplitude_high = nan\n",
+     "requires finite 0 <= amplitude_low < amplitude_high"),
+    ("bisect-criterion", BISECT_CFG + "amplitude_low = 1.0\namplitude_high = 0.5\n",
+     "requires finite 0 <= amplitude_low < amplitude_high"),
     ("certify-barrier", BARRIER_CFG + "n_radial = 1\n", "need at least 2 radial points"),
     ("certify-barrier", BARRIER_CFG + "eps_values = 0, 2\n", "requires eps in [0, 1]"),
     ("certify-barrier", BARRIER_CFG + "eps_values =\n", "need at least one eps value"),
 ], ids=["monitor_stride", "dt_min", "gbu_threshold", "snapshot_every", "max_steps", "ramp_2d",
         "gbu_grids", "gbu_thresholds", "epsilon_nan", "gbu_detect_control_threshold_neg",
         "gbu_detect_control_threshold_300", "epsilons", "gbu_grids_repeated",
-        "bisect_control_alpha", "continuation_control_alpha", "eig_tol", "barrier_n_radial",
+        "bisect_control_alpha", "continuation_control_alpha", "eig_tol", "bisect_amplitude_low",
+        "bisect_amplitude_high_nan", "bisect_bracket_reversed", "barrier_n_radial",
         "barrier_eps_values", "barrier_eps_values_empty"])
 def test_main_value_rejected_by_constructor_exit_2_before_any_run(
     tmp_path, capsys, verb, text, message

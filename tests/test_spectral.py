@@ -18,7 +18,9 @@ from gbulab.spectral import (
 
 
 def discrete_lambda1(h: float, length: float = 1.0) -> float:
-    return 2.0 / h**2 * (1.0 - np.cos(np.pi * h / length))
+    # 2/h^2 (1 - cos(pi h/L)), written without the cancellation of 1 - cos,
+    # which costs about eps/(pi h/L)^2 relative (4e-12 at h = 1/400)
+    return 4.0 / h**2 * np.sin(np.pi * h / (2.0 * length)) ** 2
 
 
 # -- eigenpair ------------------------------------------------------------------
@@ -65,11 +67,6 @@ def test_eigenpair_scaled_interval():
     assert eig.lambda1 == pytest.approx((np.pi / 2) ** 2, abs=1e-3)
 
 
-def test_eigenpair_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        principal_eigenpair(build_grid((0.0, 1.0), 11), tol=0.0)
-
-
 def dense_neg_laplacian(grid) -> np.ndarray:
     """-Delta_h on the interior nodes as a dense matrix, assembled node by node."""
     inner = [n - 2 for n in grid.shape]
@@ -88,9 +85,11 @@ def dense_neg_laplacian(grid) -> np.ndarray:
 
 @pytest.mark.parametrize(("extents", "points"), [
     ((0.0, 2.0), 9),
+    ((0.0, 2.0), 10),
     ([(0, 1), (0, 3)], (7, 11)),
     ([(0, 1), (0, 3)], (9, 5)),
-], ids=["1d_0_2_n9", "2d_7x11", "2d_9x5"])
+    ([(0, 1), (0, 3)], (8, 6)),
+], ids=["1d_0_2_n9", "1d_0_2_n10", "2d_7x11", "2d_9x5", "2d_8x6"])
 def test_eigenpair_matches_dense_eigh(extents, points):
     g = build_grid(extents, points)
     vals, vecs = np.linalg.eigh(dense_neg_laplacian(g))
@@ -101,21 +100,21 @@ def test_eigenpair_matches_dense_eigh(extents, points):
     interior = eig.phi1[g.interior_slice()].ravel()
     assert np.max(np.abs(interior - ref)) < 1e-10
     assert np.all(eig.phi1[g.boundary_mask()] == 0.0)
+    assert np.max(eig.phi1) == 1.0
 
 
-@pytest.mark.parametrize("n", [551, 601, 1001])
+@pytest.mark.parametrize("n", [201, 401, 501, 551, 601, 1001])
 def test_eigenpair_fine_1d_stops_at_rounding_floor(n):
-    # eps * 4/h^2 exceeds the default tol here; the iteration ends at that floor
+    # the residual stays within the rounding floor eps * ||-Delta_h||_inf =
+    # eps * 4/h^2; sin(pi i/(n-1)) evaluated without the mirror exceeds it
+    # from n=501 on, and is not symmetric
     g = build_grid((0.0, 1.0), n)
     eig = principal_eigenpair(g)
-    exact = discrete_lambda1(g.spacing[0])
-    assert abs(eig.lambda1 - exact) <= 1e-10 * exact
-
-
-def test_eigenpair_floor_does_not_cut_a_run_that_reaches_tol():
-    # at n=501 the residual rises once inside the rounding floor (iteration 15)
-    # and still reaches tol at iteration 17
-    assert principal_eigenpair(build_grid((0.0, 1.0), 501)).iterations == 17
+    h = g.spacing[0]
+    assert eig.residual <= np.finfo(float).eps * 4.0 / h**2
+    exact = discrete_lambda1(h)
+    assert abs(eig.lambda1 - exact) <= 1e-12 * exact
+    assert np.array_equal(eig.phi1, eig.phi1[::-1])
 
 
 def test_eigenpair_2d_is_product_of_axis_pairs():
@@ -125,7 +124,6 @@ def test_eigenpair_2d_is_product_of_axis_pairs():
     eig = principal_eigenpair(g)
     assert eig.lambda1 == x.lambda1 + y.lambda1
     assert np.array_equal(eig.phi1, np.multiply.outer(x.phi1, y.phi1))
-    assert eig.iterations == x.iterations + y.iterations
     assert np.max(eig.phi1) == 1.0
     assert eig.residual <= x.residual + y.residual + 1e-12
 
@@ -278,6 +276,15 @@ def test_criterion_experiment_rejects_bad_exponents():
     ctl = StepControl(t_end=0.01)
     with pytest.raises(ValueError):
         criterion_experiment(g, 3.0, 2.5, alpha=2.0, control=ctl)
+
+
+@pytest.mark.parametrize(("low", "high"), [(-1.0, 2.0), (0.0, np.nan), (1.0, 0.5)])
+def test_criterion_experiment_rejects_bad_bracket(low, high):
+    g = build_grid((0.0, 1.0), 51)
+    ctl = StepControl(t_end=0.01)
+    with pytest.raises(ValueError, match="0 <= amplitude_low < amplitude_high"):
+        criterion_experiment(g, 3.0, 4.0, alpha=2.0, control=ctl,
+                             amplitude_low=low, amplitude_high=high)
 
 
 def test_criterion_experiment_rejects_alpha_outside_window():
