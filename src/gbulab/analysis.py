@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import Grid, boundary_distance
-from .operators import quadrature_weights
 from .problem import ProblemSpec, SolutionState
 from .stepping import COMPLETED, RunReport, StepControl, Trajectory, run
 
@@ -41,20 +40,8 @@ class ComplianceReport:
             "worst_margin": self.worst_margin,
             "tolerance": self.tolerance,
             "location": self.location,
-            "details": _jsonable(self.details),
+            "details": self.details,
         }
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
 
 
 def _report(name, margin, tol, location="", **details) -> ComplianceReport:
@@ -70,11 +57,14 @@ def _report(name, margin, tol, location="", **details) -> ComplianceReport:
 
 # -- extremum bounds ----------------------------------------------------------
 
-def max_principle_check(traj: Trajectory, tol_coef: float = 2.0) -> ComplianceReport:
-    """min u0 - tol <= u <= max u0 + tol over all recorded steps, tol = c*h."""
+BOUND_TOL_H = 2.0  # extremum and ordering tolerance, in grid spacings h
+
+
+def max_principle_check(traj: Trajectory) -> ComplianceReport:
+    """min u0 - tol <= u <= max u0 + tol over all recorded steps, tol = BOUND_TOL_H*h."""
     mon = traj.monitors
     u0_min, u0_max = mon["min_u"][0], mon["max_u"][0]
-    tol = tol_coef * traj.grid.h_min
+    tol = BOUND_TOL_H * traj.grid.h_min
     low = mon["min_u"] - u0_min
     high = u0_max - mon["max_u"]
     k_low = int(np.argmin(low))
@@ -90,10 +80,8 @@ def max_principle_check(traj: Trajectory, tol_coef: float = 2.0) -> ComplianceRe
     )
 
 
-def comparison_check(
-    traj_low: Trajectory, traj_high: Trajectory, tol: float | None = None
-) -> ComplianceReport:
-    """Ordered data must stay ordered: u <= v + tol at matched snapshot times.
+def comparison_check(traj_low: Trajectory, traj_high: Trajectory) -> ComplianceReport:
+    """Ordered data must stay ordered: u <= v + BOUND_TOL_H*h at matched snapshot times.
 
     Both trajectories must come from a lockstep run (same grid, same dt
     sequence, same snapshot cadence)."""
@@ -108,7 +96,7 @@ def comparison_check(
     t_low, t_high = traj_low.times, traj_high.times
     if len(t_low) != len(t_high) or np.any(t_low != t_high):
         raise ValueError("snapshot times differ; use a lockstep run")
-    tol = 2.0 * traj_low.grid.h_min if tol is None else tol
+    tol = BOUND_TOL_H * traj_low.grid.h_min
     worst = math.inf
     loc = ""
     for s_lo, s_hi in zip(traj_low.states, traj_high.states):
@@ -149,13 +137,14 @@ def monotonicity_margin(a, b, sigma) -> np.ndarray | float:
     return float(out[0]) if out.shape == (1,) else out
 
 
-def monotonicity_suite(
-    n_samples: int = 100_000,
-    seed: int = 0,
-    sigma_range: tuple[float, float] = (2.0, 10.0),
-    max_dim: int = 4,
-    component_range: float = 10.0,
-) -> ComplianceReport:
+# the sweep draws sigma, the dimension d = 1..MONO_MAX_DIM (equal shares) and
+# the components of a and b uniformly from these ranges
+MONO_SIGMA_RANGE = (2.0, 10.0)
+MONO_MAX_DIM = 4
+MONO_COMPONENT_RANGE = 10.0
+
+
+def monotonicity_suite(n_samples: int = 100_000, seed: int = 0) -> ComplianceReport:
     """Seeded random sweep of the monotonicity inequality.
 
     Margins are scaled by |a|^sigma + |b|^sigma + 1; the worst scaled margin
@@ -163,12 +152,12 @@ def monotonicity_suite(
     rng = np.random.default_rng(seed)
     worst = math.inf
     violations = 0
-    per_dim = n_samples // max_dim
-    for d in range(1, max_dim + 1):
-        k = per_dim if d < max_dim else n_samples - per_dim * (max_dim - 1)
-        a = rng.uniform(-component_range, component_range, size=(k, d))
-        b = rng.uniform(-component_range, component_range, size=(k, d))
-        sig = rng.uniform(*sigma_range, size=k)
+    per_dim = n_samples // MONO_MAX_DIM
+    for d in range(1, MONO_MAX_DIM + 1):
+        k = per_dim if d < MONO_MAX_DIM else n_samples - per_dim * (MONO_MAX_DIM - 1)
+        a = rng.uniform(-MONO_COMPONENT_RANGE, MONO_COMPONENT_RANGE, size=(k, d))
+        b = rng.uniform(-MONO_COMPONENT_RANGE, MONO_COMPONENT_RANGE, size=(k, d))
+        sig = rng.uniform(*MONO_SIGMA_RANGE, size=k)
         margins = monotonicity_margin(a, b, sig)
         scale = (
             np.power(np.linalg.norm(a, axis=-1), sig)
@@ -199,65 +188,29 @@ def monotonicity_margin_small_sigma(a, b, sigma: float):
 
 # -- regularizing effect -------------------------------------------------------
 
-def regularizing_effect_check(
-    traj: Trajectory,
-    p: float,
-    u0_sup: float,
-    warmup_steps: int = 5,
-    rel_tol: float = 0.1,
-) -> ComplianceReport:
-    """u_t <= u0_sup / ((p-2) t): the per-step max of the normalized ratio
-    u_t * t * (p-2) / u0_sup must stay <= 1 + rel_tol after warmup.
+REG_WARMUP_STEPS = 5  # leading monitor rows the check skips
+REG_REL_TOL = 0.1
 
-    The pointwise discrete check is stronger than the distributional bound;
-    on failure a mollified variant (sine-weighted spatial average of u_t
-    between snapshots) is consulted before declaring the check failed."""
+
+def regularizing_effect_check(traj: Trajectory, p: float, u0_sup: float) -> ComplianceReport:
+    """u_t <= u0_sup / ((p-2) t): after the first REG_WARMUP_STEPS monitor
+    rows, the per-step max of the normalized ratio u_t * t * (p-2) / u0_sup
+    must stay <= 1 + REG_REL_TOL. On zero data the bound is 0: u_t must vanish."""
     mon = traj.monitors
-    t = mon["t"][max(warmup_steps, 1) :]
-    max_ut = mon["max_ut"][max(warmup_steps, 1) :]
+    t = mon["t"][REG_WARMUP_STEPS:]
+    max_ut = mon["max_ut"][REG_WARMUP_STEPS:]
     if len(t) == 0:
         raise ValueError("trajectory too short for the warmup window")
     if u0_sup <= 0:
-        # zero data: u_t must vanish identically
-        ratio_max = float(np.max(np.abs(max_ut))) if len(max_ut) else 0.0
-        return _report("regularizing_effect", 1.0 - ratio_max, rel_tol, "zero data")
+        sup_ut = float(np.max(np.abs(max_ut)))
+        return _report("regularizing_effect", 0.0 - sup_ut, 0.0, "zero data")
     ratios = max_ut * t * (p - 2.0) / u0_sup
     k = int(np.argmax(ratios))
     ratio_max = float(ratios[k])
-    margin = 1.0 - ratio_max
-    details = {"ratio_max": ratio_max, "excess": max(0.0, ratio_max - 1.0)}
-    passed_pointwise = margin >= -rel_tol
-
-    if not passed_pointwise and len(traj.states) >= 3:
-        moll = _mollified_ut_ratio(traj, p, u0_sup, warmup_t=float(t[0]))
-        details["mollified_ratio_max"] = moll
-        if moll <= 1.0 + rel_tol:
-            return _report(
-                "regularizing_effect", 1.0 - moll, rel_tol,
-                f"mollified at t={t[k]:.6g}", **details,
-            )
     return _report(
-        "regularizing_effect", margin, rel_tol, f"t={t[k]:.6g}", **details
+        "regularizing_effect", 1.0 - ratio_max, REG_REL_TOL, f"t={t[k]:.6g}",
+        ratio_max=ratio_max, excess=max(0.0, ratio_max - 1.0),
     )
-
-
-def _mollified_ut_ratio(traj: Trajectory, p: float, u0_sup: float, warmup_t: float) -> float:
-    grid = traj.grid
-    coords = grid.coords()
-    w = np.ones(grid.shape)
-    for axis, (a, b) in enumerate(grid.extents):
-        w = w * np.sin(np.pi * (coords[axis] - a) / (b - a))
-    w = np.maximum(w, 0.0)
-    qw = quadrature_weights(grid)
-    norm = float(np.sum(qw * w))
-    worst = 0.0
-    for s0, s1 in zip(traj.states, traj.states[1:]):
-        if s1.t <= warmup_t:
-            continue
-        ut = (s1.u - s0.u) / (s1.t - s0.t)
-        avg = float(np.sum(qw * w * ut)) / norm
-        worst = max(worst, avg * s1.t * (p - 2.0) / u0_sup)
-    return worst
 
 
 # -- gradient profile near the boundary ----------------------------------------
@@ -317,14 +270,16 @@ def _anchored_slope(deltas: np.ndarray, vals: np.ndarray) -> float:
     return float(np.max((sxy - sx * sy / m) / (sxx - sx * sx / m)))
 
 
-def envelope_constants(
-    state: SolutionState, gamma_star: float, interior_frac: float = 0.5
-) -> tuple[float, float]:
+INTERIOR_FRAC = 0.5  # C2 is read where delta >= INTERIOR_FRAC * max(delta)
+MIN_SHELLS = 4  # fewest shells that resolve a boundary layer
+
+
+def envelope_constants(state: SolutionState, gamma_star: float) -> tuple[float, float]:
     """(C1, C2) with C2 the interior gradient bound and C1 minimal such that
     |grad u| <= C1 delta^(-gamma*) + C2 at every node off the boundary."""
     delta = boundary_distance(state.grid)
     mag = state.grad_mag
-    d_int = interior_frac * float(np.max(delta))
+    d_int = INTERIOR_FRAC * float(np.max(delta))
     interior = delta >= d_int
     c2 = float(np.max(mag[interior])) if interior.any() else 0.0
     pos = delta > 0
@@ -344,22 +299,17 @@ def write_shell_profile_csv(path, state: SolutionState, gamma_star: float) -> No
             f.write(f"{float(d)!r},{float(m)!r},{float(bound)!r}\n")
 
 
-def fit_profile(
-    state: SolutionState,
-    gamma_star: float,
-    interior_frac: float = 0.5,
-    min_shells: int = 4,
-) -> ProfileFit:
+def fit_profile(state: SolutionState, gamma_star: float) -> ProfileFit:
     """Fit |grad u| <= C1 delta^(-gamma*) + C2 with C2 the interior gradient
     bound, and the boundary-layer shell slope.
 
     The layer is the monotone run of shells above 1.5x the interior level
     (hot shells) plus the terminator shell where the profile merges back;
-    fewer than min_shells of those raise InsufficientCollar. A state with no
+    fewer than MIN_SHELLS of those raise InsufficientCollar. A state with no
     shell above the interior threshold has no boundary layer and is
     trivially compliant (slope 0). The slope statistic is the shallowest
     inner-anchored window fit over the hot shells."""
-    c1, c2 = envelope_constants(state, gamma_star, interior_frac)
+    c1, c2 = envelope_constants(state, gamma_star)
     shells, maxima = shell_maxima(state)
     floor = max(1.5 * c2, 1e-300)
     if maxima[0] <= floor:
@@ -372,9 +322,9 @@ def fit_profile(
             break
         hot = k + 1
     resolved = hot + (1 if hot < len(shells) else 0)
-    if resolved < min_shells or hot < 2:
+    if resolved < MIN_SHELLS or hot < 2:
         raise InsufficientCollar(
-            f"only {resolved} shells resolve the boundary layer (need >= {min_shells})"
+            f"only {resolved} shells resolve the boundary layer (need >= {MIN_SHELLS})"
         )
     slope = _anchored_slope(shells[:hot], maxima[:hot])
     return ProfileFit(c1=c1, c2=c2, slope=slope, n_shells=resolved, n_hot=hot, t=state.t)
@@ -387,7 +337,6 @@ def gradient_profile_check(
     t_detect: float,
     slope_tol: float = 0.15,
     stability_tol: float = 0.2,
-    interior_frac: float = 0.5,
 ) -> ComplianceReport:
     """Profile compliance on late-time states of a blow-up-bound run.
 
@@ -402,7 +351,7 @@ def gradient_profile_check(
     skipped = 0
     for s in states:
         try:
-            fits.append(fit_profile(s, gamma_star, interior_frac))
+            fits.append(fit_profile(s, gamma_star))
         except InsufficientCollar:
             skipped += 1
     if not fits:
@@ -476,17 +425,16 @@ def interior_boundedness_check(
 
 # -- space-time scaling ---------------------------------------------------------
 
+SCALING_TOL_COEF = 5.0
+
+
 def scaling_transform_check(
-    spec: ProblemSpec,
-    lam: float,
-    control: StepControl,
-    n_checks: int = 5,
-    tol_coef: float = 5.0,
+    spec: ProblemSpec, lam: float, control: StepControl, n_checks: int = 5
 ) -> ComplianceReport:
     """Transform equivariance: v(x, t) = lam^gamma u(x, lam t) where v solves
     the problem with data lam^gamma (u0, g) and source coefficient
     mu lam^(-(q-p+1) gamma). Discrepancies at matched times must stay below
-    tol_coef * (h^2 + dt)."""
+    SCALING_TOL_COEF * (h^2 + dt)."""
     if lam < 1.0:
         raise ValueError("requires lam >= 1")
     gamma = 1.0 / (spec.p - 2.0)
@@ -519,7 +467,7 @@ def scaling_transform_check(
         float(np.max(rep_u.monitors["dt"])), float(np.max(rep_v.monitors["dt"]))
     )
     h = spec.grid.h_min
-    bound = tol_coef * (h * h + dt_max)
+    bound = SCALING_TOL_COEF * (h * h + dt_max)
     fac = lam**gamma
     discrepancies = []
     for t in t_checks:
@@ -537,9 +485,10 @@ def scaling_transform_check(
 
 # -- energy bound ----------------------------------------------------------------
 
-def energy_estimate(
-    report: RunReport, spec: ProblemSpec, rel_tol: float = 0.05
-) -> ComplianceReport:
+ENERGY_REL_TOL = 0.05
+
+
+def energy_estimate(report: RunReport, spec: ProblemSpec) -> ComplianceReport:
     """Quadrature of the squared time derivative against the a priori bound
     (2/p) * int (|grad u0|^2+eps)^(p/2) + 2 mu^2 * int int (|grad u|^2+eps)^q,
     read from the run's monitors and its initial gradient energy."""
@@ -549,7 +498,7 @@ def energy_estimate(
     bound = (2.0 / spec.p) * e0 + 2.0 * spec.mu**2 * float(mon["source_energy_acc"][-1])
     ratio = lhs / bound if bound > 0 else (0.0 if lhs == 0.0 else math.inf)
     return _report(
-        "energy_estimate", bound - lhs, rel_tol * bound,
+        "energy_estimate", bound - lhs, ENERGY_REL_TOL * bound,
         f"t in [0, {mon['t'][-1]:.6g}]",
         lhs=lhs, bound=bound, ratio=ratio, initial_gradient_energy=e0,
     )

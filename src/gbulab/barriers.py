@@ -297,13 +297,12 @@ def exp_barrier_residual(
     q: float,
     N: int,
     eps: float,
-    span: float | None = None,
     n_radial: int = 10000,
 ) -> ExpBarrierCertificate:
     """Residual of (C^2 K^2 + 1)^(q/2) t + C (1 - e^(-K(r-rho))) + |g|_inf.
 
     The profile is affine in time and |g|_inf enters additively, so the
-    residual depends on neither. Evaluated on r in [rho, rho+span] with the
+    residual depends on neither. Evaluated on r in [rho, 2 rho] with the
     kappa sweep; reports the minimum residual and the minimum of the
     diffusion term, whose sign is what K > (N+p-3)/rho guarantees.
     """
@@ -311,8 +310,7 @@ def exp_barrier_residual(
         raise ValueError("C, K, rho must be positive")
     if eps < 0:
         raise ValueError("requires eps >= 0")
-    span = rho if span is None else span
-    r = np.linspace(rho, rho + span, n_radial)
+    r = np.linspace(rho, 2.0 * rho, n_radial)
     s = r - rho
     psi_p = C * K * np.exp(-K * s)
     psi_pp = -C * K * K * np.exp(-K * s)

@@ -296,6 +296,8 @@ def _validate_constraints(cfg: RunConfig) -> None:
         if b["n"] not in (1, 2, 3):
             raise ConfigError("requires n in {1, 2, 3}")
     if cfg.has("compliance"):
+        if not cfg["compliance"]["checks"]:
+            raise ConfigError(f"[compliance] checks is empty; known: {COMPLIANCE_CHECKS}")
         unknown = set(cfg["compliance"]["checks"]) - set(COMPLIANCE_CHECKS)
         if unknown:
             raise ConfigError(f"unknown checks {sorted(unknown)}; known: {COMPLIANCE_CHECKS}")
@@ -374,8 +376,12 @@ def canonical_text(cfg: RunConfig) -> str:
 # -- artifact helpers ----------------------------------------------------------
 
 def _sanitize(obj):
+    """obj as plain JSON values: numpy scalars and arrays become Python
+    numbers and lists, non-finite floats null."""
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
     if isinstance(obj, (np.floating,)):
@@ -404,13 +410,15 @@ def _run_control(cfg: RunConfig) -> StepControl:
 
 
 def _write_run_artifacts(out: Path, traj, report) -> None:
+    """The run's report, monitors and final state, and every earlier state
+    under snapshots/ when the run kept more than its first and last."""
     write_json(out / "run_report.json", "run_report", report.to_dict())
     stepping.write_monitors_csv(out / "monitors.csv", report.monitors)
     fieldio.write_field(out / "final_state.field", traj.states[-1].u, traj.states[-1].t)
     if len(traj.states) > 2:
         snapdir = out / "snapshots"
         snapdir.mkdir(exist_ok=True)
-        for k, s in enumerate(traj.states):
+        for k, s in enumerate(traj.states[:-1]):
             fieldio.write_field(snapdir / f"{k:05d}.field", s.u, s.t)
 
 
@@ -549,27 +557,22 @@ def _do_compliance(cfg: RunConfig, out: Path, jobs: int, seed: int) -> int:
     checks = comp["checks"]
     reports: list[analysis.ComplianceReport] = []
 
-    if comp["trajectory"]:
+    spec = cfg.spec
+    if comp["trajectory"]:  # the checks are max_principle alone (_validate_constraints)
         monitors = stepping.read_monitors_csv(comp["trajectory"])
         traj = stepping.Trajectory(grid=cfg.grid, spec=None, states=[], monitors=monitors)
-        reports.append(analysis.max_principle_check(traj))
     else:
-        spec = cfg.spec
         traj, run_report = stepping.run(spec, _run_control(cfg))
         _write_run_artifacts(out, traj, run_report)
+    if "max_principle" in checks:
+        reports.append(analysis.max_principle_check(traj))
+    if "regularizing_effect" in checks:
         u0_sup = float(np.max(np.abs(spec.initial)))
-        if "max_principle" in checks:
-            reports.append(analysis.max_principle_check(traj))
-        if "regularizing_effect" in checks:
-            reports.append(
-                analysis.regularizing_effect_check(traj, spec.p, u0_sup)
-            )
-        if "energy_estimate" in checks:
-            reports.append(analysis.energy_estimate(run_report, spec))
-        if "monotonicity" in checks:
-            reports.append(
-                analysis.monotonicity_suite(comp["monotonicity_samples"], seed=seed)
-            )
+        reports.append(analysis.regularizing_effect_check(traj, spec.p, u0_sup))
+    if "energy_estimate" in checks:
+        reports.append(analysis.energy_estimate(run_report, spec))
+    if "monotonicity" in checks:
+        reports.append(analysis.monotonicity_suite(comp["monotonicity_samples"], seed=seed))
 
     doc = {
         "passed": all(r.passed for r in reports),

@@ -230,6 +230,9 @@ def criterion_bracket(amplitude_low: float, amplitude_high: float) -> None:
         raise ValueError("requires finite 0 <= amplitude_low < amplitude_high")
 
 
+MAX_EXPAND = 8  # the most doublings of amplitude_high in search of a blow-up
+
+
 def criterion_experiment(
     grid: Grid,
     p: float,
@@ -241,7 +244,6 @@ def criterion_experiment(
     epsilon: float = 0.0,
     mu: float = 1.0,
     bisect_iters: int = 6,
-    max_expand: int = 8,
 ) -> CriterionResult:
     """Bisect the sine-bump amplitude between a completed and a blown-up run.
 
@@ -284,7 +286,7 @@ def criterion_experiment(
         lo, y_lo = hi, y_hi
         hi *= 2.0
         expand += 1
-        if expand > max_expand:
+        if expand > MAX_EXPAND:
             raise RuntimeError("no blow-up found while expanding the amplitude")
         verdict_hi, y_hi, rep_hi = probe(hi)
 

@@ -96,6 +96,9 @@ class StepControl:
         )
 
 
+SNAPSHOT_RTOL = 1e-9  # relative time tolerance of Trajectory.state_at
+
+
 @dataclass
 class Trajectory:
     """Snapshot states (always including t=0 and the final time) + monitors."""
@@ -109,9 +112,9 @@ class Trajectory:
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.states])
 
-    def state_at(self, t: float, rtol: float = 1e-9) -> SolutionState:
+    def state_at(self, t: float) -> SolutionState:
         for s in self.states:
-            if math.isclose(s.t, t, rel_tol=rtol, abs_tol=1e-300):
+            if math.isclose(s.t, t, rel_tol=SNAPSHOT_RTOL, abs_tol=1e-300):
                 return s
         raise KeyError(f"no snapshot at t={t}")
 
@@ -486,18 +489,18 @@ class GbuVerdict:
     per_resolution: dict
 
 
-def detect_gbu(
-    evidence: list[ThresholdCrossing],
-    increment_ratio_max: float = 0.75,
-    resolution_tol: float = 0.25,
-) -> GbuVerdict:
+INCREMENT_RATIO_MAX = 0.75  # largest ratio of consecutive crossing-time increments
+RESOLUTION_TOL = 0.25  # relative spread of the T_max estimates across resolutions
+
+
+def detect_gbu(evidence: list[ThresholdCrossing]) -> GbuVerdict:
     """Cauchy-style verdict from detection times at nested thresholds/grids.
 
     A resolution supports GBU when every threshold was crossed, detection
-    times are nondecreasing, and increments shrink (ratio <= the given
-    bound); its T_max estimate is the geometric extrapolation of the
-    crossing times. Resolutions must agree within resolution_tol or the
-    verdict is Inconclusive. Each (resolution, threshold) pair may appear once.
+    times are nondecreasing, and increments shrink (ratio <=
+    INCREMENT_RATIO_MAX); its T_max estimate is the geometric extrapolation
+    of the crossing times. Resolutions must agree within RESOLUTION_TOL or
+    the verdict is Inconclusive. Each (resolution, threshold) pair may appear once.
     """
     if len(evidence) < 2:
         raise ValueError("need at least 2 runs (nested thresholds or grids)")
@@ -518,11 +521,7 @@ def detect_gbu(
             per_res[res] = {"status": "NoGBU", "t_detect": times}
             statuses.append("NoGBU")
             continue
-        if any(t is None for t in times):
-            per_res[res] = {"status": "Inconclusive", "t_detect": times}
-            statuses.append("Inconclusive")
-            continue
-        if any(t1 < t0 for t0, t1 in zip(times, times[1:])):
+        if any(t is None for t in times) or any(t1 < t0 for t0, t1 in zip(times, times[1:])):
             per_res[res] = {"status": "Inconclusive", "t_detect": times}
             statuses.append("Inconclusive")
             continue
@@ -533,14 +532,14 @@ def detect_gbu(
             for d0, d1 in zip(incs, incs[1:]):
                 if d0 == 0.0:
                     continue
-                if d1 > increment_ratio_max * d0:
+                if d1 > INCREMENT_RATIO_MAX * d0:
                     ok = False
             if ok and incs[-2] > 0:
                 r = min(incs[-1] / incs[-2], 0.9)
                 est = times[-1] + incs[-1] * r / (1.0 - r)
         elif len(incs) == 1 and incs[0] > 0:
             # two thresholds only: no ratio information, extrapolate one step
-            est = times[-1] + incs[0] * increment_ratio_max
+            est = times[-1] + incs[0] * INCREMENT_RATIO_MAX
         status = "GBU" if ok else "Inconclusive"
         per_res[res] = {"status": status, "t_detect": times, "t_max_estimate": est}
         statuses.append(status)
@@ -551,7 +550,7 @@ def detect_gbu(
         return GbuVerdict(status="NoGBU", t_max_estimate=None, per_resolution=per_res)
     if all(s == "GBU" for s in statuses):
         mid = float(np.median(estimates))
-        if mid > 0 and (max(estimates) - min(estimates)) <= resolution_tol * mid:
+        if mid > 0 and (max(estimates) - min(estimates)) <= RESOLUTION_TOL * mid:
             return GbuVerdict(
                 status="GBU", t_max_estimate=estimates[-1], per_resolution=per_res
             )

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,45 @@ def test_regularizing_sine_run_ratio_bounded():
     report = regularizing_effect_check(traj, 3.0, 1.0)
     assert report.passed
     assert report.details["ratio_max"] <= 1.1
+
+
+@pytest.fixture(scope="module")
+def readme_sine_traj():
+    # the README example, which keeps 71 snapshots
+    g = build_grid((0.0, 1.0), 201)
+    spec = make_spec(g, p=3.0, q=2.5, epsilon=1e-3, profile="sine", amplitude=1.0)
+    traj, _ = run(spec, StepControl(t_end=0.05, snapshot_every=500))
+    assert len(traj.states) == 71
+    return traj
+
+
+@pytest.mark.parametrize(("target", "passes"), [(0.9, True), (1.2, False)])
+def test_regularizing_bound_brackets_scaled_ut(readme_sine_traj, target, passes):
+    # u_t scaled so that u_t t (p-2) / sup|u0| over rows 5 and on peaks at
+    # target: the check's bound 1 + 0.1 lies between the two targets
+    p, u0_sup = 3.0, 1.0
+    mon = dict(readme_sine_traj.monitors)
+    ratio = float(np.max(mon["max_ut"][5:] * mon["t"][5:] * (p - 2.0) / u0_sup))
+    assert ratio > 0
+    mon["max_ut"] = mon["max_ut"] * (target / ratio)
+    report = regularizing_effect_check(replace(readme_sine_traj, monitors=mon), p, u0_sup)
+    assert report.passed is passes
+    assert report.details["ratio_max"] == pytest.approx(target, rel=1e-12)
+
+
+def test_regularizing_zero_data_requires_vanishing_ut():
+    # zero data: the bound on u_t is 0. The step bound is infinite on flat
+    # data, so the marks make the steps; the scheme keeps u_t exactly 0.
+    g = build_grid((0.0, 1.0), 41)
+    spec = make_spec(g, p=3.0, q=2.5, epsilon=1e-3, profile="sine", amplitude=0.0)
+    traj, _ = run(spec, StepControl(t_end=0.002, t_marks=[2e-4 * k for k in range(1, 10)]))
+    assert len(traj.monitors["t"]) == 11
+    clean = regularizing_effect_check(traj, 3.0, 0.0)
+    assert clean.passed and clean.worst_margin == 0.0
+    traj.monitors["max_ut"][1:] = 1e-12
+    report = regularizing_effect_check(traj, 3.0, 0.0)
+    assert not report.passed
+    assert report.worst_margin == -1e-12
 
 
 def test_regularizing_excess_shrinks_under_refinement():

@@ -181,6 +181,22 @@ def test_dispatch_simulate_artifacts(tmp_path):
     assert d > 0 and m <= b + 1e-9
 
 
+def test_simulate_writes_each_state_once(tmp_path):
+    # snapshots/ holds every state but the final one, which final_state.field holds
+    cfg = parse_config(MINIMAL_SIMULATE + "snapshot_every = 20\n")
+    traj, _ = run(cfg.spec, cfg.control)
+    assert len(traj.states) > 2
+    assert dispatch(cfg, tmp_path / "out") == 0
+    snaps = sorted((tmp_path / "out" / "snapshots").iterdir())
+    assert len(snaps) == len(traj.states) - 1
+    _, t_final = fieldio.read_field(tmp_path / "out" / "final_state.field")
+    assert t_final == traj.states[-1].t
+    for path, state in zip(snaps, traj.states):
+        u, t = fieldio.read_field(path)
+        assert t == state.t < t_final
+        assert np.array_equal(u, state.u)
+
+
 def test_dispatch_deterministic_outputs(tmp_path):
     cfg = parse_config(MINIMAL_SIMULATE)
     dispatch(cfg, tmp_path / "a")
@@ -537,12 +553,16 @@ t_end = 0.01
     ("certify-barrier", BARRIER_CFG + "n_radial = 1\n", "need at least 2 radial points"),
     ("certify-barrier", BARRIER_CFG + "eps_values = 0, 2\n", "requires eps in [0, 1]"),
     ("certify-barrier", BARRIER_CFG + "eps_values =\n", "need at least one eps value"),
+    ("check", COMPLIANCE_CFG + "checks =\n", "[compliance] checks is empty"),
+    ("check", COMPLIANCE_CFG + "checks =\ntrajectory = monitors.csv\n",
+     "[compliance] checks is empty"),
 ], ids=["monitor_stride", "dt_min", "gbu_threshold", "snapshot_every", "max_steps", "ramp_2d",
         "gbu_grids", "gbu_thresholds", "epsilon_nan", "gbu_detect_control_threshold_neg",
         "gbu_detect_control_threshold_300", "epsilons", "gbu_grids_repeated",
         "bisect_control_alpha", "continuation_control_alpha", "eig_tol", "bisect_amplitude_low",
         "bisect_amplitude_high_nan", "bisect_bracket_reversed", "barrier_n_radial",
-        "barrier_eps_values", "barrier_eps_values_empty"])
+        "barrier_eps_values", "barrier_eps_values_empty", "compliance_checks_empty",
+        "compliance_stored_checks_empty"])
 def test_main_value_rejected_by_constructor_exit_2_before_any_run(
     tmp_path, capsys, verb, text, message
 ):
