@@ -195,12 +195,16 @@ REG_REL_TOL = 0.1
 def regularizing_effect_check(traj: Trajectory, p: float, u0_sup: float) -> ComplianceReport:
     """u_t <= u0_sup / ((p-2) t): after the first REG_WARMUP_STEPS monitor
     rows, the per-step max of the normalized ratio u_t * t * (p-2) / u0_sup
-    must stay <= 1 + REG_REL_TOL. On zero data the bound is 0: u_t must vanish."""
+    must stay <= 1 + REG_REL_TOL. On zero data the bound is 0 at every t > 0:
+    u_t must vanish, with no warm-up. Only rows written by a step are scored;
+    the first row, and a last one off the monitor stride, read max_ut nan."""
     mon = traj.monitors
-    t = mon["t"][REG_WARMUP_STEPS:]
-    max_ut = mon["max_ut"][REG_WARMUP_STEPS:]
+    skip = REG_WARMUP_STEPS if u0_sup > 0 else 0
+    t, max_ut = mon["t"][skip:], mon["max_ut"][skip:]
+    stepped = ~np.isnan(max_ut)
+    t, max_ut = t[stepped], max_ut[stepped]
     if len(t) == 0:
-        raise ValueError("trajectory too short for the warmup window")
+        raise ValueError("trajectory has no stepped monitor row after the warmup window")
     if u0_sup <= 0:
         sup_ut = float(np.max(np.abs(max_ut)))
         return _report("regularizing_effect", 0.0 - sup_ut, 0.0, "zero data")

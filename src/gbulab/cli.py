@@ -4,6 +4,10 @@ sweeps and checks, and emit JSON/CSV artifacts.
 Verbs: simulate, continue-eps, detect-gbu, certify-barrier,
 bisect-criterion, check, eig. Exit codes: 0 pass, 1 check failure,
 2 config error, 3 runtime failure. GBULAB_OUT sets the default output root.
+
+`_VERBS` declares each verb once: its experiment kind, its handler, the
+sections its config requires and may add, and the keys of those sections
+the kind does not read. Setting such a key is a config error.
 """
 from __future__ import annotations
 
@@ -13,8 +17,9 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,26 +29,6 @@ from .grid import Grid, build_grid
 from .problem import ProblemSpec, make_spec
 from .schema import validate_output
 from .stepping import COMPLETED, GBU_DETECTED, StepControl
-
-KINDS = (
-    "simulate",
-    "epsilon_continuation",
-    "gbu_detect",
-    "barrier_certify",
-    "criterion_bisect",
-    "compliance_suite",
-    "eig",
-)
-
-VERB_TO_KIND = {
-    "simulate": "simulate",
-    "continue-eps": "epsilon_continuation",
-    "detect-gbu": "gbu_detect",
-    "certify-barrier": "barrier_certify",
-    "bisect-criterion": "criterion_bisect",
-    "check": "compliance_suite",
-    "eig": "eig",
-}
 
 COMPLIANCE_CHECKS = ("max_principle", "regularizing_effect", "energy_estimate", "monotonicity")
 
@@ -71,57 +56,40 @@ def _parse_int(s: str) -> int:
         raise ConfigError(f"not an integer: {s!r}") from None
 
 
-def _parse_float_list(s: str) -> list[float]:
-    return [_parse_float(v.strip()) for v in s.split(",") if v.strip()]
-
-
-def _parse_int_list(s: str) -> list[int]:
-    return [_parse_int(v.strip()) for v in s.split(",") if v.strip()]
-
-
-def _parse_str_list(s: str) -> list[str]:
-    return [v.strip() for v in s.split(",") if v.strip()]
+def _list(parse):
+    """A parser of comma-separated values, each read by parse."""
+    return lambda s: [parse(v.strip()) for v in s.split(",") if v.strip()]
 
 
 def _parse_extents(s: str) -> list[list[float]]:
     axes = [a for a in s.split(";") if a.strip()]
     out = []
     for ax in axes:
-        vals = _parse_float_list(ax)
+        vals = _list(_parse_float)(ax)
         if len(vals) != 2:
             raise ConfigError(f"extent needs two numbers, got {ax!r}")
         out.append(vals)
     return out
 
 
-def _parse_str(s: str) -> str:
-    return s.strip()
-
-
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, int):
-        return str(value)
+    """value as config text that parses back to it; str of a float is its repr."""
     if isinstance(value, list):
-        if value and isinstance(value[0], list):
-            return "; ".join(", ".join(_fmt(v) for v in row) for row in value)
-        return ", ".join(_fmt(v) for v in value)
+        sep = "; " if value and isinstance(value[0], list) else ", "
+        return sep.join(map(_fmt, value))
     return str(value)
 
 
 # section -> key -> (parser, default); _REQUIRED means the key must be present
 _SCHEMA: dict[str, dict[str, tuple]] = {
-    "experiment": {"kind": (_parse_str, _REQUIRED), "seed": (_parse_int, 0)},
-    "grid": {"extents": (_parse_extents, _REQUIRED), "points": (_parse_int_list, _REQUIRED)},
+    "experiment": {"kind": (str.strip, _REQUIRED), "seed": (_parse_int, 0)},
+    "grid": {"extents": (_parse_extents, _REQUIRED), "points": (_list(_parse_int), _REQUIRED)},
     "problem": {
         "p": (_parse_float, _REQUIRED),
         "q": (_parse_float, _REQUIRED),
         "epsilon": (_parse_float, 0.0),
         "mu": (_parse_float, 1.0),
-        "profile": (_parse_str, "sine"),
+        "profile": (str.strip, "sine"),
         "amplitude": (_parse_float, 1.0),
     },
     "control": {
@@ -134,10 +102,10 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "max_steps": (_parse_int, 0),
         "alpha": (_parse_float, None),
     },
-    "continuation": {"epsilons": (_parse_float_list, _REQUIRED)},
+    "continuation": {"epsilons": (_list(_parse_float), _REQUIRED)},
     "gbu": {
-        "thresholds": (_parse_float_list, _REQUIRED),
-        "grids": (_parse_int_list, _REQUIRED),
+        "thresholds": (_list(_parse_float), _REQUIRED),
+        "grids": (_list(_parse_int), _REQUIRED),
     },
     "barrier": {
         "rho": (_parse_float, _REQUIRED),
@@ -147,34 +115,21 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "g_sup": (_parse_float, 0.0),
         "g_min": (_parse_float, 0.0),
         "data_sup": (_parse_float, 1.0),
-        "eps_values": (_parse_float_list, [0.0, 1e-3, 1e-1, 1.0]),
+        "eps_values": (_list(_parse_float), [0.0, 1e-3, 1e-1, 1.0]),
         "n_radial": (_parse_int, 10000),
     },
     "criterion": {
-        "alpha": (_parse_str, "mid"),
+        "alpha": (str.strip, "mid"),
         "amplitude_low": (_parse_float, 0.0),
         "amplitude_high": (_parse_float, 2.0),
         "bisect_iters": (_parse_int, 6),
     },
     "compliance": {
-        "checks": (_parse_str_list, list(COMPLIANCE_CHECKS)),
-        "trajectory": (_parse_str, ""),
+        "checks": (_list(str), list(COMPLIANCE_CHECKS)),
+        "trajectory": (str.strip, ""),
         "monotonicity_samples": (_parse_int, 20000),
     },
-    "output": {"directory": (_parse_str, "")},
-}
-
-_SECTION_ORDER = tuple(_SCHEMA)
-
-_KIND_SECTIONS: dict[str, tuple[set[str], set[str]]] = {
-    # kind -> (required sections, optional sections) besides experiment/output
-    "simulate": ({"grid", "problem", "control"}, set()),
-    "epsilon_continuation": ({"grid", "problem", "control", "continuation"}, set()),
-    "gbu_detect": ({"grid", "problem", "control", "gbu"}, set()),
-    "barrier_certify": ({"problem", "barrier"}, set()),
-    "criterion_bisect": ({"grid", "problem", "control", "criterion"}, set()),
-    "compliance_suite": ({"grid", "problem"}, {"control", "compliance"}),
-    "eig": ({"grid"}, set()),
+    "output": {"directory": (str.strip, "")},
 }
 
 
@@ -200,13 +155,6 @@ class RunConfig:
     def __getitem__(self, section: str) -> dict:
         return self.sections[section]
 
-    def has(self, section: str) -> bool:
-        return section in self.sections
-
-    @property
-    def output_dir(self) -> str:
-        return self.sections.get("output", {}).get("directory", "")
-
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a flat key=value config with [section] headers.
@@ -227,16 +175,18 @@ def parse_config(text: str) -> RunConfig:
     if raw_kind is None:
         raise ConfigError("missing required key 'kind' in [experiment]")
     kind = raw_kind.strip()
-    if kind not in KINDS:
-        raise ConfigError(f"unknown experiment kind {kind!r}; known: {KINDS}")
+    rows = {row.kind: row for row in _VERBS.values()}
+    if kind not in rows:
+        raise ConfigError(f"unknown experiment kind {kind!r}; known: {tuple(rows)}")
+    row = rows[kind]
 
-    required, optional = _KIND_SECTIONS[kind]
-    allowed = required | optional | {"experiment", "output"}
-    present = set(cp.sections())
-    for sec in present - allowed:
-        raise ConfigError(f"section [{sec}] is not allowed for kind {kind!r}")
-    for sec in required - present:
-        raise ConfigError(f"kind {kind!r} requires section [{sec}]")
+    present = cp.sections()
+    for sec in present:
+        if sec not in (*row.required, *row.optional, "experiment", "output"):
+            raise ConfigError(f"section [{sec}] is not allowed for kind {kind!r}")
+    for sec in row.required:
+        if sec not in present:
+            raise ConfigError(f"kind {kind!r} requires section [{sec}]")
 
     sections: dict[str, dict] = {}
     for sec in present:
@@ -253,18 +203,10 @@ def parse_config(text: str) -> RunConfig:
             else:
                 values[key] = default if not isinstance(default, list) else list(default)
         sections[sec] = values
-    if kind == "gbu_detect":
-        if "gbu_threshold" in cp["control"]:
-            raise ConfigError(
-                "gbu_detect takes no [control] gbu_threshold: it stops at the largest "
-                "[gbu] thresholds entry"
-            )
-        del sections["control"]["gbu_threshold"]
-    if kind in ("criterion_bisect", "epsilon_continuation") and "alpha" in cp["control"]:
-        raise ConfigError(
-            f"{kind} takes no [control] alpha: it writes no monitors, so the weighted "
-            "mass would go unrecorded"
-        )
+    for sec, key, why in row.unread:
+        if key in cp[sec]:
+            raise ConfigError(f"{kind} takes no [{sec}] {key}: {why}")
+        del sections[sec][key]
 
     config = RunConfig(kind=kind, seed=sections["experiment"]["seed"], sections=sections)
     _validate_constraints(config)
@@ -278,31 +220,33 @@ def parse_config(text: str) -> RunConfig:
 
 def _validate_constraints(cfg: RunConfig) -> None:
     """The checks no domain constructor makes; `_build` makes the others."""
-    if cfg.has("control"):
-        if cfg["control"]["alpha"] is not None and cfg["control"]["alpha"] < 1:
+    s = cfg.sections
+    if "control" in s:
+        if s["control"].get("alpha") is not None and s["control"]["alpha"] < 1:
             raise ConfigError("requires alpha >= 1")
-    if cfg.has("gbu"):
-        g = cfg["gbu"]
+    if "gbu" in s:
+        g = s["gbu"]
         if len(g["thresholds"]) * len(g["grids"]) < 2:
             raise ConfigError("gbu_detect needs at least 2 (threshold, grid) pairs")
         if any(t1 <= t0 for t0, t1 in zip(g["thresholds"], g["thresholds"][1:])):
             raise ConfigError("thresholds must be strictly increasing")
         if len(set(g["grids"])) < len(g["grids"]):
             raise ConfigError(f"grids must not repeat an entry, got {g['grids']}")
-    if cfg.has("barrier"):
-        b = cfg["barrier"]
+    if "barrier" in s:
+        b = s["barrier"]
         if not b["rho"] > 0:
             raise ConfigError("requires rho > 0")
         if b["n"] not in (1, 2, 3):
             raise ConfigError("requires n in {1, 2, 3}")
-    if cfg.has("compliance"):
-        if not cfg["compliance"]["checks"]:
+    if "compliance" in s:
+        c = s["compliance"]
+        if not c["checks"]:
             raise ConfigError(f"[compliance] checks is empty; known: {COMPLIANCE_CHECKS}")
-        unknown = set(cfg["compliance"]["checks"]) - set(COMPLIANCE_CHECKS)
+        unknown = set(c["checks"]) - set(COMPLIANCE_CHECKS)
         if unknown:
             raise ConfigError(f"unknown checks {sorted(unknown)}; known: {COMPLIANCE_CHECKS}")
-        if cfg["compliance"]["trajectory"]:
-            bad = set(cfg["compliance"]["checks"]) - {"max_principle"}
+        if c["trajectory"]:
+            bad = set(c["checks"]) - {"max_principle"}
             if bad:
                 raise ConfigError(
                     f"stored-trajectory checking supports only max_principle; run {sorted(bad)} "
@@ -310,8 +254,13 @@ def _validate_constraints(cfg: RunConfig) -> None:
                     "energy_estimate its initial gradient energy)"
                 )
     if cfg.kind == "compliance_suite":
-        has_traj = cfg.has("compliance") and bool(cfg["compliance"]["trajectory"])
-        if not has_traj and not cfg.has("control"):
+        stored = "compliance" in s and bool(s["compliance"]["trajectory"])
+        if stored and "control" in s:
+            raise ConfigError(
+                "compliance_suite with a stored trajectory takes no [control]: "
+                "it checks the stored monitors and runs nothing"
+            )
+        if not stored and "control" not in s:
             raise ConfigError("compliance_suite without a stored trajectory requires [control]")
 
 
@@ -319,7 +268,7 @@ def _build(cfg: RunConfig) -> RunConfig:
     """cfg with the grid, specs, control and criterion exponent its run
     uses. Their constructors check every value they take."""
     s = cfg.sections
-    grid = build_grid(s["grid"]["extents"], s["grid"]["points"]) if cfg.has("grid") else None
+    grid = build_grid(s["grid"]["extents"], s["grid"]["points"]) if "grid" in s else None
     if cfg.kind == "gbu_detect":
         extents = s["grid"]["extents"]
         grids = [build_grid(extents, [n] * len(extents)) for n in s["gbu"]["grids"]]
@@ -328,19 +277,19 @@ def _build(cfg: RunConfig) -> RunConfig:
         grids = [build_grid((0.0, 1.0), 3)]
     else:
         grids = [grid]
-    specs = tuple(make_spec(g, **s["problem"]) for g in grids) if cfg.has("problem") else ()
+    specs = tuple(make_spec(g, **s["problem"]) for g in grids) if "problem" in s else ()
     control = None
-    if cfg.has("control"):
+    if "control" in s:
         c = {k: v for k, v in s["control"].items() if k != "alpha"}
-        if cfg.has("gbu"):
+        if "gbu" in s:
             thresholds = s["gbu"]["thresholds"]
             c.update(gbu_threshold=max(thresholds), report_thresholds=thresholds)
         control = StepControl(**c)
-    if cfg.has("continuation"):
+    if "continuation" in s:
         stepping.continuation_epsilons(s["continuation"]["epsilons"])
-    if cfg.has("barrier"):
+    if "barrier" in s:
         barriers.certify_sampling(s["barrier"]["eps_values"], s["barrier"]["n_radial"])
-    if cfg.has("criterion"):
+    if "criterion" in s:
         spectral.criterion_bracket(
             s["criterion"]["amplitude_low"], s["criterion"]["amplitude_high"]
         )
@@ -360,16 +309,11 @@ def _build(cfg: RunConfig) -> RunConfig:
 def canonical_text(cfg: RunConfig) -> str:
     """Normal form: fixed section/key order, all defaults materialized."""
     lines = []
-    for sec in _SECTION_ORDER:
-        if sec not in cfg.sections:
-            continue
-        lines.append(f"[{sec}]")
-        for key in _SCHEMA[sec]:
-            value = cfg.sections[sec].get(key)
-            if value is None:
-                continue
-            lines.append(f"{key} = {_fmt(value)}")
-        lines.append("")
+    for sec in _SCHEMA:
+        if sec in cfg.sections:  # its keys are in _SCHEMA order
+            lines += [f"[{sec}]"]
+            lines += [f"{k} = {_fmt(v)}" for k, v in cfg[sec].items() if v is not None]
+            lines += [""]
     return "\n".join(lines)
 
 
@@ -427,15 +371,7 @@ def _write_run_artifacts(out: Path, traj, report) -> None:
 def dispatch(cfg: RunConfig, out: Path, jobs: int = 1, seed: int | None = None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     seed = cfg.seed if seed is None else seed
-    handler = {
-        "simulate": _do_simulate,
-        "epsilon_continuation": _do_continuation,
-        "gbu_detect": _do_gbu_detect,
-        "barrier_certify": _do_barrier,
-        "criterion_bisect": _do_bisect,
-        "compliance_suite": _do_compliance,
-        "eig": _do_eig,
-    }[cfg.kind]
+    handler = next(row.handler for row in _VERBS.values() if row.kind == cfg.kind)
     return handler(cfg, out, jobs, seed)
 
 
@@ -490,10 +426,7 @@ def _do_gbu_detect(cfg: RunConfig, out: Path, jobs: int, seed: int) -> int:
         "status": verdict.status,
         "t_max_estimate": verdict.t_max_estimate,
         "per_resolution": {str(k): v for k, v in verdict.per_resolution.items()},
-        "evidence": [
-            {"resolution": e.resolution, "threshold": e.threshold, "t_detect": e.t_detect}
-            for e in evidence
-        ],
+        "evidence": [asdict(e) for e in evidence],
     }
     write_json(out / "gbu_verdict.json", "gbu_verdict", doc)
     return 0 if verdict.status in ("GBU", "NoGBU") else 1
@@ -530,15 +463,9 @@ def _do_bisect(cfg: RunConfig, out: Path, jobs: int, seed: int) -> int:
         bisect_iters=cfg["criterion"]["bisect_iters"],
     )
     doc = {
-        "amplitude_low": result.amplitude_low,
-        "amplitude_high": result.amplitude_high,
-        "functional_low": result.functional_low,
-        "functional_high": result.functional_high,
+        **asdict(result),
         "threshold_functional": result.threshold_functional,
-        "t_detect": result.t_detect,
-        "runs": result.runs,
         "alpha": cfg.alpha,
-        "history": result.history,
     }
     write_json(out / "bisect_report.json", "bisect_report", doc)
     return 0
@@ -590,33 +517,65 @@ def _do_eig(cfg: RunConfig, out: Path, jobs: int, seed: int) -> int:
     doc = {
         "lambda1": eig.lambda1,
         "residual": eig.residual,
-        "grid": {
-            "extents": [list(e) for e in grid.extents],
-            "points_per_axis": list(grid.points_per_axis),
-        },
+        "grid": {"extents": grid.extents, "points_per_axis": grid.points_per_axis},
         "phi1_field_file": "phi1.field",
     }
     write_json(out / "eigen.json", "eigen", doc)
     return 0
 
 
+# -- verbs -----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Verb:
+    """What a verb runs. Sections besides [experiment] and [output]: the
+    config must have `required` and may have `optional`. `unread` lists
+    (section, key, why) for keys of required sections that the kind does
+    not read; setting one is a config error."""
+
+    kind: str
+    handler: Callable[[RunConfig, Path, int, int], int]
+    required: tuple[str, ...]
+    optional: tuple[str, ...] = ()
+    unread: tuple[tuple[str, str, str], ...] = ()
+
+
+_RUN = ("grid", "problem", "control")
+_NO_ALPHA = ("control", "alpha", "it writes no monitors, so the weighted mass would go unrecorded")
+_SINE = "the bisection varies the amplitude of sine data"
+
+_VERBS: dict[str, _Verb] = {
+    "simulate": _Verb("simulate", _do_simulate, _RUN),
+    "continue-eps": _Verb(
+        "epsilon_continuation", _do_continuation, (*_RUN, "continuation"),
+        unread=(("problem", "epsilon", "[continuation] epsilons sets it"), _NO_ALPHA)),
+    "detect-gbu": _Verb(
+        "gbu_detect", _do_gbu_detect, (*_RUN, "gbu"),
+        unread=(("control", "gbu_threshold", "it stops at the largest [gbu] thresholds entry"),)),
+    "certify-barrier": _Verb(
+        "barrier_certify", _do_barrier, ("problem", "barrier"),
+        unread=tuple(("problem", key, "the certificate reads only p and q")
+                     for key in ("epsilon", "mu", "profile", "amplitude"))),
+    "bisect-criterion": _Verb(
+        "criterion_bisect", _do_bisect, (*_RUN, "criterion"),
+        unread=(("problem", "profile", _SINE), ("problem", "amplitude", _SINE), _NO_ALPHA)),
+    "check": _Verb("compliance_suite", _do_compliance, ("grid", "problem"),
+                   optional=("control", "compliance")),
+    "eig": _Verb("eig", _do_eig, ("grid",)),
+}
+
+
 # -- entry point -----------------------------------------------------------------
 
 def _resolve_out(args_out: str | None, cfg: RunConfig) -> Path:
-    if args_out:
-        return Path(args_out)
-    if cfg.output_dir:
-        return Path(cfg.output_dir)
-    env = os.environ.get("GBULAB_OUT")
-    if env:
-        return Path(env)
-    return Path("gbulab_out")
+    configured = cfg["output"]["directory"] if "output" in cfg.sections else ""
+    return Path(args_out or configured or os.environ.get("GBULAB_OUT") or "gbulab_out")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="gbulab", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in VERB_TO_KIND:
+    for verb in _VERBS:
         vp = sub.add_parser(verb)
         vp.add_argument("--config", required=True)
         vp.add_argument("--out", default=None)
@@ -625,18 +584,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        cfg = parse_config(text)
-        expected = VERB_TO_KIND[args.verb]
+        cfg = parse_config(Path(args.config).read_text())
+        expected = _VERBS[args.verb].kind
         if cfg.kind != expected:
             raise ConfigError(
                 f"verb {args.verb!r} expects kind {expected!r}, config says {cfg.kind!r}"
             )
-    except ConfigError as exc:
+    except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -169,14 +169,26 @@ def test_regularizing_sine_run_ratio_bounded():
     assert report.details["ratio_max"] <= 1.1
 
 
+README_CONTROL = StepControl(t_end=0.05, snapshot_every=500)
+
+
 @pytest.fixture(scope="module")
-def readme_sine_traj():
-    # the README example, which keeps 71 snapshots
+def readme_spec():
     g = build_grid((0.0, 1.0), 201)
-    spec = make_spec(g, p=3.0, q=2.5, epsilon=1e-3, profile="sine", amplitude=1.0)
-    traj, _ = run(spec, StepControl(t_end=0.05, snapshot_every=500))
+    return make_spec(g, p=3.0, q=2.5, epsilon=1e-3, profile="sine", amplitude=1.0)
+
+
+@pytest.fixture(scope="module")
+def readme_sine_run(readme_spec):
+    # the README example, which keeps 71 snapshots
+    traj, report = run(readme_spec, README_CONTROL)
     assert len(traj.states) == 71
-    return traj
+    return traj, report
+
+
+@pytest.fixture(scope="module")
+def readme_sine_traj(readme_sine_run):
+    return readme_sine_run[0]
 
 
 @pytest.mark.parametrize(("target", "passes"), [(0.9, True), (1.2, False)])
@@ -206,6 +218,32 @@ def test_regularizing_zero_data_requires_vanishing_ut():
     report = regularizing_effect_check(traj, 3.0, 0.0)
     assert not report.passed
     assert report.worst_margin == -1e-12
+
+
+def test_regularizing_scores_only_stepped_rows_off_the_stride(readme_spec, readme_sine_traj):
+    # 34 846 steps at stride 3 end off the stride: the last row, like the
+    # first, carries no step terms (max_ut nan) and is not scored
+    traj, _ = run(readme_spec, replace(README_CONTROL, monitor_stride=3))
+    assert np.isnan(traj.monitors["max_ut"][-1])
+    report = regularizing_effect_check(traj, 3.0, 1.0)
+    assert report.passed
+    # the same steps as the stride-1 run, of which it scores a subset
+    full = regularizing_effect_check(readme_sine_traj, 3.0, 1.0).details["ratio_max"]
+    assert 0.0 < report.details["ratio_max"] <= full
+
+
+def test_regularizing_zero_data_without_warmup():
+    # flat data: the step bound is infinite, so the run takes one step and
+    # writes two rows; the stepped one is scored at once
+    g = build_grid((0.0, 1.0), 41)
+    spec = make_spec(g, p=3.0, q=2.5, epsilon=1e-3, profile="sine", amplitude=0.0)
+    traj, _ = run(spec, StepControl(t_end=0.002))
+    assert len(traj.monitors["t"]) == 2
+    report = regularizing_effect_check(traj, 3.0, 0.0)
+    assert report.passed and report.worst_margin == 0.0
+    first_row_only = replace(traj, monitors={k: v[:1] for k, v in traj.monitors.items()})
+    with pytest.raises(ValueError, match="no stepped monitor row"):
+        regularizing_effect_check(first_row_only, 3.0, 0.0)
 
 
 def test_regularizing_excess_shrinks_under_refinement():
@@ -349,6 +387,17 @@ def test_interior_boundedness_stationary():
     assert report.passed
 
 
+@pytest.mark.parametrize(("factor", "passes"), [(1.05, True), (0.95, False)])
+def test_interior_boundedness_brackets_the_region_sup(readme_sine_traj, factor, passes):
+    # C1 = 0, so the bound is C2: just above the sup of |grad u| over
+    # {delta >= 1/3} and the states it passes, just below it fails
+    states = readme_sine_traj.states
+    region = boundary_distance(states[0].grid) >= 1 / 3
+    sup = max(float(np.max(s.grad_mag[region])) for s in states)
+    report = interior_boundedness_check(states, 1 / 3, 0.0, factor * sup, 2.0)
+    assert report.passed is passes
+
+
 def test_interior_boundedness_rejects_touching_boundary():
     g = build_grid((0.0, 1.0), 51)
     st = SolutionState(g, np.zeros(51))
@@ -401,6 +450,19 @@ def test_energy_estimate_smooth_run_ratio_below_one():
     report = energy_estimate(rep, spec)
     assert report.passed
     assert report.details["ratio"] < 1.0
+
+
+@pytest.mark.parametrize(("target", "passes"), [(0.9, True), (1.1, False)])
+def test_energy_estimate_brackets_scaled_ut(readme_spec, readme_sine_run, target, passes):
+    # int |u_t|^2 scaled to target times its bound, around the tolerance 0.05
+    _, report = readme_sine_run
+    mon = dict(report.monitors)
+    bound = (2.0 / 3.0) * report.initial_gradient_energy + 2.0 * mon["source_energy_acc"][-1]
+    assert mon["ut_l2_acc"][-1] > 0
+    mon["ut_l2_acc"] = mon["ut_l2_acc"] * (target * bound / mon["ut_l2_acc"][-1])
+    check = energy_estimate(replace(report, monitors=mon), readme_spec)
+    assert check.passed is passes
+    assert check.details["ratio"] == pytest.approx(target, rel=1e-12)
 
 
 def test_energy_estimate_ratio_stable_under_refinement():

@@ -556,13 +556,27 @@ t_end = 0.01
     ("check", COMPLIANCE_CFG + "checks =\n", "[compliance] checks is empty"),
     ("check", COMPLIANCE_CFG + "checks =\ntrajectory = monitors.csv\n",
      "[compliance] checks is empty"),
+    ("continue-eps", CONTINUATION_CFG.replace("q = 2.5", "q = 2.5\nepsilon = 0.01"),
+     "epsilon_continuation takes no [problem] epsilon: [continuation] epsilons sets it"),
+    *(("certify-barrier", BARRIER_CFG.replace("q = 4.0", f"q = 4.0\n{key} = {value}"),
+       f"barrier_certify takes no [problem] {key}: the certificate reads only p and q")
+      for key, value in (("epsilon", "0.1"), ("mu", "2.0"), ("profile", "ramp"),
+                         ("amplitude", "0.5"))),
+    *(("bisect-criterion", BISECT_CFG.replace("q = 4.0", f"q = 4.0\n{key} = {value}"),
+       f"criterion_bisect takes no [problem] {key}: the bisection varies the amplitude "
+       "of sine data")
+      for key, value in (("profile", "ramp"), ("amplitude", "0.5"))),
+    ("check", COMPLIANCE_CFG + "checks = max_principle\ntrajectory = monitors.csv\n",
+     "compliance_suite with a stored trajectory takes no [control]"),
 ], ids=["monitor_stride", "dt_min", "gbu_threshold", "snapshot_every", "max_steps", "ramp_2d",
         "gbu_grids", "gbu_thresholds", "epsilon_nan", "gbu_detect_control_threshold_neg",
         "gbu_detect_control_threshold_300", "epsilons", "gbu_grids_repeated",
         "bisect_control_alpha", "continuation_control_alpha", "eig_tol", "bisect_amplitude_low",
         "bisect_amplitude_high_nan", "bisect_bracket_reversed", "barrier_n_radial",
         "barrier_eps_values", "barrier_eps_values_empty", "compliance_checks_empty",
-        "compliance_stored_checks_empty"])
+        "compliance_stored_checks_empty", "continuation_problem_epsilon", "barrier_epsilon",
+        "barrier_mu", "barrier_profile", "barrier_amplitude", "bisect_profile",
+        "bisect_amplitude", "compliance_stored_control"])
 def test_main_value_rejected_by_constructor_exit_2_before_any_run(
     tmp_path, capsys, verb, text, message
 ):
@@ -573,6 +587,20 @@ def test_main_value_rejected_by_constructor_exit_2_before_any_run(
     assert f"config error: {message}" in capsys.readouterr().err
     assert not (out / "failure.json").exists()
     assert not (out / "runs").exists()
+
+
+def test_main_check_on_zero_data_exit_0(tmp_path):
+    # flat data take one step; the regularizing check scores that step's
+    # u_t = 0 against the zero-data bound, with no warm-up rows to skip
+    text = COMPLIANCE_CFG.replace("epsilon = 1.0\nprofile = constant\namplitude = 1.0",
+                                  "epsilon = 1e-3\nprofile = sine\namplitude = 0.0")
+    path = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["check", "--config", str(path), "--out", str(out)]) == 0
+    doc = json.loads((out / "compliance_report.json").read_text())
+    reg = next(c for c in doc["checks"] if c["name"] == "regularizing_effect")
+    assert reg["passed"] and reg["worst_margin"] == 0.0
+    assert not (out / "failure.json").exists()
 
 
 def test_main_missing_config_exit_2(tmp_path):
