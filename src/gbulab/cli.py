@@ -369,8 +369,13 @@ def _write_run_artifacts(out: Path, traj, report) -> None:
 # -- dispatch ------------------------------------------------------------------
 
 def dispatch(cfg: RunConfig, out: Path, jobs: int = 1, seed: int | None = None) -> int:
+    """Run cfg's verb into out, after writing its canonical config there
+    with the seed the run uses."""
     out.mkdir(parents=True, exist_ok=True)
     seed = cfg.seed if seed is None else seed
+    experiment = {**cfg["experiment"], "seed": seed}
+    recorded = replace(cfg, sections={**cfg.sections, "experiment": experiment})
+    (out / "config.canonical.cfg").write_text(canonical_text(recorded))
     handler = next(row.handler for row in _VERBS.values() if row.kind == cfg.kind)
     return handler(cfg, out, jobs, seed)
 

@@ -230,14 +230,8 @@ class StepKernel:
         """mu * ((|grad u|^2+eps)^(q/2) - eps^(q/2)) at every node."""
         self._pow_q(self._sq, self.s_half)
         if self.src is not self.s_half:
-            self.source_of(self.s_half, out=self.src)
+            np.multiply(self._mu, np.subtract(self.s_half, self._shift, self.src), self.src)
         return self.src
-
-    def source_of(self, s_half: np.ndarray, out=None) -> np.ndarray:
-        """mu * (s_half - eps^(q/2)): the source where (|grad u|^2+eps)^(q/2)
-        is s_half. Nondecreasing in s_half, and s_half itself when mu = 1
-        and eps = 0."""
-        return np.multiply(self._mu, np.subtract(s_half, self._shift, out), out)
 
     def interior_rhs(self) -> np.ndarray:
         """diffusion + source on interior nodes."""

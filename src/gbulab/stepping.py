@@ -46,9 +46,7 @@ MONITOR_COLUMNS = (
     "grad_inf",
     "y",
     "ut_l2_acc",
-    "sup_u",
     "max_ut",
-    "min_source",
     "source_energy_acc",
     "dt",
 )
@@ -124,7 +122,6 @@ class RunReport:
     verdict: str
     t_detect: float | None
     monitors: dict[str, np.ndarray]
-    config: dict
     wall_time: float
     reason: str
     steps: int
@@ -140,7 +137,6 @@ class RunReport:
             "t_detect": self.t_detect,
             "steps": self.steps,
             "wall_time": self.wall_time,
-            "config": self.config,
             "threshold_crossings": {
                 repr(float(g)): t for g, t in sorted(self.threshold_crossings.items())
             },
@@ -189,28 +185,6 @@ def step(state: SolutionState, spec: ProblemSpec, dt: float) -> SolutionState:
     return SolutionState(state.grid, u_new, state.t + dt)
 
 
-def _config_echo(spec: ProblemSpec, control: StepControl) -> dict:
-    return {
-        "grid": {
-            "extents": [list(e) for e in spec.grid.extents],
-            "points_per_axis": list(spec.grid.points_per_axis),
-        },
-        "p": spec.p,
-        "q": spec.q,
-        "epsilon": spec.epsilon,
-        "mu": spec.mu,
-        "theta": control.theta,
-        "dt_min": control.dt_min,
-        "gbu_threshold": control.gbu_threshold,
-        "t_end": control.t_end,
-        "snapshot_every": control.snapshot_every,
-        "t_marks": list(control.t_marks),
-        "report_thresholds": list(control.report_thresholds),
-        "records_functional": control.functional_weight is not None,
-        "monitor_stride": control.monitor_stride,
-    }
-
-
 # what np.max, np.min and np.sum call, minus their per-call Python wrapper
 _max, _min, _sum = np.maximum.reduce, np.minimum.reduce, np.add.reduce
 
@@ -243,7 +217,6 @@ class _Track:
         self.qw_inner = self.qw[grid.interior_slice()]
         self._rows = rows
         self._u, self._s_half, self._rhs = kernel.fields, kernel.s_half_slots, kernel.rhs_slots
-        self._s_half_inner = self._s_half[(slice(None),) + grid.interior_slice()]
         self._tmp, self._tmp_inner = np.empty_like(self._u), np.empty_like(self._rhs)
         self._steps: list[tuple] = []  # (t, dt, W, record) of each buffered step
         self.blocks: list[np.ndarray] = []  # monitor rows in MONITOR_COLUMNS order
@@ -267,18 +240,13 @@ class _Track:
         tmp = np.multiply(self.qw, u, out=self._tmp[: len(u)])
         return mn, mx, _sum(np.multiply(tmp, self.weight, out=tmp), axes)
 
-    def _emit(self, t, mx, mn, w, y, ut_l2_acc, max_ut, min_src, src_energy_acc, dt) -> None:
-        """Keep monitor rows, given as MONITOR_COLUMNS without sup_u."""
-        sup = np.maximum(np.abs(mn), np.abs(mx))
-        self.blocks.append(np.column_stack(
-            (t, mx, mn, w, y, ut_l2_acc, sup, max_ut, min_src, src_energy_acc, dt)))
-
     def _record_current(self, t: float, dt_used: float) -> None:
         """The monitor row of the current field outside a step: the first
         row, and the last one when the run ends off the monitor stride."""
         mn, mx, y = self._fields(self.kernel.u[None])
-        self._emit([t], mx, mn, [self.kernel.w], y, [self.ut_l2_acc], [math.nan], [math.nan],
-                   [self.src_energy_acc], [dt_used])
+        self.blocks.append(np.column_stack((
+            [t], mx, mn, [self.kernel.w], y, [self.ut_l2_acc], [math.nan],
+            [self.src_energy_acc], [dt_used])))
 
     def advance(self, dt: float) -> bool:
         """Step the field and make it current; False when it is not finite.
@@ -310,9 +278,6 @@ class _Track:
         rhs, s_half = self._rhs[:m], self._s_half[:m]
         axes = tuple(range(1, rhs.ndim))
         max_ut = _max(rhs, axes)
-        # the source is nondecreasing in s_half, so it maps the least s_half
-        # to the least source
-        min_src = self.kernel.source_of(_min(self._s_half_inner[:m], axes))
         tmp = np.multiply(self.qw_inner, rhs, out=self._tmp_inner[:m])
         ut_l2 = _sum(np.multiply(tmp, rhs, out=tmp), axes)
         tmp = np.multiply(s_half, s_half, out=self._tmp[:m])
@@ -322,11 +287,10 @@ class _Track:
                                          initial=self.src_energy_acc))[1:]
         self.ut_l2_acc, self.src_energy_acc = ut_l2_acc[-1], src_energy_acc[-1]
         if record.any():
-            cols = (t, mx, mn, w, y, np.array(ut_l2_acc), max_ut, min_src,
-                    np.array(src_energy_acc), dt)
-            self._emit(*(c[record] for c in cols))
+            cols = (t, mx, mn, w, y, np.array(ut_l2_acc), max_ut, np.array(src_energy_acc), dt)
+            self.blocks.append(np.column_stack([c[record] for c in cols]))
 
-    def finish(self, t: float, steps: int, outcome: tuple, control: StepControl):
+    def finish(self, t: float, steps: int, outcome: tuple):
         self._flush()
         if self.snapshots[-1].t != t:
             self.snapshots.append(SolutionState(self.spec.grid, self.kernel.u.copy(), t))
@@ -342,7 +306,6 @@ class _Track:
             verdict=verdict,
             t_detect=t_detect,
             monitors=monitors,
-            config=_config_echo(self.spec, control),
             wall_time=wall_time,
             reason=reason,
             steps=steps,
@@ -424,7 +387,7 @@ def _integrate(specs, control: StepControl, on_step=None) -> list[tuple[Trajecto
             on_step(tracks, t)
 
     outcome = (verdict, reason, t_detect, time.perf_counter() - t_start)
-    return [tr.finish(t, steps, outcome, control) for tr in tracks]
+    return [tr.finish(t, steps, outcome) for tr in tracks]
 
 
 def run(spec: ProblemSpec, control: StepControl) -> tuple[Trajectory, RunReport]:

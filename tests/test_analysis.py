@@ -10,6 +10,7 @@ from gbulab import (
     comparison_check,
     energy_estimate,
     fit_profile,
+    gradient_profile_check,
     interior_boundedness_check,
     make_spec,
     max_principle_check,
@@ -28,6 +29,7 @@ from gbulab.analysis import (
     shell_maxima,
 )
 from gbulab.grid import boundary_distance
+from gbulab.problem import ProblemSpec
 
 
 def sine_run(n=101, p=3.0, q=2.5, amp=1.0, t_end=0.01, **ctl):
@@ -377,6 +379,26 @@ def test_smooth_state_trivially_compliant():
     assert fit.slope == 0.0
 
 
+@pytest.mark.parametrize(("amplitudes", "c1_spread", "passes"), [
+    ((1.0, 1.05, 1.1), 0.091, True),
+    ((1.0, 1.15, 1.35), 0.259, False),
+], ids=["stable", "unstable"])
+def test_profile_check_rejects_an_unstable_envelope(amplitudes, c1_spread, passes):
+    # A delta^(1-gamma)/(1-gamma) has |u'| = A delta^-gamma: every state has
+    # the exact slope -gamma* (gamma = gamma* = 1/2 at p=3, q=4), so only the
+    # spread of C1 ~ A across the last decade before t_detect decides
+    g = build_grid((0.0, 1.0), 401)
+    delta = boundary_distance(g)
+    states = [SolutionState(g, a * np.sqrt(delta) / 0.5, t)
+              for a, t in zip(amplitudes, (0.9, 0.95, 0.99))]
+    report = gradient_profile_check(states, 3.0, 4.0, t_detect=1.0)
+    assert report.details["decade_states"] == 3
+    assert report.details["c1_spread"] == pytest.approx(c1_spread, abs=1e-3)
+    assert report.details["slope_spread"] < 1e-12
+    assert report.worst_margin >= -report.tolerance  # the slope itself passes
+    assert report.passed is passes
+
+
 # -- interior boundedness ----------------------------------------------------------------
 
 def test_interior_boundedness_stationary():
@@ -425,6 +447,26 @@ def test_scaling_gamma_value():
     scaled = spec44.scaled(2.0)
     assert scaled.mu == pytest.approx(2.0 ** (-0.5), rel=1e-14)
     assert np.max(scaled.initial) == pytest.approx(np.sqrt(2.0), rel=1e-12)
+
+
+def test_scaling_transform_check_rejects_perturbed_data(monkeypatch):
+    # transformed data 5% off lam^gamma (u0, g): the discrepancy is about 180
+    # times the bound, where the exact transform reads about 0.01 of it
+    g = build_grid((0.0, 1.0), 101)
+    spec = make_spec(g, p=3.0, q=4.0, profile="sine", amplitude=1.0)
+    control = StepControl(t_end=0.01)
+    exact = scaling_transform_check(spec, 2.0, control)
+    assert exact.passed and max(exact.details["discrepancies"]) < 0.05 * exact.details["bound"]
+    scaled = ProblemSpec.scaled
+
+    def perturbed(self, lam):
+        s = scaled(self, lam)
+        return replace(s, initial=1.05 * s.initial, boundary_values=1.05 * s.boundary_values)
+
+    monkeypatch.setattr(ProblemSpec, "scaled", perturbed)
+    report = scaling_transform_check(spec, 2.0, control)
+    assert not report.passed
+    assert max(report.details["discrepancies"]) > 150.0 * report.details["bound"]
 
 
 def test_scaling_transform_check_p4_q4():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gbulab import fieldio
-from gbulab.cli import ConfigError, canonical_text, dispatch, main, parse_config
+from gbulab.cli import _VERBS, ConfigError, canonical_text, dispatch, main, parse_config
 from gbulab.schema import SchemaError, load_schema, validate
 from gbulab.stepping import epsilon_continuation, read_monitors_csv, run
 
@@ -168,9 +168,12 @@ def test_dispatch_simulate_artifacts(tmp_path):
     assert code == 0
     report = json.loads((tmp_path / "out" / "run_report.json").read_text())
     assert report["verdict"] == "Completed"
+    assert "config" not in report  # config.canonical.cfg records the config
     validate(report, load_schema("run_report"))
     if HAVE_JSONSCHEMA:
         jsonschema.validate(report, load_schema("run_report"))
+    header = (tmp_path / "out" / "monitors.csv").read_text().splitlines()[0]
+    assert header == "t,max_u,min_u,grad_inf,y,ut_l2_acc,max_ut,source_energy_acc,dt"
     monitors = read_monitors_csv(tmp_path / "out" / "monitors.csv")
     assert monitors["t"][-1] == 0.002
     u, t = fieldio.read_field(tmp_path / "out" / "final_state.field")
@@ -212,7 +215,7 @@ def test_dispatch_deterministic_outputs(tmp_path):
 
 def test_run_report_carries_no_per_step_data(tmp_path):
     # the per-step monitors live in monitors.csv only: a run with 5x the steps
-    # writes a report of the same size, up to its config and counters
+    # writes a report of the same size, up to its counters
     short, long = tmp_path / "short", tmp_path / "long"
     dispatch(parse_config(MINIMAL_SIMULATE), short)
     dispatch(parse_config(MINIMAL_SIMULATE.replace("t_end = 0.002", "t_end = 0.02")), long)
@@ -587,6 +590,53 @@ def test_main_value_rejected_by_constructor_exit_2_before_any_run(
     assert f"config error: {message}" in capsys.readouterr().err
     assert not (out / "failure.json").exists()
     assert not (out / "runs").exists()
+
+
+VERB_CFGS = {
+    "simulate": MINIMAL_SIMULATE,
+    "continue-eps": CONTINUATION_CFG,
+    "detect-gbu": GBU_DETECT_CFG,
+    "certify-barrier": BARRIER_CFG + "n_radial = 1000\n",
+    "bisect-criterion": BISECT_CFG + "bisect_iters = 0\n",
+    "check": COMPLIANCE_CFG,
+    "eig": EIG_CFG,
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_VERBS))
+def test_every_verb_writes_its_canonical_config(tmp_path, verb):
+    path = write_cfg(tmp_path, VERB_CFGS[verb])
+    out = tmp_path / "out"
+    assert main([verb, "--config", str(path), "--out", str(out)]) == 0
+    written = (out / "config.canonical.cfg").read_text()
+    cfg = parse_config(VERB_CFGS[verb])
+    assert written == canonical_text(cfg)
+    assert parse_config(written).sections == cfg.sections
+
+
+def test_canonical_config_records_the_seed_override(tmp_path):
+    path = write_cfg(tmp_path, MINIMAL_SIMULATE)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out), "--seed", "7"]) == 0
+    written = (out / "config.canonical.cfg").read_text()
+    assert "\nseed = 7\n" in written
+    assert parse_config(written).seed == 7
+
+
+def test_stored_check_on_an_old_monitor_header_exit_3(tmp_path):
+    # monitors.csv of the format that still wrote sup_u and min_source
+    old = "t,max_u,min_u,grad_inf,y,ut_l2_acc,sup_u,max_ut,min_source,source_energy_acc,dt"
+    csv_path = tmp_path / "monitors.csv"
+    csv_path.write_text(old + "\n0.0,1.0,0.0,3.1,nan,0.0,1.0,nan,nan,0.0,0.0\n")
+    text = COMPLIANCE_CFG.split("[control]")[0] + (
+        f"[compliance]\nchecks = max_principle\ntrajectory = {csv_path}\n")
+    path = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["check", "--config", str(path), "--out", str(out)]) == 3
+    failure = json.loads((out / "failure.json").read_text())
+    assert "unexpected monitor columns" in failure["message"]
+    assert str(old.split(",")) in failure["message"]
+    assert not (out / "compliance_report.json").exists()
 
 
 def test_main_check_on_zero_data_exit_0(tmp_path):

@@ -235,6 +235,17 @@ def test_ode_fit_decreasing_series_noncompliant():
     assert not fit.compliant
 
 
+def test_ode_fit_decaying_series_with_positive_c1_noncompliant():
+    # the fit keeps a small C1 > 0, but C2 outweighs it: the net forcing
+    # C1 y^q - C2 at the final sample is about -1, so the series is not blowing up
+    t = np.linspace(0.0, 1.0, 40)
+    y = np.exp(-t)
+    fit = blowup_ode_fit(t, y, 4.0)
+    assert fit.c1 == pytest.approx(0.0138, abs=1e-4)
+    assert fit.c1 * y[-1] ** 4 - fit.c2 == pytest.approx(-0.999, abs=1e-3)
+    assert not fit.compliant
+
+
 def test_ode_fit_constant_series_degenerate():
     t = np.linspace(0.0, 1.0, 50)
     with pytest.raises(DegenerateSeriesError):

@@ -15,7 +15,7 @@ from gbulab import (
     stable_dt,
     step,
 )
-from gbulab.operators import gradient_source, interior_rhs, quadrature_weights
+from gbulab.operators import interior_rhs, quadrature_weights
 from gbulab.stepping import (
     COMPLETED,
     GBU_DETECTED,
@@ -178,14 +178,13 @@ def test_run_bitwise_matches_repeated_step(dim):
     eps, q = spec.epsilon, spec.q
 
     def field_row(st):
-        mn, mx = np.min(st.u), np.max(st.u)
-        return {"t": st.t, "max_u": mx, "min_u": mn, "grad_inf": np.max(st.grad_mag),
-                "y": np.sum(qw * st.u * weight), "sup_u": max(abs(mn), abs(mx))}
+        return {"t": st.t, "max_u": np.max(st.u), "min_u": np.min(st.u),
+                "grad_inf": np.max(st.grad_mag), "y": np.sum(qw * st.u * weight)}
 
     st = spec.initial_state()
     ut_l2 = src_energy = 0.0
-    rows = [{**field_row(st), "ut_l2_acc": 0.0, "max_ut": math.nan, "min_source": math.nan,
-             "source_energy_acc": 0.0, "dt": 0.0}]
+    rows = [{**field_row(st), "ut_l2_acc": 0.0, "max_ut": math.nan, "source_energy_acc": 0.0,
+             "dt": 0.0}]
     for k in range(200):
         dt = stable_dt(st, spec, ctl)
         rhs = interior_rhs(st, spec)[inner]
@@ -193,15 +192,14 @@ def test_run_bitwise_matches_repeated_step(dim):
         ut_l2 += dt * np.sum(qw[inner] * rhs * rhs)
         src_energy += dt * np.sum(qw * (s_half * s_half))
         max_ut = np.max(rhs)
-        min_source = np.min(gradient_source(st, q, eps, spec.mu)[inner])
         st = step(st, spec, dt)
         assert np.array_equal(traj.states[k + 1].u, st.u)
         if (k + 1) % 3 == 0:
             rows.append({**field_row(st), "ut_l2_acc": ut_l2, "max_ut": max_ut,
-                         "min_source": min_source, "source_energy_acc": src_energy, "dt": dt})
+                         "source_energy_acc": src_energy, "dt": dt})
     # the final off-stride row has no step terms; its dt is the last step's
     rows.append({**field_row(st), "ut_l2_acc": ut_l2, "max_ut": math.nan,
-                 "min_source": math.nan, "source_energy_acc": src_energy, "dt": dt})
+                 "source_energy_acc": src_energy, "dt": dt})
     for col in MONITOR_COLUMNS:
         assert np.array_equal(rep.monitors[col], [r[col] for r in rows], equal_nan=True), col
     assert (rep.min_u_overall, rep.max_u_overall) == (
@@ -218,15 +216,14 @@ def test_run_bitwise_matches_repeated_step_on_a_grid_larger_than_a_block():
     ctl = StepControl(t_end=1.0, max_steps=5, snapshot_every=1, functional_weight=weight)
     traj, rep = run(spec, ctl)
     qw, inner = quadrature_weights(g), g.interior_slice()
-    st, dt, max_ut, min_source = spec.initial_state(), 0.0, math.nan, math.nan
+    st, dt, max_ut = spec.initial_state(), 0.0, math.nan
     ut_l2 = src_energy = 0.0
     rows = []
     for k in range(6):
-        mn, mx = np.min(st.u), np.max(st.u)
-        rows.append({"t": st.t, "max_u": mx, "min_u": mn, "grad_inf": np.max(st.grad_mag),
-                     "y": np.sum(qw * st.u * weight), "ut_l2_acc": ut_l2,
-                     "sup_u": max(abs(mn), abs(mx)), "max_ut": max_ut, "min_source": min_source,
-                     "source_energy_acc": src_energy, "dt": dt})
+        rows.append({"t": st.t, "max_u": np.max(st.u), "min_u": np.min(st.u),
+                     "grad_inf": np.max(st.grad_mag), "y": np.sum(qw * st.u * weight),
+                     "ut_l2_acc": ut_l2, "max_ut": max_ut, "source_energy_acc": src_energy,
+                     "dt": dt})
         if k == 5:
             break
         dt = stable_dt(st, spec, ctl)
@@ -235,10 +232,9 @@ def test_run_bitwise_matches_repeated_step_on_a_grid_larger_than_a_block():
         ut_l2 += dt * np.sum(qw[inner] * rhs * rhs)
         src_energy += dt * np.sum(qw * (s_half * s_half))
         max_ut = np.max(rhs)
-        min_source = np.min(gradient_source(st, spec.q, spec.epsilon, spec.mu)[inner])
         st = step(st, spec, dt)
         assert np.array_equal(traj.states[k + 1].u, st.u)
-    assert len(MONITOR_COLUMNS) == 11
+    assert len(MONITOR_COLUMNS) == 9
     for col in MONITOR_COLUMNS:
         assert np.array_equal(rep.monitors[col], [r[col] for r in rows], equal_nan=True), col
 
@@ -533,8 +529,7 @@ def test_monitor_csv_roundtrip(tmp_path):
     path = tmp_path / "monitors.csv"
     write_monitors_csv(path, rep.monitors)
     header = path.read_text().splitlines()[0]
-    assert header == ("t,max_u,min_u,grad_inf,y,ut_l2_acc,"
-                      "sup_u,max_ut,min_source,source_energy_acc,dt")
+    assert header == "t,max_u,min_u,grad_inf,y,ut_l2_acc,max_ut,source_energy_acc,dt"
     back = read_monitors_csv(path)
     assert list(back) == list(MONITOR_COLUMNS)
     for col in MONITOR_COLUMNS:
@@ -548,7 +543,7 @@ def test_monitor_csv_roundtrip(tmp_path):
 def test_monitor_csv_rejects_rows_of_the_wrong_length(tmp_path):
     path = tmp_path / "monitors.csv"
     path.write_text(",".join(MONITOR_COLUMNS) + "\n0.0,1.0,0.0\n0.1,1.0,0.0\n")
-    with pytest.raises(ValueError, match="monitor rows hold 3 values, not 11"):
+    with pytest.raises(ValueError, match="monitor rows hold 3 values, not 9"):
         read_monitors_csv(path)
     path.write_text(",".join(MONITOR_COLUMNS) + "\n")
     assert read_monitors_csv(path)["t"].shape == (0,)
