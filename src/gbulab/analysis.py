@@ -278,16 +278,28 @@ INTERIOR_FRAC = 0.5  # C2 is read where delta >= INTERIOR_FRAC * max(delta)
 MIN_SHELLS = 4  # fewest shells that resolve a boundary layer
 
 
+@functools.lru_cache(maxsize=8)
+def _envelope_weights(grid: Grid, gamma_star: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(the interior nodes, where delta >= INTERIOR_FRAC * max(delta); the
+    nodes off the boundary; delta^gamma* at those) of `envelope_constants`.
+    Computed once per grid and exponent and read-only."""
+    delta = boundary_distance(grid)
+    interior = delta >= INTERIOR_FRAC * float(np.max(delta))
+    pos = delta > 0
+    out = interior, pos, np.power(delta[pos], gamma_star)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def envelope_constants(state: SolutionState, gamma_star: float) -> tuple[float, float]:
     """(C1, C2) with C2 the interior gradient bound and C1 minimal such that
     |grad u| <= C1 delta^(-gamma*) + C2 at every node off the boundary."""
-    delta = boundary_distance(state.grid)
+    interior, pos, weight = _envelope_weights(state.grid, gamma_star)
     mag = state.grad_mag
-    d_int = INTERIOR_FRAC * float(np.max(delta))
-    interior = delta >= d_int
-    c2 = float(np.max(mag[interior])) if interior.any() else 0.0
-    pos = delta > 0
-    c1 = float(np.max(np.maximum(mag[pos] - c2, 0.0) * np.power(delta[pos], gamma_star)))
+    # the node farthest from the boundary is always interior
+    c2 = float(np.max(mag[interior]))
+    c1 = float(np.max(np.maximum(mag[pos] - c2, 0.0) * weight))
     return c1, c2
 
 

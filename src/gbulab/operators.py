@@ -24,15 +24,14 @@ from .grid import Grid
 from .problem import ProblemSpec, SolutionState
 
 
-def _power(e: float):
-    """x -> x**e written into `out`: sqrt for 1/2 and a multiply for 2, which
-    give np.power's correctly rounded bits, np.power for any other e."""
+def _power(e: float, x: np.ndarray, out: np.ndarray) -> tuple:
+    """The call writing x**e into `out`: sqrt for 1/2 and a multiply for 2,
+    which give np.power's correctly rounded bits, np.power for any other e."""
     if e == 0.5:
-        return np.sqrt
+        return np.sqrt, (x, out)
     if e == 2.0:
-        return lambda x, out: np.multiply(x, x, out)
-    e = np.array(e)
-    return lambda x, out: np.power(x, e, out)
+        return np.multiply, (x, x, out)
+    return np.power, (x, np.array(e), out)
 
 
 def _along(dim: int, axis: int, part, rest=slice(None)) -> tuple:
@@ -65,6 +64,15 @@ class StepKernel:
     previous slot current again. p (diffusion) or q (source) may be None to
     build only the other term.
 
+    Every slot has two prebuilt tuples of (ufunc, operands) calls on views
+    of these buffers. The step tuple computes the diffusion of the slot's
+    field, its source and the rhs, and writes the update into the next slot;
+    `advance` runs it, and `diffusion`, `source` and `interior_rhs` run its
+    leading segments. The gradient tuple computes the central differences
+    of the slot's field, which `commit`, `load` and `revert` finish with the
+    one-sided stencils, |grad u| and W. So the arithmetic is written once,
+    for 1D and 2D alike, and a step runs it without Python in between.
+
     Along each axis the nodal gradient is central where both neighbours
     exist and one-sided on the two faces across that axis (scalars in 1D).
     The face values enter only W = max |grad u| over all nodes and the
@@ -86,11 +94,6 @@ class StepKernel:
         dim, shape = grid.dimension, grid.shape
         inner, ishape = grid.interior_slice(), tuple(n - 2 for n in shape)
         self.grid, self._boundary = grid, boundary_values
-        # scalar operands of the per-step ufunc calls are 0-d arrays: a call
-        # converts a Python float operand every time, which costs about as
-        # much as the arithmetic on a few hundred values
-        self._eps = np.array(eps) if eps else None
-        self._h = [np.array(h) for h in grid.spacing]
         self._pins = [_along(dim, a, end) for a in range(dim) for end in (0, -1)]
         self.fields = np.empty((slots,) + shape)
         if boundary_values is not None:
@@ -98,58 +101,122 @@ class StepKernel:
                 self._pin(f)
         self._last = slots - 1
         self._cur, self._unpinned = self._last, None
-        self._inner = [f[inner] for f in self.fields]
-        # per slot and axis: the views that the central differences and the
-        # face differences subtract
-        self._pairs = [
-            [tuple(f[_along(dim, a, s)] for s in (
-                slice(2, None), slice(0, -2), slice(1, None), slice(0, -1))) for a in range(dim)]
-            for f in self.fields
-        ]
-        self._two_h = [2.0 * h for h in grid.spacing]  # a float for the 1D one-sided stencils
-        self._two_h_op = [np.array(h) for h in self._two_h]
+        self._two_h = [2.0 * h for h in grid.spacing]  # floats for the 1D one-sided stencils
         self.grad = [np.empty(shape) for _ in range(dim)]
-        self._grad_mid = [g[_along(dim, a, slice(1, -1))] for a, g in enumerate(self.grad)]
-        # 1D reads its one-sided stencils as floats
+        # 1D reads its one-sided stencils as floats, from views of each
+        # slot's first three and last three nodes (the last ones reversed)
+        self._rims = [(f[:3], f[:-4:-1]) for f in self.fields] if dim == 1 else None
         self._ends = None if dim == 1 else [
             [_along(dim, a, i) for i in (0, 1, 2, -1, -2, -3)] for a in range(dim)]
+        self.mag, sq = np.empty(shape), np.empty(shape)
+        self.w = math.nan
+
+        # scalar operands of the calls are 0-d arrays: a call converts a
+        # Python float operand every time, which costs about as much as the
+        # arithmetic on a few hundred values
+        eps_op = np.array(eps) if eps else None
+        h = [np.array(s) for s in grid.spacing]
+        two_h = [np.array(s) for s in self._two_h]
         # undivided node-centred differences: the nodal gradient and the 2D
         # tangential face gradients are both built from them
-        self._cdiff = [np.empty(_shrunk(shape, a, 2)) for a in range(dim)]
-        self.mag, self._sq = np.empty(shape), np.empty(shape)
-        self.w = math.nan
+        cdiff = [np.empty(_shrunk(shape, a, 2)) for a in range(dim)]
+        grad_mid = [g[_along(dim, a, slice(1, -1))] for a, g in enumerate(self.grad)]
+        # |grad u| and sq = |grad u|^2 + eps from the finished gradient
+        mag = self.mag
+        if dim == 1:
+            tail = [(np.absolute, (self.grad[0], mag))]
+        else:
+            gx, gy = self.grad
+            tail = [(np.multiply, (gx, gx, mag)), (np.multiply, (gy, gy, sq)),
+                    (np.add, (mag, sq, mag)), (np.sqrt, (mag, mag))]
+        tail.append((np.multiply, (mag, mag, sq)))
+        if eps_op is not None:
+            tail.append((np.add, (sq, eps_op, sq)))
+        self._tail = tuple(tail)
+
+        # the diffusion's calls after the face differences read no field slot
+        dn, fsq, flux_div = (), (), []
         if p is not None:
-            self._pow_p = _power((p - 2.0) / 2.0)
             fshapes = [_shrunk(shape, a, 1) for a in range(dim)]
-            self._dn = [np.empty(s) for s in fshapes]
-            self._fsq = [np.empty(s) for s in fshapes]
+            dn, fsq = [np.empty(s) for s in fshapes], [np.empty(s) for s in fshapes]
+            # 2D tangential component: the mean of the two node-centred
+            # differences across the face
+            for a, s in enumerate(fshapes if dim == 2 else ()):
+                o, cd = 1 - a, cdiff[1 - a]
+                tang = np.empty(_shrunk(s, o, 2))
+                fsq_mid = fsq[a][_along(2, o, slice(1, -1))]
+                flux_div += [
+                    (np.add, (cd[_along(2, a, slice(0, -1))], cd[_along(2, a, slice(1, None))],
+                              tang)),
+                    (np.divide, (tang, np.array(4.0 * grid.spacing[o]), tang)),
+                    (np.multiply, (tang, tang, tang)),
+                    (np.add, (fsq_mid, tang, fsq_mid)),
+                ]
             self.flux = [np.empty(s) for s in fshapes]
-            self._flux_ends = [
-                (f[_along(dim, a, slice(1, None), slice(1, -1))],
-                 f[_along(dim, a, slice(0, -1), slice(1, -1))])
-                for a, f in enumerate(self.flux)
-            ]
-            self._tang = [] if dim == 1 else [
-                np.empty(_shrunk(s, 1 - a, 2)) for a, s in enumerate(fshapes)]
-            self.div, self._div_axis = np.empty(ishape), np.empty(ishape)
-        # per slot: the s_half, src, src_inner and rhs that `advance` writes
-        self._terms = [(None,) * 4] * slots
+            self.div, div_axis = np.empty(ishape), np.empty(ishape)
+            pow_p = (p - 2.0) / 2.0
+            for a, flux in enumerate(self.flux):
+                if eps_op is not None:
+                    flux_div.append((np.add, (fsq[a], eps_op, fsq[a])))
+                out = div_axis if a else self.div
+                hi = flux[_along(dim, a, slice(1, None), slice(1, -1))]
+                lo = flux[_along(dim, a, slice(0, -1), slice(1, -1))]
+                flux_div += [
+                    _power(pow_p, fsq[a], fsq[a]),
+                    (np.multiply, (fsq[a], dn[a], flux)),
+                    (np.subtract, (hi, lo, out)),
+                    (np.divide, (out, h[a], out)),
+                ]
+                if a:
+                    flux_div.append((np.add, (self.div, out, self.div)))
+
+        # per slot: the source and rhs that the step from the previous slot
+        # writes, next to the field it writes there
+        self._src = [None] * slots
         if q is not None:
-            self._pow_q = _power(q / 2.0)
             shift = eps ** (q / 2.0)
-            self._mu, self._shift = np.array(mu), np.array(shift)
+            shift_op, mu_op = np.array(shift), np.array(mu)
             self.s_half_slots = np.empty((slots,) + shape)
             # the source is s_half itself when mu = 1 and eps = 0
             own_src = None if mu == 1.0 and shift == 0.0 else np.empty(shape)
-            rhss = [None] * slots
+            self._src = [s if own_src is None else own_src for s in self.s_half_slots]
             if p is not None:
-                self.rhs_slots, self._incr = np.empty((slots,) + ishape), np.empty(ishape)
+                self.rhs_slots, incr = np.empty((slots,) + ishape), np.empty(ishape)
                 self._dt = np.array(0.0)
-                rhss = self.rhs_slots
-            self._terms = []
-            for s_half, rhs in zip(self.s_half_slots, rhss):
-                src = s_half if own_src is None else own_src
-                self._terms.append((s_half, src, src[inner], rhs))
+
+        # per axis: the views of a field that its face differences and its
+        # central differences subtract
+        faces = [(_along(dim, a, slice(1, None)), _along(dim, a, slice(0, -1)))
+                 for a in range(dim)]
+        centres = [(_along(dim, a, slice(2, None)), _along(dim, a, slice(0, -2)))
+                   for a in range(dim)]
+        self._calls, self._grad_calls = [], []
+        for cur, f in enumerate(self.fields):
+            nxt = 0 if cur == self._last else cur + 1
+            calls = []
+            for (hi, lo), dn_a, fsq_a, h_a in zip(faces, dn, fsq, h):
+                calls += [(np.subtract, (f[hi], f[lo], dn_a)), (np.divide, (dn_a, h_a, dn_a)),
+                          (np.multiply, (dn_a, dn_a, fsq_a))]
+            calls += flux_div
+            self._d_end = len(calls)
+            if q is not None:
+                s_half, src = self.s_half_slots[nxt], self._src[nxt]
+                calls.append(_power(q / 2.0, sq, s_half))
+                if own_src is not None:
+                    calls += [(np.subtract, (s_half, shift_op, src)),
+                              (np.multiply, (mu_op, src, src))]
+            self._s_end = self._r_end = len(calls)
+            if p is not None and q is not None:
+                rhs = self.rhs_slots[nxt]
+                calls += [(np.add, (self.div, src[inner], rhs)),
+                          (np.multiply, (self._dt, rhs, incr)),
+                          (np.add, (f[inner], incr, self.fields[nxt][inner]))]
+                self._r_end += 1
+            self._calls.append(tuple(calls))
+            grad = []
+            for (hi, lo), cd, two_h_a, g in zip(centres, cdiff, two_h, grad_mid):
+                grad += [(np.subtract, (f[hi], f[lo], cd)), (np.divide, (cd, two_h_a, g))]
+            self._grad_calls.append(tuple(grad))
 
     @classmethod
     def of(cls, spec: ProblemSpec, slots=None) -> "StepKernel":
@@ -160,8 +227,12 @@ class StepKernel:
         for idx in self._pins:
             f[idx] = self._boundary[idx]
 
-    def _use_terms(self, slot: int) -> None:
-        self.s_half, self.src, self.src_inner, self.rhs = self._terms[slot]
+    def _segment(self, end: int, start: int = 0) -> int:
+        """Run calls [start, end) of the current slot's step tuple; returns
+        the slot they write their source and rhs into."""
+        for ufunc, operands in self._calls[self._cur][start:end]:
+            ufunc(*operands)
+        return 0 if self._cur == self._last else self._cur + 1
 
     @property
     def u(self) -> np.ndarray:
@@ -170,85 +241,54 @@ class StepKernel:
 
     def load(self, u: np.ndarray) -> "StepKernel":
         self._cur = self._unpinned = self._last
-        self._use_terms(self._cur)
         np.copyto(self.fields[self._cur], u)
         self._gradient()
         return self
 
     def _gradient(self) -> None:
-        u = self.fields[self._cur]
-        for a, (c_hi, c_lo, _, _) in enumerate(self._pairs[self._cur]):
-            two_h, g = self._two_h[a], self.grad[a]
-            np.divide(np.subtract(c_hi, c_lo, self._cdiff[a]), self._two_h_op[a],
-                      self._grad_mid[a])
-            if self._ends is None:
-                g[0] = (-3.0 * u.item(0) + 4.0 * u.item(1) - u.item(2)) / two_h
-                g[-1] = (3.0 * u.item(-1) - 4.0 * u.item(-2) + u.item(-3)) / two_h
-            else:
-                f0, f1, f2, l0, l1, l2 = self._ends[a]
+        for ufunc, operands in self._grad_calls[self._cur]:
+            ufunc(*operands)
+        if self._rims is not None:
+            first, last = self._rims[self._cur]
+            f0, f1, f2 = first.tolist()
+            l0, l1, l2 = last.tolist()
+            g, two_h = self.grad[0], self._two_h[0]
+            g[0] = (-3.0 * f0 + 4.0 * f1 - f2) / two_h
+            g[-1] = (3.0 * l0 - 4.0 * l1 + l2) / two_h
+        else:
+            u = self.fields[self._cur]
+            for a, (f0, f1, f2, l0, l1, l2) in enumerate(self._ends):
+                two_h, g = self._two_h[a], self.grad[a]
                 g[f0] = (-3.0 * u[f0] + 4.0 * u[f1] - u[f2]) / two_h
                 g[l0] = (3.0 * u[l0] - 4.0 * u[l1] + u[l2]) / two_h
-        mag, sq = self.mag, self._sq
-        if len(self.grad) == 1:
-            np.abs(self.grad[0], mag)
-        else:
-            gx, gy = self.grad
-            np.add(np.multiply(gx, gx, mag), np.multiply(gy, gy, sq), mag)
-            np.sqrt(mag, mag)
+        for ufunc, operands in self._tail:
+            ufunc(*operands)
         # argmax finds the first NaN, as a max reduction returns NaN
+        mag = self.mag
         self.w = mag.item(mag.argmax())
-        np.multiply(mag, mag, sq)
-        if self._eps is not None:
-            np.add(sq, self._eps, sq)
 
     def diffusion(self) -> np.ndarray:
         """div((|grad u|^2+eps)^((p-2)/2) grad u) on interior nodes."""
-        spacing, h = self.grid.spacing, self._h
-        for a, (_, _, f_hi, f_lo) in enumerate(self._pairs[self._cur]):
-            dn = np.divide(np.subtract(f_hi, f_lo, self._dn[a]), h[a], self._dn[a])
-            np.multiply(dn, dn, self._fsq[a])
-        # 2D tangential component: the mean of the two node-centred
-        # differences across the face
-        for a, tang in enumerate(self._tang):
-            o, cd = 1 - a, self._cdiff[1 - a]
-            np.add(cd[_along(2, a, slice(0, -1))], cd[_along(2, a, slice(1, None))], tang)
-            np.divide(tang, 4.0 * spacing[o], tang)
-            fsq_mid = self._fsq[a][_along(2, o, slice(1, -1))]
-            np.add(fsq_mid, np.multiply(tang, tang, tang), fsq_mid)
-        for a, (hi, lo) in enumerate(self._flux_ends):
-            fsq = self._fsq[a]
-            if self._eps is not None:
-                np.add(fsq, self._eps, fsq)
-            np.multiply(self._pow_p(fsq, fsq), self._dn[a], self.flux[a])
-            out = self._div_axis if a else self.div
-            np.divide(np.subtract(hi, lo, out), h[a], out)
-            if a:
-                np.add(self.div, out, self.div)
+        self._segment(self._d_end)
         return self.div
 
     def source(self) -> np.ndarray:
         """mu * ((|grad u|^2+eps)^(q/2) - eps^(q/2)) at every node."""
-        self._pow_q(self._sq, self.s_half)
-        if self.src is not self.s_half:
-            np.multiply(self._mu, np.subtract(self.s_half, self._shift, self.src), self.src)
-        return self.src
+        return self._src[self._segment(self._s_end, self._d_end)]
 
     def interior_rhs(self) -> np.ndarray:
         """diffusion + source on interior nodes."""
-        self.diffusion()
-        self.source()
-        return np.add(self.div, self.src_inner, self.rhs)
+        return self.rhs_slots[self._segment(self._r_end)]
 
     def advance(self, dt: float) -> np.ndarray:
         """Write u + dt * (diffusion + source) into the next slot, with the
         rhs and s_half it was computed from, and return it; `commit` makes it
         current."""
         cur = self._cur
-        nxt = 0 if cur == self._last else cur + 1
-        self._use_terms(nxt)
         self._dt[()] = dt
-        np.multiply(self._dt, self.interior_rhs(), self._incr)
-        np.add(self._inner[cur], self._incr, self._inner[nxt])
+        for ufunc, operands in self._calls[cur]:
+            ufunc(*operands)
+        nxt = 0 if cur == self._last else cur + 1
         new = self.fields[nxt]
         if nxt == self._unpinned:
             self._pin(new)

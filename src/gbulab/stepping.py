@@ -25,7 +25,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, replace
-from itertools import accumulate
+from operator import attrgetter
 
 import numpy as np
 
@@ -187,11 +187,12 @@ def step(state: SolutionState, spec: ProblemSpec, dt: float) -> SolutionState:
 
 # what np.max, np.min and np.sum call, minus their per-call Python wrapper
 _max, _min, _sum = np.maximum.reduce, np.minimum.reduce, np.add.reduce
+_W, _DT_STABLE = attrgetter("w"), attrgetter("dt_stable")
 
-# values held by each of a track's step-block buffers: about 80 steps per
+# values held by each of a track's step-block buffers: about 320 steps per
 # block at n=201; a 2D grid of more nodes than this still gets 2 steps per
 # block, because the kernel reads the current field while it writes the next
-_BLOCK_VALUES = 16384
+_BLOCK_VALUES = 65536
 
 
 class _Track:
@@ -199,9 +200,10 @@ class _Track:
 
     The kernel's slots are the rows of a step block: each accepted step's
     new field, and the rhs and (|grad u|^2+eps)^(q/2) values it was computed
-    from, land in the row of its place in the block. The monitors are reduced
-    a block at a time, with the same bits as one step at a time: a row-wise
-    reduction sums each row as a reduction over that row alone does."""
+    from, land in the row of its place in the block, and its t, dt and W in
+    that row of `_tdw`. The monitors are reduced a block at a time, with the
+    same bits as one step at a time: a row-wise reduction sums each row as a
+    reduction over that row alone does, and an accumulate adds in sequence."""
 
     def __init__(self, spec: ProblemSpec, control: StepControl):
         grid = spec.grid
@@ -209,16 +211,21 @@ class _Track:
         rows = max(2, _BLOCK_VALUES // grid.num_nodes())
         self.kernel = kernel = StepKernel.of(spec, slots=rows)
         kernel.load(spec.initial)
+        self._bound = _dt_bound(spec, grid.h_min, grid.dimension, control.theta)
+        self.dt_stable = self._bound(kernel.w)  # the largest step the current field allows
         self.e0 = integrate(grid, np.power(kernel.mag**2 + spec.epsilon, spec.p / 2.0))
         self.weight = control.functional_weight
         if self.weight is not None and self.weight.shape != grid.shape:
             raise ValueError("functional_weight must be a grid field")
         self.qw = quadrature_weights(grid)
         self.qw_inner = self.qw[grid.interior_slice()]
-        self._rows = rows
+        self._rows, self._stride = rows, control.monitor_stride
         self._u, self._s_half, self._rhs = kernel.fields, kernel.s_half_slots, kernel.rhs_slots
         self._tmp, self._tmp_inner = np.empty_like(self._u), np.empty_like(self._rhs)
-        self._steps: list[tuple] = []  # (t, dt, W, record) of each buffered step
+        self._tdw = np.empty((3, rows))  # t, dt and W of each buffered step
+        self._t, self._dt, self._w = self._tdw
+        self._acc = np.empty((2, rows + 1))  # the two accumulators' running sums
+        self._buffered = self._reduced = 0  # steps in the block, and before it
         self.blocks: list[np.ndarray] = []  # monitor rows in MONITOR_COLUMNS order
         self.snapshots = [SolutionState(grid, spec.initial.copy(), 0.0)]
         self.crossings: dict[float, float] = {}
@@ -230,11 +237,12 @@ class _Track:
 
     def _fields(self, u: np.ndarray) -> tuple:
         """(min, max, y) of each field in the block u; min and max also go
-        into the overall extrema."""
+        into the overall extrema. Only finite fields get here: a step to a
+        non-finite one is reverted."""
         axes = tuple(range(1, u.ndim))
         mn, mx = _min(u, axes), _max(u, axes)
-        self.min_overall = min([self.min_overall, *mn.tolist()])
-        self.max_overall = max([self.max_overall, *mx.tolist()])
+        self.min_overall = min(self.min_overall, _min(mn).item())
+        self.max_overall = max(self.max_overall, _max(mx).item())
         if self.weight is None:
             return mn, mx, np.full(len(u), math.nan)
         tmp = np.multiply(self.qw, u, out=self._tmp[: len(u)])
@@ -255,40 +263,47 @@ class _Track:
         kernel = self.kernel
         kernel.advance(dt)
         kernel.commit()
+        self.dt_stable = self._bound(kernel.w)
         return math.isfinite(kernel.w) or bool(np.isfinite(kernel.u).all())
 
-    def accept(self, t: float, dt: float, record: bool, snapshot: bool) -> None:
-        kernel = self.kernel
-        self._steps.append((t, dt, kernel.w, record))
+    def accept(self, t: float, dt: float, snapshot: bool) -> None:
+        k = self._buffered
+        self._t[k], self._dt[k], self._w[k] = t, dt, self.kernel.w
         self.dt_last = dt
-        if len(self._steps) == self._rows:
+        self._buffered = k + 1
+        if k + 1 == self._rows:
             self._flush()
         if snapshot:
-            self.snapshots.append(SolutionState(self.spec.grid, kernel.u.copy(), t))
+            self.snapshots.append(SolutionState(self.spec.grid, self.kernel.u.copy(), t))
 
     def _flush(self) -> None:
         """Reduce the buffered steps to monitors, advance the accumulators in
-        step order and keep the recorded steps' rows."""
-        m = len(self._steps)
+        step order and keep the rows of the steps on the monitor stride."""
+        m = self._buffered
         if not m:
             return
-        t, dt, w, record = (np.array(c) for c in zip(*self._steps))
-        self._steps.clear()
+        first = self._reduced + 1  # the run's count of steps at the block's first row
+        self._buffered, self._reduced = 0, self._reduced + m
+        t, dt, w = self._tdw[:, :m]
         mn, mx, y = self._fields(self._u[:m])
         rhs, s_half = self._rhs[:m], self._s_half[:m]
         axes = tuple(range(1, rhs.ndim))
         max_ut = _max(rhs, axes)
+        # row 0: ut_l2_acc, then dt * ut_l2 per step; row 1 the same for the
+        # source energy
+        acc = self._acc[:, : m + 1]
+        acc[:, 0] = self.ut_l2_acc, self.src_energy_acc
         tmp = np.multiply(self.qw_inner, rhs, out=self._tmp_inner[:m])
-        ut_l2 = _sum(np.multiply(tmp, rhs, out=tmp), axes)
+        _sum(np.multiply(tmp, rhs, out=tmp), axes, None, acc[0, 1:])
         tmp = np.multiply(s_half, s_half, out=self._tmp[:m])
-        src_energy = _sum(np.multiply(self.qw, tmp, out=tmp), axes)
-        ut_l2_acc = list(accumulate((dt * ut_l2).tolist(), initial=self.ut_l2_acc))[1:]
-        src_energy_acc = list(accumulate((dt * src_energy).tolist(),
-                                         initial=self.src_energy_acc))[1:]
-        self.ut_l2_acc, self.src_energy_acc = ut_l2_acc[-1], src_energy_acc[-1]
-        if record.any():
-            cols = (t, mx, mn, w, y, np.array(ut_l2_acc), max_ut, np.array(src_energy_acc), dt)
-            self.blocks.append(np.column_stack([c[record] for c in cols]))
+        _sum(np.multiply(self.qw, tmp, out=tmp), axes, None, acc[1, 1:])
+        np.multiply(dt, acc[:, 1:], acc[:, 1:])
+        acc = np.add.accumulate(acc, 1)
+        self.ut_l2_acc, self.src_energy_acc = acc[:, -1].tolist()
+        rows = slice(-first % self._stride, m, self._stride)
+        if rows.start < m:
+            cols = (t, mx, mn, w, y, acc[0, 1:], max_ut, acc[1, 1:], dt)
+            self.blocks.append(np.column_stack([c[rows] for c in cols]))
 
     def finish(self, t: float, steps: int, outcome: tuple):
         self._flush()
@@ -328,17 +343,15 @@ def _integrate(specs, control: StepControl, on_step=None) -> list[tuple[Trajecto
     t_start = time.perf_counter()
     tracks = [_Track(spec, control) for spec in specs]
     kernels = [tr.kernel for tr in tracks]
-    bounds = [_dt_bound(spec, spec.grid.h_min, spec.grid.dimension, control.theta)
-              for spec in specs]
     t_end, dt_min, threshold = control.t_end, control.dt_min, control.gbu_threshold
-    max_steps, stride, every = control.max_steps, control.monitor_stride, control.snapshot_every
+    max_steps, every = control.max_steps, control.snapshot_every
     marks = [t for t in control.t_marks if 0.0 < t <= t_end]
     t = 0.0
     verdict, reason, t_detect = COMPLETED, "t_end", None
     steps = 0
-    grad_prev = max([k.w for k in kernels])
+    grad_prev = max(map(_W, kernels))
     while True:
-        w_now = max([k.w for k in kernels])
+        w_now = max(map(_W, kernels))
         for tr in tracks:
             while tr.pending and tr.kernel.w >= tr.pending[0]:
                 tr.crossings[tr.pending.pop(0)] = t
@@ -351,7 +364,7 @@ def _integrate(specs, control: StepControl, on_step=None) -> list[tuple[Trajecto
             verdict, reason = STALLED, "max_steps"
             break
 
-        dt_stable = min([bound(k.w) for bound, k in zip(bounds, kernels)])
+        dt_stable = min(map(_DT_STABLE, tracks))
         if dt_stable < dt_min:
             if w_now > grad_prev:
                 verdict, reason, t_detect = GBU_DETECTED, "dt_floor", t
@@ -372,17 +385,19 @@ def _integrate(specs, control: StepControl, on_step=None) -> list[tuple[Trajecto
         else:
             dt, t_new, hit = dt_stable, t + dt_stable, False
 
-        if not all([tr.advance(dt) for tr in tracks]):
+        finite = True
+        for tr in tracks:
+            finite = tr.advance(dt) and finite
+        if not finite:
             for k in kernels:
                 k.revert()  # back to the last accepted field
             verdict, reason = STALLED, "nonfinite"
             break
         t = t_new
         steps += 1
-        record = steps % stride == 0
         snapshot = hit or bool(every and steps % every == 0)
         for tr in tracks:
-            tr.accept(t, dt, record, snapshot)
+            tr.accept(t, dt, snapshot)
         if on_step is not None:
             on_step(tracks, t)
 

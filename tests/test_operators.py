@@ -30,18 +30,105 @@ def state_2d(f, n=11):
 
 @pytest.mark.parametrize("shape", [(41,), (9, 11)])
 def test_kernel_pins_g_on_a_field_loaded_with_other_boundary_values(shape):
-    # boundary nodes are pinned once per slot; the slot a field is loaded
-    # into keeps that field's boundary until the second step writes it again
+    # boundary nodes are pinned once per slot; the last slot, which a field
+    # is loaded into, keeps that field's boundary until a step writes it
+    # again: the second step on the default 2-slot ring, the fifth on a
+    # 5-slot one. 2 * 5 steps pass every slot twice.
     extents = [(0.0, 1.0), (0.0, 1.5)][: len(shape)]
     g = build_grid(extents, shape)
     spec = make_spec(g, p=3.0, q=2.5, profile="sine", amplitude=1.0)
     bd = g.boundary_mask()
-    kernel = StepKernel.of(spec).load(spec.initial + 0.25)
-    for _ in range(4):
-        new = kernel.advance(1e-5)
-        assert np.array_equal(new[bd], spec.boundary_values[bd])
+    for slots in (None, 5):
+        kernel = StepKernel.of(spec, slots=slots).load(spec.initial + 0.25)
+        for _ in range(10):
+            new = kernel.advance(1e-5)
+            assert np.array_equal(new[bd], spec.boundary_values[bd])
+            kernel.commit()
+            assert np.array_equal(kernel.u[bd], spec.boundary_values[bd])
+
+
+def _along(dim, axis, part, rest=slice(None)):
+    idx = [rest] * dim
+    idx[axis] = part
+    return tuple(idx)
+
+
+def reference_gradient(u, grid, eps):
+    """(gradient, |grad u|, W, |grad u|^2 + eps) written out in numpy:
+    central differences inside, one-sided second-order stencils on the faces."""
+    dim, grads = grid.dimension, []
+    for a, h in enumerate(grid.spacing):
+        g = np.empty(u.shape)
+        g[_along(dim, a, slice(1, -1))] = (
+            u[_along(dim, a, slice(2, None))] - u[_along(dim, a, slice(0, -2))]) / (2.0 * h)
+        f0, f1, f2, l0, l1, l2 = (_along(dim, a, i) for i in (0, 1, 2, -1, -2, -3))
+        g[f0] = (-3.0 * u[f0] + 4.0 * u[f1] - u[f2]) / (2.0 * h)
+        g[l0] = (3.0 * u[l0] - 4.0 * u[l1] + u[l2]) / (2.0 * h)
+        grads.append(g)
+    if dim == 1:
+        mag = np.abs(grads[0])
+    else:
+        mag = np.sqrt(grads[0] * grads[0] + grads[1] * grads[1])
+    return grads, mag, np.max(mag), mag * mag + eps
+
+
+def reference_step(u, spec, dt):
+    """(u + dt * rhs with g on the boundary, rhs, (|grad u|^2+eps)^(q/2))
+    written out in numpy, in the order of the module docstring's scheme:
+    face differences / h, squared (plus the 2D tangential part), + eps, to
+    the power (p-2)/2, times the differences, differenced / h; the source
+    mu * ((|grad u|^2+eps)^(q/2) - eps^(q/2)); rhs = div + source."""
+    grid, eps = spec.grid, spec.epsilon
+    dim, inner = grid.dimension, grid.interior_slice()
+    div = None
+    for a, h in enumerate(grid.spacing):
+        dn = (u[_along(dim, a, slice(1, None))] - u[_along(dim, a, slice(0, -1))]) / h
+        fsq = dn * dn
+        if dim == 2:
+            o = 1 - a
+            cd = u[_along(2, o, slice(2, None))] - u[_along(2, o, slice(0, -2))]
+            tang = (cd[_along(2, a, slice(0, -1))] + cd[_along(2, a, slice(1, None))]) / (
+                4.0 * grid.spacing[o])
+            fsq[_along(2, o, slice(1, -1))] += tang * tang
+        flux = (fsq + eps) ** ((spec.p - 2.0) / 2.0) * dn
+        div_a = (flux[_along(dim, a, slice(1, None), slice(1, -1))]
+                 - flux[_along(dim, a, slice(0, -1), slice(1, -1))]) / h
+        div = div_a if div is None else div + div_a
+    s_half = reference_gradient(u, grid, eps)[3] ** (spec.q / 2.0)
+    src = spec.mu * (s_half - eps ** (spec.q / 2.0))
+    rhs = div + src[inner]
+    new = spec.boundary_values.copy()
+    new[inner] = u[inner] + dt * rhs
+    return new, rhs, s_half
+
+
+@pytest.mark.parametrize("p, q, eps, mu", [
+    (3.0, 4.0, 0.0, 1.0),  # sqrt and multiply for the powers; the source is s_half
+    (3.0, 4.0, 1e-3, 0.9),
+    (3.4, 2.7, 1e-3, 0.9),  # np.power for both
+])
+@pytest.mark.parametrize("shape", [(201,), (17, 21)])
+def test_kernel_steps_bitwise_as_plain_numpy(shape, p, q, eps, mu):
+    # the kernel's prebuilt calls against the scheme written out once more in
+    # plain numpy: 8 steps on a 3-slot ring write every slot and wrap from
+    # the last slot into the first twice
+    extents = [(0.0, 1.0), (0.0, 1.5)][: len(shape)]
+    g = build_grid(extents, shape)
+    spec = make_spec(g, p, q, epsilon=eps, mu=mu, profile="sine", amplitude=1.0)
+    rng = np.random.default_rng(7)
+    u = spec.initial + 1e-3 * rng.standard_normal(g.shape) * ~g.boundary_mask()
+    dt = 0.02 * g.h_min ** 2
+    kernel = StepKernel.of(spec, slots=3).load(u)
+    for k in range(8):
+        grads, mag, w, _ = reference_gradient(u, g, eps)
+        assert all(np.array_equal(a, b) for a, b in zip(kernel.grad, grads))
+        assert np.array_equal(kernel.mag, mag) and kernel.w == w
+        new, rhs, s_half = reference_step(u, spec, dt)
+        assert np.array_equal(kernel.advance(dt), new)
+        assert np.array_equal(kernel.rhs_slots[k % 3], rhs)
+        assert np.array_equal(kernel.s_half_slots[k % 3], s_half)
         kernel.commit()
-        assert np.array_equal(kernel.u[bd], spec.boundary_values[bd])
+        u = new
 
 
 # -- gradient ------------------------------------------------------------------

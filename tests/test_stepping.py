@@ -15,6 +15,7 @@ from gbulab import (
     stable_dt,
     step,
 )
+from gbulab import stepping
 from gbulab.operators import interior_rhs, quadrature_weights
 from gbulab.stepping import (
     COMPLETED,
@@ -160,9 +161,10 @@ def test_run_first_step_bitwise_matches_step():
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_run_bitwise_matches_repeated_step(dim):
-    # eps > 0 and mu != 1, so the source is not (|grad u|^2+eps)^(q/2); 200
-    # steps cross two monitor blocks and end in a partial one (81 steps a
-    # block at n=201, 45 on 17x21), and the run ends off the monitor stride
+    # eps > 0 and mu != 1, so the source is not (|grad u|^2+eps)^(q/2); 700
+    # steps fill at least two monitor blocks and end in a partial one (326
+    # steps a block at n=201, 183 on 17x21), and the run ends off the
+    # monitor stride
     if dim == 1:
         g = build_grid((0.0, 1.0), 201)
         spec = make_spec(g, p=3.0, q=2.7, epsilon=1e-3, mu=0.9, profile="sine", amplitude=1.0)
@@ -170,10 +172,12 @@ def test_run_bitwise_matches_repeated_step(dim):
         g = build_grid([(0.0, 1.0), (0.0, 1.5)], (17, 21))
         spec = make_spec(g, p=3.4, q=3.0, epsilon=1e-3, mu=0.8, profile="sine", amplitude=2.0)
     weight = 1.0 + g.coords()[0]
-    ctl = StepControl(t_end=1.0, max_steps=200, snapshot_every=1, monitor_stride=3,
+    ctl = StepControl(t_end=1.0, max_steps=700, snapshot_every=1, monitor_stride=3,
                       functional_weight=weight)
     traj, rep = run(spec, ctl)
-    assert rep.steps == 200
+    assert rep.steps == 700
+    block = stepping._BLOCK_VALUES // g.num_nodes()
+    assert 2 * block < rep.steps and rep.steps % block
     qw, inner = quadrature_weights(g), g.interior_slice()
     eps, q = spec.epsilon, spec.q
 
@@ -185,7 +189,7 @@ def test_run_bitwise_matches_repeated_step(dim):
     ut_l2 = src_energy = 0.0
     rows = [{**field_row(st), "ut_l2_acc": 0.0, "max_ut": math.nan, "source_energy_acc": 0.0,
              "dt": 0.0}]
-    for k in range(200):
+    for k in range(700):
         dt = stable_dt(st, spec, ctl)
         rhs = interior_rhs(st, spec)[inner]
         s_half = np.power(st.grad_mag * st.grad_mag + eps, q / 2.0)
@@ -207,10 +211,11 @@ def test_run_bitwise_matches_repeated_step(dim):
 
 
 def test_run_bitwise_matches_repeated_step_on_a_grid_larger_than_a_block():
-    # 129 x 129 nodes are more values than a step block holds, so a block
+    # 257 x 257 nodes are more values than a step block holds, so a block
     # holds 2 steps, the fewest the kernel's slots can cycle through; 5 steps
     # fill two blocks and end in a partial one
-    g = build_grid([(0.0, 1.0), (0.0, 1.0)], (129, 129))
+    g = build_grid([(0.0, 1.0), (0.0, 1.0)], (257, 257))
+    assert g.num_nodes() > stepping._BLOCK_VALUES
     spec = make_spec(g, p=3.4, q=3.0, epsilon=1e-3, mu=0.8, profile="sine", amplitude=2.0)
     weight = 1.0 + g.coords()[0]
     ctl = StepControl(t_end=1.0, max_steps=5, snapshot_every=1, functional_weight=weight)
@@ -362,6 +367,18 @@ def test_run_pair_identical_dt_and_ordering():
     assert np.array_equal(pair.report_low.monitors["dt"], pair.report_high.monitors["dt"])
     h = g.spacing[0]
     assert np.min(pair.ordering_margin) >= -2 * h
+
+
+def test_run_pair_ordering_margin_shows_a_broken_order():
+    # negative control: ordered data whose solutions cross. The low problem
+    # has twice the source and the high one none, so the low field rises
+    # above the high one, and the margin must go well below the -2h that
+    # the comparison tests allow (about -0.076 against -0.05)
+    g = build_grid((0.0, 1.0), 41)
+    low = make_spec(g, 3.0, 2.5, mu=2.0, profile="sine", amplitude=1.0)
+    high = make_spec(g, 3.0, 2.5, mu=0.0, profile="sine", amplitude=1.0)
+    pair = run_pair(low, high, StepControl(t_end=0.01))
+    assert np.min(pair.ordering_margin) < -2 * g.spacing[0]
 
 
 def test_run_pair_translation_invariance_exact_ordering():
