@@ -30,6 +30,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+SECONDS = 50  # the benchmark's run length
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -39,14 +40,14 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One benchmark run in `checkout`: its result line, provenance and the
     hash of its fingerprints."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", repr(seconds), "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", "0"]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
-                          timeout=20 * seconds + 300)
+                          timeout=20 * SECONDS + 300)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {done.returncode}:\n"
@@ -90,7 +91,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=50.0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -99,7 +99,7 @@ def main(argv=None) -> int:
     for pair in range(1, args.pairs + 1):
         order = SIDES if pair % 2 else SIDES[::-1]
         for side in order:
-            r = run_once(dirs[side], args.workload, args.seed, args.seconds)
+            r = run_once(dirs[side], args.workload, args.seed)
             runs.append({"pair": pair, "side": side, **r})
             wall = r["result"]["metrics"].get("wall_s", {}).get("value")
             print(f"pair {pair} {side}: wall_s {wall} failed {r['result']['failed']}",
@@ -108,7 +108,7 @@ def main(argv=None) -> int:
     provs = {side: next(r["provenance"] for r in runs if r["side"] == side) for side in SIDES}
     entry = {
         "command": f"python3 perfbench/run.py --workload {args.workload} --seed {args.seed} "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {SECONDS} --trace 0",
         "order": "pairs alternate which side runs first: pair 1 runs the parent first",
         "commit": {side: provs[side].get("commit") for side in SIDES},
         "src_sha256": {side: provs[side].get("src_sha256") for side in SIDES},
