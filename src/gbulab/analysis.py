@@ -246,11 +246,12 @@ def _shells(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
-def shell_maxima(state: SolutionState) -> tuple[np.ndarray, np.ndarray]:
-    """(delta values, max |grad u| per delta shell), ascending, delta > 0."""
-    deltas, order, starts = _shells(state.grid)
+def shell_maxima(grid: Grid, mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(delta values, max of the node field `mag` per delta shell),
+    ascending, delta > 0; `mag` is a state's |grad u|."""
+    deltas, order, starts = _shells(grid)
     with np.errstate(invalid="ignore"):  # a NaN node makes its shell's max NaN, as np.max does
-        return deltas, np.maximum.reduceat(state.grad_mag.ravel()[order], starts)
+        return deltas, np.maximum.reduceat(mag.ravel()[order], starts)
 
 
 def _anchored_slope(deltas: np.ndarray, vals: np.ndarray) -> float:
@@ -292,11 +293,11 @@ def _envelope_weights(grid: Grid, gamma_star: float) -> tuple[np.ndarray, np.nda
     return out
 
 
-def envelope_constants(state: SolutionState, gamma_star: float) -> tuple[float, float]:
-    """(C1, C2) with C2 the interior gradient bound and C1 minimal such that
-    |grad u| <= C1 delta^(-gamma*) + C2 at every node off the boundary."""
-    interior, pos, weight = _envelope_weights(state.grid, gamma_star)
-    mag = state.grad_mag
+def envelope_constants(grid: Grid, mag: np.ndarray, gamma_star: float) -> tuple[float, float]:
+    """(C1, C2) with C2 the interior bound of the node field `mag` (a
+    state's |grad u|) and C1 minimal such that mag <= C1 delta^(-gamma*) + C2
+    at every node off the boundary."""
+    interior, pos, weight = _envelope_weights(grid, gamma_star)
     # the node farthest from the boundary is always interior
     c2 = float(np.max(mag[interior]))
     c1 = float(np.max(np.maximum(mag[pos] - c2, 0.0) * weight))
@@ -306,8 +307,9 @@ def envelope_constants(state: SolutionState, gamma_star: float) -> tuple[float, 
 def write_shell_profile_csv(path, state: SolutionState, gamma_star: float) -> None:
     """Shell table (columns: delta_shell, max_grad, bound_value) with the
     envelope evaluated at the fitted constants."""
-    c1, c2 = envelope_constants(state, gamma_star)
-    shells, maxima = shell_maxima(state)
+    mag = state.grad_mag
+    c1, c2 = envelope_constants(state.grid, mag, gamma_star)
+    shells, maxima = shell_maxima(state.grid, mag)
     with open(path, "w") as f:
         f.write("delta_shell,max_grad,bound_value\n")
         for d, m in zip(shells, maxima):
@@ -325,8 +327,9 @@ def fit_profile(state: SolutionState, gamma_star: float) -> ProfileFit:
     shell above the interior threshold has no boundary layer and is
     trivially compliant (slope 0). The slope statistic is the shallowest
     inner-anchored window fit over the hot shells."""
-    c1, c2 = envelope_constants(state, gamma_star)
-    shells, maxima = shell_maxima(state)
+    mag = state.grad_mag
+    c1, c2 = envelope_constants(state.grid, mag, gamma_star)
+    shells, maxima = shell_maxima(state.grid, mag)
     floor = max(1.5 * c2, 1e-300)
     if maxima[0] <= floor:
         return ProfileFit(c1=c1, c2=c2, slope=0.0, n_shells=0, n_hot=0, t=state.t)
@@ -432,7 +435,8 @@ def interior_boundedness_check(
     if not region.any():
         raise ValueError(f"no nodes at distance >= {d0}")
     bound = c1 * d0 ** (-gamma_star) + c2
-    sup = max(float(np.max(s.grad_mag[region])) for s in states)
+    # np.max, not max: a NaN in any state makes the sup NaN, which fails
+    sup = float(np.max([np.max(s.grad_mag[region]) for s in states]))
     return _report(
         "interior_boundedness", bound - sup, 0.0,
         f"d0={d0}", bound=bound, sup=sup, nodes=int(region.sum()),

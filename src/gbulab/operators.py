@@ -11,7 +11,7 @@ the faces.
 
 `StepKernel` computes all of these into buffers it allocates once; the
 public functions below are thin wrappers that build a kernel per call,
-except `gradient`, which reuses one kernel per grid.
+except `gradient` and `gradient_magnitude`, which reuse one kernel per grid.
 """
 from __future__ import annotations
 
@@ -202,9 +202,11 @@ class StepKernel:
             if q is not None:
                 s_half, src = self.s_half_slots[nxt], self._src[nxt]
                 calls.append(_power(q / 2.0, sq, s_half))
-                if own_src is not None:
-                    calls += [(np.subtract, (s_half, shift_op, src)),
-                              (np.multiply, (mu_op, src, src))]
+                # x - 0.0 and 1.0 * x are exact, so those calls are left out
+                if shift != 0.0:
+                    calls.append((np.subtract, (s_half, shift_op, src)))
+                if mu != 1.0:
+                    calls.append((np.multiply, (mu_op, s_half if shift == 0.0 else src, src)))
             self._s_end = self._r_end = len(calls)
             if p is not None and q is not None:
                 rhs = self.rhs_slots[nxt]
@@ -318,6 +320,12 @@ def gradient(state: SolutionState) -> tuple[np.ndarray, ...]:
     return tuple(g.copy() for g in kernel.grad)
 
 
+def gradient_magnitude(state: SolutionState) -> np.ndarray:
+    """|grad u| at every node, from the same kernel as `gradient`: |g| in
+    1D, sqrt(gx*gx + gy*gy) in 2D."""
+    return _gradient_kernel(state.grid).load(state.u).mag.copy()
+
+
 def face_fluxes(u: np.ndarray, grid: Grid, p: float, eps: float) -> list[np.ndarray]:
     """Diffusive flux on the faces along each axis.
 
@@ -421,8 +429,9 @@ def weak_residual(states, spec: ProblemSpec, psi) -> float:
 
     def level_term(state: SolutionState, psi_f: np.ndarray) -> float:
         gpsi = gradient(SolutionState(grid, psi_f, state.t))
-        gu = state.grad
-        mag = state.grad_mag
+        # the kernel's own buffers, read before its next load
+        kernel = _gradient_kernel(state.grid).load(state.u)
+        gu, mag = kernel.grad, kernel.mag
         coef = np.power(mag, spec.p - 2.0)
         flux_dot = sum(coef * gu[k] * gpsi[k] for k in range(grid.dimension))
         source = spec.mu * np.power(mag, spec.q) * psi_f

@@ -82,9 +82,11 @@ class ProblemSpec:
 
 
 class SolutionState:
-    """Grid field u at time t with a lazily cached gradient-magnitude field."""
+    """Grid field u at time t. It holds the field only: `grad` and
+    `grad_mag` compute a new array on every read, so a reader that needs
+    one of them twice keeps the array it got."""
 
-    __slots__ = ("grid", "u", "t", "_grad", "_grad_mag")
+    __slots__ = ("grid", "u", "t")
 
     def __init__(self, grid: Grid, u: np.ndarray, t: float = 0.0):
         u = np.asarray(u, dtype=float)
@@ -93,26 +95,18 @@ class SolutionState:
         self.grid = grid
         self.u = u
         self.t = float(t)
-        self._grad = None
-        self._grad_mag = None
 
     @property
     def grad(self) -> tuple[np.ndarray, ...]:
-        if self._grad is None:
-            from .operators import gradient
+        from .operators import gradient
 
-            self._grad = gradient(self)
-        return self._grad
+        return gradient(self)
 
     @property
     def grad_mag(self) -> np.ndarray:
-        if self._grad_mag is None:
-            g = self.grad
-            if len(g) == 1:
-                self._grad_mag = np.abs(g[0])
-            else:
-                self._grad_mag = np.sqrt(sum(c * c for c in g))
-        return self._grad_mag
+        from .operators import gradient_magnitude
+
+        return gradient_magnitude(self)
 
     def copy(self) -> "SolutionState":
         return SolutionState(self.grid, self.u.copy(), self.t)

@@ -1,3 +1,6 @@
+import gc
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -314,7 +317,7 @@ def test_fit_profile_insufficient_collar_on_coarse_grid():
 
 def test_shell_maxima_excludes_boundary():
     st = synthetic_layer_state(n=41)
-    shells, mx = shell_maxima(st)
+    shells, mx = shell_maxima(st.grid, st.grad_mag)
     assert np.all(shells > 0)
     assert len(shells) == 20
 
@@ -335,7 +338,7 @@ def test_shell_maxima_matches_per_shell_loop(shape):
     uniq = uniq[uniq > 0]
     expected = np.array([np.max(vals[keys == d]) for d in uniq])
     assert np.isnan(expected).any() and not np.isnan(expected).all()
-    shells, maxima = shell_maxima(st)
+    shells, maxima = shell_maxima(g, vals.reshape(shape))
     assert np.array_equal(shells, uniq)
     assert np.array_equal(maxima, expected, equal_nan=True)
 
@@ -344,7 +347,7 @@ def test_cached_grid_arrays_are_read_only():
     # the distance and the shell index are shared by every fit on a grid,
     # so a write into them must fail rather than skew later fits
     g = build_grid([(0.0, 1.0), (0.0, 1.5)], (17, 23))
-    shells, _ = shell_maxima(SolutionState(g, np.zeros(g.shape)))
+    shells, _ = shell_maxima(g, np.zeros(g.shape))
     for cached in (boundary_distance(g), shells, *_shells(g)):
         with pytest.raises(ValueError, match="read-only"):
             cached[1] = 0
@@ -399,6 +402,35 @@ def test_profile_check_rejects_an_unstable_envelope(amplitudes, c1_spread, passe
     assert report.passed is passes
 
 
+def test_profile_checks_leave_the_snapshots_their_fields_only():
+    # the two checks read |grad u| of every snapshot; a snapshot that cached
+    # it (or its gradient) would hold about 2.6x its field. The bound leaves
+    # room for numpy's small-block cache only.
+    g = build_grid((0.0, 1.0), 201)
+    spec = make_spec(g, p=3.0, q=4.0, profile="sine", amplitude=1.5)
+
+    def checks(states):
+        gradient_profile_check(states, 3.0, 4.0, states[-1].t)
+        interior_boundedness_check(states, 1 / 3, 1.0, 1.0, 0.5)
+
+    # the first call on a grid builds its read-only caches; those stay
+    checks(run(spec, StepControl(t_end=0.35, max_steps=5, snapshot_every=1))[0].states)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        traj, _ = run(spec, StepControl(t_end=0.35, theta=1.0, max_steps=2000,
+                                        snapshot_every=5))
+        checks(traj.states)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    own = sum(sys.getsizeof(s) + sys.getsizeof(s.u) + sys.getsizeof(s.t) for s in traj.states)
+    own += sum(sys.getsizeof(m) for m in traj.monitors.values())
+    assert len(traj.states) == 401
+    assert held <= 1.05 * own
+
+
 # -- interior boundedness ----------------------------------------------------------------
 
 def test_interior_boundedness_stationary():
@@ -418,6 +450,22 @@ def test_interior_boundedness_brackets_the_region_sup(readme_sine_traj, factor, 
     sup = max(float(np.max(s.grad_mag[region])) for s in states)
     report = interior_boundedness_check(states, 1 / 3, 0.0, factor * sup, 2.0)
     assert report.passed is passes
+
+
+@pytest.mark.parametrize("nan_first", [False, True], ids=["nan_second", "nan_first"])
+def test_interior_boundedness_fails_on_a_nan_state_in_any_place(nan_first):
+    # a NaN node in the region makes that state's sup NaN, and the check
+    # must fail whichever place the state has in the list
+    g = build_grid((0.0, 1.0), 41)
+    ok = SolutionState(g, np.sin(np.pi * g.axis_coords(0)))
+    bad = ok.u.copy()
+    bad[20] = np.nan
+    states = [ok, SolutionState(g, bad, 0.1)]
+    assert interior_boundedness_check(states[:1], 0.25, 1.0, 1.0, 0.5).passed
+    report = interior_boundedness_check(states[::-1] if nan_first else states,
+                                        0.25, 1.0, 1.0, 0.5)
+    assert not report.passed
+    assert np.isnan(report.details["sup"])
 
 
 def test_interior_boundedness_rejects_touching_boundary():

@@ -106,6 +106,8 @@ def reference_step(u, spec, dt):
     (3.0, 4.0, 0.0, 1.0),  # sqrt and multiply for the powers; the source is s_half
     (3.0, 4.0, 1e-3, 0.9),
     (3.4, 2.7, 1e-3, 0.9),  # np.power for both
+    (3.0, 2.5, 1e-3, 1.0),  # no multiply by mu
+    (3.0, 4.0, 0.0, 0.9),  # no subtraction of eps^(q/2)
 ])
 @pytest.mark.parametrize("shape", [(201,), (17, 21)])
 def test_kernel_steps_bitwise_as_plain_numpy(shape, p, q, eps, mu):
@@ -162,10 +164,16 @@ def test_gradient_2d_components():
     assert np.allclose(gy, 3.0, atol=1e-12)
 
 
-def test_gradient_cache_matches_fresh():
-    st = state_1d(np.sin, n=31)
-    cached = st.grad_mag.copy()
-    assert np.array_equal(cached, np.abs(gradient(st)[0]))
+@pytest.mark.parametrize("dim", [1, 2])
+def test_gradient_magnitude_bitwise_from_the_gradient(dim):
+    if dim == 1:
+        st = state_1d(lambda x: np.sin(3 * x) + x * x, n=31)
+        expected = np.abs(gradient(st)[0])
+    else:
+        st = state_2d(lambda x, y: np.sin(3 * x) * np.cos(2 * y) + x * y, n=13)
+        gx, gy = gradient(st)
+        expected = np.sqrt(gx * gx + gy * gy)
+    assert np.array_equal(st.grad_mag, expected)
 
 
 # -- regularized diffusion -------------------------------------------------------

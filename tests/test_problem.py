@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gbulab import ProblemSpec, build_grid, make_spec
+from gbulab import ProblemSpec, SolutionState, build_grid, make_spec
 from gbulab.operators import StepKernel
 
 
@@ -35,3 +35,13 @@ def test_spec_and_kernel_reject_nan_or_negative_eps_and_mu(spec_key, kernel_key,
         make_spec(g, p=3.0, q=2.5, **{spec_key: value})
     with pytest.raises(ValueError, match=message):
         StepKernel(g, p=3.0, q=2.5, **{kernel_key: value})
+
+
+def test_solution_state_holds_its_field_only():
+    # grad and grad_mag are computed on every read; nothing is kept on the
+    # state, so thousands of snapshots hold their fields and no more
+    st = make_spec(build_grid((0.0, 1.0), 41), p=3.0, q=2.5).initial_state()
+    assert SolutionState.__slots__ == ("grid", "u", "t")
+    assert not hasattr(st, "__dict__")
+    mag = st.grad_mag
+    assert st.grad_mag is not mag and np.array_equal(st.grad_mag, mag)

@@ -135,7 +135,7 @@ def test_step_repins_boundary_and_invalidates_cache():
     bd = spec.grid.boundary_mask()
     assert np.array_equal(out.u[bd], spec.boundary_values[bd])
     fresh = np.abs(np.gradient(out.u, spec.grid.spacing[0]))
-    assert np.max(np.abs(out.grad_mag - fresh)) < 0.2  # cache is for new field
+    assert np.max(np.abs(out.grad_mag - fresh)) < 0.2  # the new field's gradient
 
 
 # -- run ----------------------------------------------------------------------------
