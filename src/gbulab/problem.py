@@ -82,9 +82,9 @@ class ProblemSpec:
 
 
 class SolutionState:
-    """Grid field u at time t. It holds the field only: `grad` and
-    `grad_mag` compute a new array on every read, so a reader that needs
-    one of them twice keeps the array it got."""
+    """Grid field u at time t. It holds the field only: `grad_mag`
+    computes a new array on every read, so a reader that needs it twice
+    keeps the array it got (`operators.gradient` gives the components)."""
 
     __slots__ = ("grid", "u", "t")
 
@@ -95,12 +95,6 @@ class SolutionState:
         self.grid = grid
         self.u = u
         self.t = float(t)
-
-    @property
-    def grad(self) -> tuple[np.ndarray, ...]:
-        from .operators import gradient
-
-        return gradient(self)
 
     @property
     def grad_mag(self) -> np.ndarray:

@@ -38,8 +38,8 @@ def test_spec_and_kernel_reject_nan_or_negative_eps_and_mu(spec_key, kernel_key,
 
 
 def test_solution_state_holds_its_field_only():
-    # grad and grad_mag are computed on every read; nothing is kept on the
-    # state, so thousands of snapshots hold their fields and no more
+    # grad_mag is computed on every read; nothing is kept on the state, so
+    # thousands of snapshots hold their fields and no more
     st = make_spec(build_grid((0.0, 1.0), 41), p=3.0, q=2.5).initial_state()
     assert SolutionState.__slots__ == ("grid", "u", "t")
     assert not hasattr(st, "__dict__")

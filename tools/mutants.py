@@ -2,7 +2,6 @@
 
     python3 tools/mutants.py              # run every mutant
     python3 tools/mutants.py --list       # list the mutants and their tests
-    python3 tools/mutants.py NAME [NAME]  # run the named mutants only
 
 A check is worth something only if it can fail. Each mutant changes one
 line under `src/gbulab/` by an exact text edit (its old text may carry the
@@ -141,20 +140,14 @@ def run_mutant(mutant: Mutant) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
     parser.add_argument("--list", action="store_true", help="list the mutants and exit")
     args = parser.parse_args(argv)
-    known = {m.name: m for m in MUTANTS}
-    unknown = [n for n in args.names if n not in known]
-    if unknown:
-        parser.error(f"unknown mutants {unknown}; known: {sorted(known)}")
-    chosen = [known[n] for n in args.names] if args.names else list(MUTANTS)
     if args.list:
-        for m in chosen:
+        for m in MUTANTS:
             print(f"{m.name}\t{m.path}\t{' '.join(m.tests)}")
         return 0
 
-    union = sorted({t for m in chosen for t in m.tests})
+    union = sorted({t for m in MUTANTS for t in m.tests})
     with tempfile.TemporaryDirectory(prefix="gbulab-mutant-") as tmp:
         copy_checkout(Path(tmp))
         if pytest(Path(tmp), union) != 0:
@@ -164,7 +157,7 @@ def main(argv=None) -> int:
     print("| mutant | file | result | seconds |")
     print("| --- | --- | --- | --- |")
     survivors = 0
-    for m in chosen:
+    for m in MUTANTS:
         start = time.perf_counter()
         result = run_mutant(m)
         survivors += result != "caught"
