@@ -18,7 +18,6 @@ import math
 import os
 import sys
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -421,6 +420,9 @@ def _do_gbu_detect(cfg: RunConfig, out: Path, jobs: int, seed: int) -> int:
     controls = [replace(cfg.control, functional_weight=_weight(cfg, s.grid)) for s in specs]
     dirs = [out / "runs" / f"n{s.grid.points_per_axis[0]}" for s in specs]
     if jobs > 1:
+        # imported here: only parallel jobs start a process pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(specs))) as pool:
             results = list(pool.map(_gbu_job, specs, controls, dirs))
     else:

@@ -60,8 +60,8 @@ class StepKernel:
     `load` copies a field into the last slot and computes its gradient;
     `advance` writes the updated field into the next slot (slot 0 after a
     `load`) and returns it; `commit` makes it current and computes its
-    gradient, so a step computes the gradient once; `revert` makes the
-    previous slot current again. p (diffusion) or q (source) may be None to
+    gradient, so a step computes the gradient once; `rewind` makes a given
+    slot current again. p (diffusion) or q (source) may be None to
     build only the other term.
 
     Every slot has two prebuilt tuples of (ufunc, operands) calls on views
@@ -69,7 +69,7 @@ class StepKernel:
     field, its source and the rhs, and writes the update into the next slot;
     `advance` runs it, and `diffusion`, `source` and `interior_rhs` run its
     leading segments. The gradient tuple computes the central differences
-    of the slot's field, which `commit`, `load` and `revert` finish with the
+    of the slot's field, which `commit`, `load` and `rewind` finish with the
     one-sided stencils, |grad u| and W. So the arithmetic is written once,
     for 1D and 2D alike, and a step runs it without Python in between.
 
@@ -301,9 +301,10 @@ class StepKernel:
         self._cur = 0 if self._cur == self._last else self._cur + 1
         self._gradient()
 
-    def revert(self) -> None:
-        """Make the field before the last `commit` current again."""
-        self._cur = self._last if self._cur == 0 else self._cur - 1
+    def rewind(self, slot: int) -> None:
+        """Make the field in `slot` current again; its next `advance`
+        writes the slot after it."""
+        self._cur = slot
         self._gradient()
 
 

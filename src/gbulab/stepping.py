@@ -10,22 +10,27 @@ with W the current max nodal gradient magnitude and d the dimension. W is
 taken over all nodes, so it includes the one-sided second-order stencil at
 boundary nodes. Near blow-up that value exceeds the largest interior central
 gradient, the one the update applies, by a factor of 2 and more.
-A run terminates when t_end is reached, when ||grad u||_inf crosses the
-configured threshold (GBUDetected), or when the stable step collapses
-below dt_min / the field goes non-finite (StalledStep unless the gradient
-was still growing, which is reported as GBUDetected).
+A run ends at the first state that a rule of the table `STOP_RULES` flags.
+In priority order: ||grad u||_inf at the configured threshold
+(GBUDetected), t at t_end (Completed), the step count at max_steps, the
+stable step below dt_min (GBUDetected if the gradient grew on the last
+step, else StalledStep), and a field that goes non-finite (StalledStep, at
+the last finite state). The loop steps a block of rows, the rules read
+every row at once, and the kernels rewind to the earliest flagged row: the
+run ends with the state, t and monitors of a test after every step.
 
-`run` and `run_pair` share one loop over `operators.StepKernel`, so a
-lockstep pair ends with the same verdicts as a single run. Identical spec +
-control produce bit-identical monitor series.
+`run` and `run_pair` share that loop over `operators.StepKernel` and the
+table, so a lockstep pair ends with the same verdicts as a single run.
+Identical spec + control produce bit-identical monitor series.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import time
 import warnings
 from dataclasses import dataclass, replace
-from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -187,58 +192,94 @@ def step(state: SolutionState, spec: ProblemSpec, dt: float) -> SolutionState:
 
 # what np.max, np.min and np.sum call, minus their per-call Python wrapper
 _max, _min, _sum = np.maximum.reduce, np.minimum.reduce, np.add.reduce
-_W, _DT_STABLE = attrgetter("w"), attrgetter("dt_stable")
 
-# values held by each of a track's step-block buffers: about 320 steps per
-# block at n=201; a 2D grid of more nodes than this still gets 2 steps per
-# block, because the kernel reads the current field while it writes the next
+# values held by each of a track's step-block buffers: 326 rows at n=201,
+# the state a block starts from and 325 steps; a 2D grid of more nodes than
+# this still gets 2 rows, because the kernel reads the current field while it
+# writes the next
 _BLOCK_VALUES = 65536
+
+
+class StepRows(NamedTuple):
+    """Rows 0..m of a step block, as the stop rules read them: row 0 is the
+    state the block starts from, row j the state after its j-th step."""
+
+    t: np.ndarray
+    w: np.ndarray  # W, the largest |grad u| over the fields
+    bound: np.ndarray  # the step size the row's fields allow
+    steps: np.ndarray  # the run's count of steps
+    ws: np.ndarray  # each field's W, one row per field
+    fields: list[np.ndarray]  # each field's rows 0..m, views of its kernel's slots
+
+
+def _grew(rows: StepRows) -> np.ndarray:
+    """W above the row before; never at row 0, which is the run's first
+    state or a row that an earlier block's rules passed."""
+    return np.concatenate(([False], rows.w[1:] > rows.w[:-1]))
+
+
+def _nonfinite(rows: StepRows, control: StepControl) -> np.ndarray:
+    """The first row with a W that is not finite stops the run: at the row
+    before when a field there has a non-finite node, else at itself (no step
+    can follow it). Every node enters some gradient stencil, so a non-finite
+    node makes W non-finite, and only then are the nodes themselves tested."""
+    flags = np.zeros(len(rows.t), bool)
+    for j in np.flatnonzero(~np.isfinite(rows.ws).all(0))[:1]:
+        flags[j - any(not np.isfinite(u[j]).all() for u in rows.fields)] = True
+    return flags
+
+
+# The stop rules, in their priority: (reason, verdict, test), where a test
+# maps a block's rows to one flag per row. A run stops at the earliest
+# flagged row and, of the rules that flag it, takes the first; a GBU verdict
+# is detected at that row's t.
+STOP_RULES = (
+    ("threshold", GBU_DETECTED, lambda rows, c: rows.w >= c.gbu_threshold),
+    ("t_end", COMPLETED, lambda rows, c: rows.t >= c.t_end),
+    ("max_steps", STALLED, lambda rows, c: rows.steps >= (c.max_steps or math.inf)),
+    ("dt_floor", GBU_DETECTED, lambda rows, c: (rows.bound < c.dt_min) & _grew(rows)),
+    ("dt_floor", STALLED, lambda rows, c: (rows.bound < c.dt_min) & ~_grew(rows)),
+    ("nonfinite", STALLED, _nonfinite),
+)
 
 
 class _Track:
     """One field of a run: its kernel, monitors, accumulators and snapshots.
 
-    The kernel's slots are the rows of a step block: each accepted step's
-    new field, and the rhs and (|grad u|^2+eps)^(q/2) values it was computed
-    from, land in the row of its place in the block, and its t, dt and W in
-    that row of `_tdw`. The monitors are reduced a block at a time, with the
-    same bits as one step at a time: a row-wise reduction sums each row as a
-    reduction over that row alone does, and an accumulate adds in sequence."""
+    The kernel's slots are the rows of a step block: slot 0 holds the state
+    the block starts from, and slot j the field of the block's j-th step with
+    the rhs and (|grad u|^2+eps)^(q/2) values it was computed from. The
+    monitors are reduced a block at a time, with the same bits as one step
+    at a time: a row-wise reduction sums each row as a reduction over that
+    row alone does, and an accumulate adds in sequence."""
 
-    def __init__(self, spec: ProblemSpec, control: StepControl):
+    def __init__(self, spec: ProblemSpec, control: StepControl, rows: int):
         grid = spec.grid
         self.spec = spec
-        rows = max(2, _BLOCK_VALUES // grid.num_nodes())
         self.kernel = kernel = StepKernel.of(spec, slots=rows)
         kernel.load(spec.initial)
-        self._bound = _dt_bound(spec, grid.h_min, grid.dimension, control.theta)
-        self.dt_stable = self._bound(kernel.w)  # the largest step the current field allows
+        self.bound = _dt_bound(spec, grid.h_min, grid.dimension, control.theta)
         self.e0 = integrate(grid, np.power(kernel.mag**2 + spec.epsilon, spec.p / 2.0))
         self.weight = control.functional_weight
         if self.weight is not None and self.weight.shape != grid.shape:
             raise ValueError("functional_weight must be a grid field")
         self.qw = quadrature_weights(grid)
         self.qw_inner = self.qw[grid.interior_slice()]
-        self._rows, self._stride = rows, control.monitor_stride
+        self._stride = control.monitor_stride
         self._u, self._s_half, self._rhs = kernel.fields, kernel.s_half_slots, kernel.rhs_slots
         self._tmp, self._tmp_inner = np.empty_like(self._u), np.empty_like(self._rhs)
-        self._tdw = np.empty((3, rows))  # t, dt and W of each buffered step
-        self._t, self._dt, self._w = self._tdw
-        self._acc = np.empty((2, rows + 1))  # the two accumulators' running sums
-        self._buffered = self._reduced = 0  # steps in the block, and before it
+        self._acc = np.empty((2, rows))  # the two accumulators' running sums
         self.blocks: list[np.ndarray] = []  # monitor rows in MONITOR_COLUMNS order
         self.snapshots = [SolutionState(grid, spec.initial.copy(), 0.0)]
         self.crossings: dict[float, float] = {}
-        self.pending = list(control.report_thresholds)
+        self.thresholds = control.report_thresholds
         self.ut_l2_acc = self.src_energy_acc = 0.0
-        self.dt_last = 0.0  # of the last accepted step
         self.min_overall, self.max_overall = math.inf, -math.inf
         self._record_current(0.0, 0.0)
 
     def _fields(self, u: np.ndarray) -> tuple:
         """(min, max, y) of each field in the block u; min and max also go
-        into the overall extrema. Only finite fields get here: a step to a
-        non-finite one is reverted."""
+        into the overall extrema."""
         axes = tuple(range(1, u.ndim))
         mn, mx = _min(u, axes), _max(u, axes)
         self.min_overall = min(self.min_overall, _min(mn).item())
@@ -256,37 +297,23 @@ class _Track:
             [t], mx, mn, [self.kernel.w], y, [self.ut_l2_acc], [math.nan],
             [self.src_energy_acc], [dt_used])))
 
-    def advance(self, dt: float) -> bool:
-        """Step the field and make it current; False when it is not finite.
-        Every node enters some gradient stencil, so a non-finite node makes
-        W non-finite, and only then are the nodes themselves tested."""
-        kernel = self.kernel
-        kernel.advance(dt)
-        kernel.commit()
-        self.dt_stable = self._bound(kernel.w)
-        return math.isfinite(kernel.w) or bool(np.isfinite(kernel.u).all())
-
-    def accept(self, t: float, dt: float, snapshot: bool) -> None:
-        k = self._buffered
-        self._t[k], self._dt[k], self._w[k] = t, dt, self.kernel.w
-        self.dt_last = dt
-        self._buffered = k + 1
-        if k + 1 == self._rows:
-            self._flush()
-        if snapshot:
-            self.snapshots.append(SolutionState(self.spec.grid, self.kernel.u.copy(), t))
-
-    def _flush(self) -> None:
-        """Reduce the buffered steps to monitors, advance the accumulators in
-        step order and keep the rows of the steps on the monitor stride."""
-        m = self._buffered
+    def read(self, t: np.ndarray, dt: np.ndarray, w: np.ndarray, steps: int,
+             snapshots: np.ndarray) -> None:
+        """Read a block's rows 0..r (their t, dt and this field's W; `steps`
+        counts the run's steps at row 0): report-threshold crossings from
+        every row, monitors, accumulators and the `snapshots` rows from rows
+        1..r. Only finite fields get here: rows past a stop are not read."""
+        for g in self.thresholds:
+            for j in np.flatnonzero(w >= g)[:1]:
+                self.crossings.setdefault(g, t[j].item())
+        m = len(t) - 1
+        for j in snapshots:
+            self.snapshots.append(SolutionState(self.spec.grid, self._u[j].copy(), t[j].item()))
         if not m:
             return
-        first = self._reduced + 1  # the run's count of steps at the block's first row
-        self._buffered, self._reduced = 0, self._reduced + m
-        t, dt, w = self._tdw[:, :m]
-        mn, mx, y = self._fields(self._u[:m])
-        rhs, s_half = self._rhs[:m], self._s_half[:m]
+        t, dt, w = t[1:], dt[1:], w[1:]
+        mn, mx, y = self._fields(self._u[1 : m + 1])
+        rhs, s_half = self._rhs[1 : m + 1], self._s_half[1 : m + 1]
         axes = tuple(range(1, rhs.ndim))
         max_ut = _max(rhs, axes)
         # row 0: ut_l2_acc, then dt * ut_l2 per step; row 1 the same for the
@@ -300,17 +327,16 @@ class _Track:
         np.multiply(dt, acc[:, 1:], acc[:, 1:])
         acc = np.add.accumulate(acc, 1)
         self.ut_l2_acc, self.src_energy_acc = acc[:, -1].tolist()
-        rows = slice(-first % self._stride, m, self._stride)
+        rows = slice(-(steps + 1) % self._stride, m, self._stride)
         if rows.start < m:
             cols = (t, mx, mn, w, y, acc[0, 1:], max_ut, acc[1, 1:], dt)
             self.blocks.append(np.column_stack([c[rows] for c in cols]))
 
-    def finish(self, t: float, steps: int, outcome: tuple):
-        self._flush()
+    def finish(self, t: float, dt_last: float, steps: int, outcome: tuple):
         if self.snapshots[-1].t != t:
             self.snapshots.append(SolutionState(self.spec.grid, self.kernel.u.copy(), t))
         if self.blocks[-1][-1][0] != t:  # final partial-stride step still gets a row
-            self._record_current(t, self.dt_last)
+            self._record_current(t, dt_last)
         # one array per column: a single (rows, columns) array would need one
         # allocation of every row's size, which a heap fragmented by earlier
         # runs' snapshots fits less often
@@ -335,79 +361,90 @@ class _Track:
         return traj, report
 
 
-def _integrate(specs, control: StepControl, on_step=None) -> list[tuple[Trajectory, RunReport]]:
+def _integrate(specs, control: StepControl):
     """Step each spec's field with one shared dt, the least of their stable
-    steps, until t_end, a threshold crossing or a stall. The verdict tests
-    W, the largest gradient over the fields. on_step(tracks, t) runs after
-    every accepted step."""
+    steps, a block at a time, until a row of a block meets a stop rule.
+    Returns each spec's (trajectory, report) and, for two specs, the t of
+    the start and of every accepted step with min(u_1 - u_0) over the nodes.
+
+    Per step the loop computes the bound and the target time, advances and
+    commits each kernel, and writes t, dt, each field's W and the next bound
+    into the block's rows. It leaves a block early only when no further step
+    may follow: t at t_end, the step count at max_steps, or a bound below
+    dt_min (which includes a W that is not finite). The rules then read the
+    rows, and the kernels rewind to the stop row."""
     t_start = time.perf_counter()
-    tracks = [_Track(spec, control) for spec in specs]
-    kernels = [tr.kernel for tr in tracks]
-    t_end, dt_min, threshold = control.t_end, control.dt_min, control.gbu_threshold
-    max_steps, every = control.max_steps, control.snapshot_every
-    marks = [t for t in control.t_marks if 0.0 < t <= t_end]
-    t = 0.0
-    verdict, reason, t_detect = COMPLETED, "t_end", None
-    steps = 0
-    grad_prev = max(map(_W, kernels))
+    rows = max(2, _BLOCK_VALUES // specs[0].grid.num_nodes())
+    tracks = [_Track(spec, control, rows) for spec in specs]
+    t_end, dt_min, max_steps = control.t_end, control.dt_min, control.max_steps
+    # the times a step ends at exactly: the marks, then t_end
+    marks = [t for t in control.t_marks if 0.0 < t < t_end] + [t_end]
+    # the block's rows: t, dt, the bound and each field's W
+    ts, dts, bs, *ws = [[0.0] * rows for _ in range(3 + len(tracks))]
+    lanes = [(tr.kernel, tr.bound, w) for tr, w in zip(tracks, ws)]
+    t, dt, steps = 0.0, 0.0, 0
+    bound = min(dt_bound(k.w) for k, dt_bound, _ in lanes)
+    times, margins = [], []
     while True:
-        w_now = max(map(_W, kernels))
-        for tr in tracks:
-            while tr.pending and tr.kernel.w >= tr.pending[0]:
-                tr.crossings[tr.pending.pop(0)] = t
-        if w_now >= threshold:
-            verdict, reason, t_detect = GBU_DETECTED, "threshold", t
-            break
-        if t >= t_end:
-            break
-        if max_steps and steps >= max_steps:
-            verdict, reason = STALLED, "max_steps"
-            break
+        for k, _, w in lanes:
+            np.copyto(k.fields[0], k.u)  # row 0: the state the block starts from
+            k.rewind(0)
+            w[0] = k.w
+        ts[0], dts[0], bs[0] = t, dt, bound
+        target = marks[bisect.bisect_right(marks, t)]
+        m = 0
+        todo = min(rows - 1, max_steps - steps if max_steps else rows) if bound >= dt_min else 0
+        for m in range(1, todo + 1):
+            # t is assigned the target exactly, so marks and t_end are hit bit-exactly
+            dt, t = (target - t, target) if bound >= target - t else (bound, t + bound)
+            bound = math.inf
+            for k, dt_bound, w in lanes:
+                k.advance(dt)
+                k.commit()
+                w[m] = k.w
+                b = dt_bound(k.w)
+                if b < bound or b != b:  # the least bound, or NaN from a W that is not finite
+                    bound = b
+            ts[m], dts[m], bs[m] = t, dt, bound
+            if t >= target:
+                if t >= t_end:
+                    break
+                target = marks[bisect.bisect_right(marks, t)]
+            if not bound >= dt_min:
+                break
 
-        dt_stable = min(map(_DT_STABLE, tracks))
-        if dt_stable < dt_min:
-            if w_now > grad_prev:
-                verdict, reason, t_detect = GBU_DETECTED, "dt_floor", t
-            else:
-                verdict, reason = STALLED, "dt_floor"
+        w = np.array([w[: m + 1] for w in ws])
+        block = StepRows(np.array(ts[: m + 1]), _max(w), np.array(bs[: m + 1]),
+                         steps + np.arange(m + 1), w, [k.fields[: m + 1] for k, _, _ in lanes])
+        # the earliest flagged row, and the first rule that flags it
+        flags = np.array([test(block, control) for _, _, test in STOP_RULES])
+        stop = np.flatnonzero(flags.any(0))[:1]
+        r = stop[0].item() if stop.size else m
+        t_rows, dt_rows = block.t[: r + 1], np.array(dts[: r + 1])
+        cadence = np.arange(steps + 1, steps + r + 1) % (control.snapshot_every or math.inf)
+        snaps = 1 + np.flatnonzero((cadence == 0) | np.isin(t_rows[1:], marks))
+        for tr, w_tr in zip(tracks, w):
+            tr.read(t_rows, dt_rows, w_tr[: r + 1], steps, snaps)
+        if len(lanes) == 2:  # run_pair's times and ordering margins
+            first = 1 if steps else 0  # row 0 is new in the first block only
+            times.append(t_rows[first:])
+            low, high = (k.fields[first : r + 1] for k, _, _ in lanes)
+            margins.append(_min(high - low, tuple(range(1, low.ndim))))
+        t, dt, steps = ts[r], dts[r], steps + r
+        if stop.size:
             break
-        grad_prev = w_now
-
-        while marks and marks[0] <= t:
-            marks.pop(0)
-        target = min(marks[0], t_end) if marks else t_end
-        if dt_stable >= target - t:
-            dt = target - t
-            t_new = target  # assign exactly so marks and t_end are hit bit-exactly
-            hit = bool(marks) and target == marks[0]
-            if hit:
-                marks.pop(0)
-        else:
-            dt, t_new, hit = dt_stable, t + dt_stable, False
-
-        finite = True
-        for tr in tracks:
-            finite = tr.advance(dt) and finite
-        if not finite:
-            for k in kernels:
-                k.revert()  # back to the last accepted field
-            verdict, reason = STALLED, "nonfinite"
-            break
-        t = t_new
-        steps += 1
-        snapshot = hit or bool(every and steps % every == 0)
-        for tr in tracks:
-            tr.accept(t, dt, snapshot)
-        if on_step is not None:
-            on_step(tracks, t)
-
-    outcome = (verdict, reason, t_detect, time.perf_counter() - t_start)
-    return [tr.finish(t, steps, outcome) for tr in tracks]
+    for k, _, _ in lanes:
+        k.rewind(r)
+    reason, verdict, _ = STOP_RULES[flags[:, r].argmax()]
+    outcome = (verdict, reason, t if verdict == GBU_DETECTED else None,
+               time.perf_counter() - t_start)
+    results = [tr.finish(t, dt, steps, outcome) for tr in tracks]
+    return results, (np.concatenate(times), np.concatenate(margins)) if margins else None
 
 
 def run(spec: ProblemSpec, control: StepControl) -> tuple[Trajectory, RunReport]:
     """Integrate until t_end, threshold crossing, or stall."""
-    return _integrate([spec], control)[0]
+    return _integrate([spec], control)[0][0]
 
 
 @dataclass
@@ -436,19 +473,9 @@ def run_pair(
         raise ValueError("initial data must be ordered: u0_low <= u0_high")
     if np.any(spec_low.boundary_values > spec_high.boundary_values):
         raise ValueError("boundary data must be ordered: g_low <= g_high")
-
-    margins = [float(np.min(spec_high.initial - spec_low.initial))]
-    times = [0.0]
-
-    def on_step(tracks, t):
-        margins.append(float(np.min(tracks[1].kernel.u - tracks[0].kernel.u)))
-        times.append(t)
-
-    (traj_low, report_low), (traj_high, report_high) = _integrate(
-        [spec_low, spec_high], control, on_step
-    )
-    return PairReport(traj_low, traj_high, report_low, report_high, np.array(margins),
-                      np.array(times))
+    ((traj_low, report_low), (traj_high, report_high)), (times, margins) = _integrate(
+        [spec_low, spec_high], control)
+    return PairReport(traj_low, traj_high, report_low, report_high, margins, times)
 
 
 # -- GBU verdict over threshold/resolution families ---------------------------
@@ -641,7 +668,8 @@ def write_monitors_csv(path, monitors: dict[str, np.ndarray]) -> None:
 def read_monitors_csv(path) -> dict[str, np.ndarray]:
     """The columns of a monitors.csv, bit for bit as written. numpy's text
     reader rounds each value correctly, as float() does, and builds the
-    array without one Python float per value (13 MB for a 35 000-row run)."""
+    array without one Python float per value (13 MB for a 35 000-row run).
+    A file without rows is an error: every run writes its first state."""
     with open(path) as f:
         header = f.readline().strip().split(",")
         if tuple(header) != MONITOR_COLUMNS:
@@ -650,7 +678,7 @@ def read_monitors_csv(path) -> dict[str, np.ndarray]:
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             data = np.loadtxt(f, delimiter=",", ndmin=2)
     if data.size == 0:
-        data = np.empty((0, len(MONITOR_COLUMNS)))
+        raise ValueError(f"{path} holds no monitor rows")
     if data.shape[1] != len(MONITOR_COLUMNS):
         raise ValueError(f"monitor rows hold {data.shape[1]} values, not {len(MONITOR_COLUMNS)}")
     return {name: data[:, k] for k, name in enumerate(MONITOR_COLUMNS)}

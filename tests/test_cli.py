@@ -7,7 +7,7 @@ import pytest
 from gbulab import fieldio
 from gbulab.cli import _VERBS, ConfigError, canonical_text, dispatch, main, parse_config
 from gbulab.schema import SchemaError, load_schema, validate
-from gbulab.stepping import epsilon_continuation, read_monitors_csv, run
+from gbulab.stepping import MONITOR_COLUMNS, epsilon_continuation, read_monitors_csv, run
 
 try:
     import jsonschema
@@ -636,6 +636,22 @@ def test_stored_check_on_an_old_monitor_header_exit_3(tmp_path):
     failure = json.loads((out / "failure.json").read_text())
     assert "unexpected monitor columns" in failure["message"]
     assert str(old.split(",")) in failure["message"]
+    assert not (out / "compliance_report.json").exists()
+
+
+def test_stored_check_on_a_monitor_file_without_rows_exit_3(tmp_path):
+    # a header and no rows: the failure names the file, instead of an
+    # IndexError from the check's first row
+    csv_path = tmp_path / "monitors.csv"
+    csv_path.write_text(",".join(MONITOR_COLUMNS) + "\n")
+    text = COMPLIANCE_CFG.split("[control]")[0] + (
+        f"[compliance]\nchecks = max_principle\ntrajectory = {csv_path}\n")
+    path = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["check", "--config", str(path), "--out", str(out)]) == 3
+    failure = json.loads((out / "failure.json").read_text())
+    assert failure["error"] == "ValueError"
+    assert f"{csv_path} holds no monitor rows" in failure["message"]
     assert not (out / "compliance_report.json").exists()
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -460,6 +461,90 @@ def test_step_bound_overflow_ends_in_dt_floor_verdict():
         assert (r.verdict, r.reason, r.steps) == (STALLED, "dt_floor", 0)
 
 
+# -- stop rules ----------------------------------------------------------------------
+
+def run_outputs(traj, rep):
+    """Everything a run reports but its wall time, compared bit for bit."""
+    return ({k: v.tobytes() for k, v in rep.monitors.items()},
+            [(s.t, s.u.tobytes()) for s in traj.states],
+            rep.threshold_crossings, rep.verdict, rep.reason, rep.steps, rep.t_detect,
+            rep.min_u_overall, rep.max_u_overall, rep.initial_gradient_energy)
+
+
+GBU_SPEC = sine_spec(101, q=4.0, amp=3.0)
+DECAY_SPEC = sine_spec(101, q=2.5)
+# the first step after 40 makes the field non-finite
+OVERFLOW_SPEC = sine_spec(41, q=4.0, amp=3e76)
+OVERFLOW_CONTROL = StepControl(t_end=0.01, dt_min=1e-320, gbu_threshold=1e300,
+                               report_thresholds=(2e77,), snapshot_every=3)
+
+
+@pytest.mark.parametrize(("spec", "control", "verdict", "reason", "steps", "odd_rows"), [
+    (GBU_SPEC, StepControl(t_end=0.25, gbu_threshold=60.0, snapshot_every=7, monitor_stride=3,
+                           report_thresholds=(15.0, 30.0, 60.0), t_marks=(0.004,)),
+     GBU_DETECTED, "threshold", 1286, 7),
+    (DECAY_SPEC, StepControl(t_end=0.002, t_marks=(0.0005, 0.0013), snapshot_every=50,
+                             monitor_stride=4, report_thresholds=(3.0, 3.2)),
+     COMPLETED, "t_end", 517, 7),
+    (DECAY_SPEC, StepControl(t_end=1.0, max_steps=300, snapshot_every=9), STALLED, "max_steps",
+     300, 7),
+    (GBU_SPEC, StepControl(t_end=0.25, dt_min=2e-8, snapshot_every=11), GBU_DETECTED, "dt_floor",
+     314, 7),
+    # the first state's step is below dt_min, and W has not grown
+    (GBU_SPEC, StepControl(t_end=0.25, dt_min=1.0), STALLED, "dt_floor", 0, 7),
+    (OVERFLOW_SPEC, OVERFLOW_CONTROL, STALLED, "nonfinite", 40, 7),
+    # blocks of 41 rows hold 40 steps: the non-finite step is the first of
+    # the second block, so the run stops on the state that block starts from
+    (OVERFLOW_SPEC, OVERFLOW_CONTROL, STALLED, "nonfinite", 40, 41),
+], ids=["threshold", "t_end", "max_steps", "dt_floor_gbu", "dt_floor_stalled", "nonfinite",
+        "block_start"])
+def test_stops_do_not_depend_on_the_block_size(spec, control, verdict, reason, steps, odd_rows,
+                                               monkeypatch):
+    # blocks of 2 rows (one step each), of an odd number of rows, and of the
+    # default size: run and run_pair give one result, and a pair of
+    # different fields gives the same margins at every size
+    low = replace(spec, initial=0.5 * spec.initial)
+    results = []
+    for rows in (2, odd_rows, None):
+        with monkeypatch.context() as m:
+            if rows:
+                m.setattr(stepping, "_BLOCK_VALUES", rows * spec.grid.num_nodes())
+            with np.errstate(over="ignore", invalid="ignore"):
+                traj, rep = run(spec, control)
+                pair = run_pair(spec, spec, control)
+                ordered = run_pair(low, spec, control)
+        assert (rep.verdict, rep.reason, rep.steps) == (verdict, reason, steps)
+        assert np.all(np.isfinite(traj.states[-1].u))
+        out = run_outputs(traj, rep)
+        assert run_outputs(pair.traj_low, pair.report_low) == out
+        assert run_outputs(pair.traj_high, pair.report_high) == out
+        assert np.array_equal(pair.times, ordered.times)
+        assert np.all(pair.ordering_margin == 0.0) and len(pair.ordering_margin) == steps + 1
+        results.append((out, run_outputs(ordered.traj_low, ordered.report_low),
+                        ordered.ordering_margin.tobytes(), ordered.times.tobytes()))
+    assert results[0] == results[1] == results[2]
+
+
+def test_a_rule_appended_to_the_table_stops_at_its_first_flagged_row(monkeypatch):
+    # a rule over a reduction of the block's fields: the run stops once max u
+    # falls below a level, at the step a test after every step stops at
+    level = 0.9
+    rule = ("settled", COMPLETED, lambda rows, control: np.max(rows.fields[0], axis=1) < level)
+    monkeypatch.setattr(stepping, "STOP_RULES", stepping.STOP_RULES + (rule,))
+    monkeypatch.setattr(stepping, "_BLOCK_VALUES", 7 * 41)  # 6 steps a block
+    spec, ctl = sine_spec(41), StepControl(t_end=1.0)
+    st, steps = spec.initial_state(), 0
+    while np.max(st.u) >= level:
+        st, steps = step(st, spec, stable_dt(st, spec, ctl)), steps + 1
+    assert steps % 6  # the flagged row is inside a block
+    traj, rep = run(spec, ctl)
+    assert (rep.verdict, rep.reason, rep.steps) == (COMPLETED, "settled", steps)
+    assert traj.states[-1].t == st.t == rep.monitors["t"][-1]
+    assert np.array_equal(traj.states[-1].u, st.u)
+    pair = run_pair(spec, spec, ctl)
+    assert run_outputs(pair.traj_high, pair.report_high) == run_outputs(traj, rep)
+
+
 def test_run_pair_rejects_crossing_data():
     g = build_grid((0.0, 1.0), 41)
     a = make_spec(g, p=3.0, q=2.5, profile="sine", amplitude=2.0)
@@ -563,7 +648,8 @@ def test_monitor_csv_rejects_rows_of_the_wrong_length(tmp_path):
     with pytest.raises(ValueError, match="monitor rows hold 3 values, not 9"):
         read_monitors_csv(path)
     path.write_text(",".join(MONITOR_COLUMNS) + "\n")
-    assert read_monitors_csv(path)["t"].shape == (0,)
+    with pytest.raises(ValueError, match="monitors.csv holds no monitor rows"):
+        read_monitors_csv(path)
 
 
 def test_monitor_csv_rejects_old_six_column_file(tmp_path):

@@ -15,9 +15,9 @@ A mutant is caught when pytest reports a failed test (exit code 1).
 The exit code is 0 when every mutant run is caught, 1 when one survives or
 its edit no longer applies (its old text must occur exactly once in the
 file), and 2 when a listed test fails on the unchanged checkout. A full
-run starts 15 pytest processes, one after another (about 20 s on 2 cores).
-It is not a CI step: run it after changing a check or the code a mutant
-edits, and add a mutant with each new check.
+run starts 16 pytest processes, one after another (20-40 s on 2 cores).
+Run it after changing a check or the code a mutant edits, and add a
+mutant with each new check.
 """
 from __future__ import annotations
 
@@ -93,9 +93,13 @@ MUTANTS = (
            "bound = 100.0 * SCALING_TOL_COEF * (h * h + dt_max)",
            ("tests/test_analysis.py::test_scaling_transform_check_rejects_perturbed_data",)),
     Mutant("ordering_margin_abs", "src/gbulab/stepping.py",
-           "margins.append(float(np.min(tracks[1].kernel.u - tracks[0].kernel.u)))",
-           "margins.append(float(np.min(np.abs(tracks[1].kernel.u - tracks[0].kernel.u))))",
+           "margins.append(_min(high - low, tuple(range(1, low.ndim))))",
+           "margins.append(_min(np.abs(high - low), tuple(range(1, low.ndim))))",
            ("tests/test_stepping.py::test_run_pair_ordering_margin_shows_a_broken_order",)),
+    Mutant("rewind_past_the_stop_row", "src/gbulab/stepping.py",
+           "k.rewind(r)", "k.rewind(r + 1)",
+           ("tests/test_stepping.py::test_a_rule_appended_to_the_table_stops_at_its_first_flagged_row",
+            "tests/test_stepping.py::test_nonfinite_stop_keeps_last_accepted_field")),
 )
 
 
