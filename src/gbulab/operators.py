@@ -61,8 +61,8 @@ class StepKernel:
     `advance` writes the updated field into the next slot (slot 0 after a
     `load`) and returns it; `commit` makes it current and computes its
     gradient, so a step computes the gradient once; `rewind` makes a given
-    slot current again. p (diffusion) or q (source) may be None to
-    build only the other term.
+    slot current again, and `rebase` moves the current field to slot 0.
+    p (diffusion) or q (source) may be None to build only the other term.
 
     Every slot has two prebuilt tuples of (ufunc, operands) calls on views
     of these buffers. The step tuple computes the diffusion of the slot's
@@ -300,6 +300,12 @@ class StepKernel:
     def commit(self) -> None:
         self._cur = 0 if self._cur == self._last else self._cur + 1
         self._gradient()
+
+    def rebase(self) -> None:
+        """Copy the current field into slot 0 and make that slot current;
+        the gradient of the field is the same, so it is not computed again."""
+        np.copyto(self.fields[0], self.fields[self._cur])
+        self._cur = 0
 
     def rewind(self, slot: int) -> None:
         """Make the field in `slot` current again; its next `advance`

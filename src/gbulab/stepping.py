@@ -387,8 +387,7 @@ def _integrate(specs, control: StepControl):
     times, margins = [], []
     while True:
         for k, _, w in lanes:
-            np.copyto(k.fields[0], k.u)  # row 0: the state the block starts from
-            k.rewind(0)
+            k.rebase()  # row 0: the state the block starts from
             w[0] = k.w
         ts[0], dts[0], bs[0] = t, dt, bound
         target = marks[bisect.bisect_right(marks, t)]
@@ -406,12 +405,10 @@ def _integrate(specs, control: StepControl):
                 if b < bound or b != b:  # the least bound, or NaN from a W that is not finite
                     bound = b
             ts[m], dts[m], bs[m] = t, dt, bound
-            if t >= target:
-                if t >= t_end:
-                    break
-                target = marks[bisect.bisect_right(marks, t)]
-            if not bound >= dt_min:
+            if t >= t_end or not bound >= dt_min:
                 break
+            if t >= target:
+                target = marks[bisect.bisect_right(marks, t)]
 
         w = np.array([w[: m + 1] for w in ws])
         block = StepRows(np.array(ts[: m + 1]), _max(w), np.array(bs[: m + 1]),
