@@ -144,11 +144,19 @@ MONO_MAX_DIM = 4
 MONO_COMPONENT_RANGE = 10.0
 
 
+def monotonicity_samples(n_samples: int) -> None:
+    """Check the sample count of a monotonicity sweep: every dimension
+    1..MONO_MAX_DIM gets at least one sample."""
+    if not n_samples >= MONO_MAX_DIM:
+        raise ValueError(f"monotonicity_samples must be >= {MONO_MAX_DIM}, got {n_samples}")
+
+
 def monotonicity_suite(n_samples: int = 100_000, seed: int = 0) -> ComplianceReport:
     """Seeded random sweep of the monotonicity inequality.
 
     Margins are scaled by |a|^sigma + |b|^sigma + 1; the worst scaled margin
-    must stay above -1e-12."""
+    must stay above -1e-12. `monotonicity_samples` checks n_samples."""
+    monotonicity_samples(n_samples)
     rng = np.random.default_rng(seed)
     worst = math.inf
     violations = 0

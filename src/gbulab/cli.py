@@ -220,6 +220,8 @@ def parse_config(text: str) -> RunConfig:
 def _validate_constraints(cfg: RunConfig) -> None:
     """The checks no domain constructor makes; `_build` makes the others."""
     s = cfg.sections
+    if cfg.seed < 0:
+        raise ConfigError(f"requires seed >= 0, got {cfg.seed}")
     if "control" in s:
         if s["control"].get("alpha") is not None and s["control"]["alpha"] < 1:
             raise ConfigError("requires alpha >= 1")
@@ -289,9 +291,10 @@ def _build(cfg: RunConfig) -> RunConfig:
     if "barrier" in s:
         barriers.certify_sampling(s["barrier"]["eps_values"], s["barrier"]["n_radial"])
     if "criterion" in s:
-        spectral.criterion_bracket(
-            s["criterion"]["amplitude_low"], s["criterion"]["amplitude_high"]
-        )
+        c = s["criterion"]
+        spectral.criterion_bracket(c["amplitude_low"], c["amplitude_high"], c["bisect_iters"])
+    if "compliance" in s:
+        analysis.monotonicity_samples(s["compliance"]["monotonicity_samples"])
     alpha = None
     if cfg.kind == "criterion_bisect":
         window = spectral.alpha_window(specs[0].p, specs[0].q)  # EmptyAlphaWindow unless q > p
@@ -597,6 +600,8 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"verb {args.verb!r} expects kind {expected!r}, config says {cfg.kind!r}"
             )
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"requires --seed >= 0, got {args.seed}")
     except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

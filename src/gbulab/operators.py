@@ -60,8 +60,8 @@ class StepKernel:
     `load` copies a field into the last slot and computes its gradient;
     `advance` writes the updated field into the next slot (slot 0 after a
     `load`) and returns it; `commit` makes it current and computes its
-    gradient, so a step computes the gradient once; `rewind` makes a given
-    slot current again, and `rebase` moves the current field to slot 0.
+    gradient, so a step computes the gradient once; `rebase` moves the
+    current field to slot 0.
     p (diffusion) or q (source) may be None to build only the other term.
 
     Every slot has two prebuilt tuples of (ufunc, operands) calls on views
@@ -69,7 +69,7 @@ class StepKernel:
     field, its source and the rhs, and writes the update into the next slot;
     `advance` runs it, and `diffusion`, `source` and `interior_rhs` run its
     leading segments. The gradient tuple computes the central differences
-    of the slot's field, which `commit`, `load` and `rewind` finish with the
+    of the slot's field, which `commit` and `load` finish with the
     one-sided stencils, |grad u| and W. So the arithmetic is written once,
     for 1D and 2D alike, and a step runs it without Python in between.
 
@@ -306,12 +306,6 @@ class StepKernel:
         the gradient of the field is the same, so it is not computed again."""
         np.copyto(self.fields[0], self.fields[self._cur])
         self._cur = 0
-
-    def rewind(self, slot: int) -> None:
-        """Make the field in `slot` current again; its next `advance`
-        writes the slot after it."""
-        self._cur = slot
-        self._gradient()
 
 
 @functools.lru_cache(maxsize=4)

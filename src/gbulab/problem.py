@@ -45,6 +45,8 @@ class ProblemSpec:
             raise ValueError("requires eps >= 0")
         if not self.mu >= 0:
             raise ValueError("requires mu >= 0")
+        if not np.isfinite([self.p, self.q, self.epsilon, self.mu]).all():
+            raise ValueError("requires finite p, q, eps and mu")
         g = np.asarray(self.boundary_values, dtype=float)
         u0 = np.asarray(self.initial, dtype=float)
         if not self.grid.compatible_field(g) or not self.grid.compatible_field(u0):

@@ -223,11 +223,13 @@ class CriterionResult:
         return 0.5 * (self.functional_low + self.functional_high)
 
 
-def criterion_bracket(amplitude_low: float, amplitude_high: float) -> None:
-    """Check the starting amplitude bracket of a bisection: finite
-    0 <= amplitude_low < amplitude_high."""
+def criterion_bracket(amplitude_low: float, amplitude_high: float, bisect_iters: int) -> None:
+    """Check the starting amplitude bracket of a bisection, finite
+    0 <= amplitude_low < amplitude_high, and its count of halvings."""
     if not (0.0 <= amplitude_low < amplitude_high and math.isfinite(amplitude_high)):
         raise ValueError("requires finite 0 <= amplitude_low < amplitude_high")
+    if not bisect_iters >= 0:
+        raise ValueError(f"bisect_iters must be >= 0, got {bisect_iters}")
 
 
 MAX_EXPAND = 8  # the most doublings of amplitude_high in search of a blow-up
@@ -255,7 +257,7 @@ def criterion_experiment(
     window = alpha_window(p, q)
     if not window.contains(alpha):
         raise ValueError(f"alpha={alpha} outside admissible window {window}")
-    criterion_bracket(amplitude_low, amplitude_high)
+    criterion_bracket(amplitude_low, amplitude_high, bisect_iters)
     weight = np.power(principal_eigenpair(grid).phi1, alpha)
     qw = quadrature_weights(grid)
 

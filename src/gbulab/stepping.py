@@ -15,9 +15,14 @@ In priority order: ||grad u||_inf at the configured threshold
 (GBUDetected), t at t_end (Completed), the step count at max_steps, the
 stable step below dt_min (GBUDetected if the gradient grew on the last
 step, else StalledStep), and a field that goes non-finite (StalledStep, at
-the last finite state). The loop steps a block of rows, the rules read
-every row at once, and the kernels rewind to the earliest flagged row: the
-run ends with the state, t and monitors of a test after every step.
+the last finite state). The loop steps a block of rows, and before any rule
+runs each row holds every monitor column of every field (`StepRows`: t,
+max and min u, W, y, the two accumulators, max u_t and dt), with the step
+bound and the step count. A rule reads those columns for every row at
+once, and the earliest flagged row ends the run. Snapshots, threshold
+crossings, overall extrema, monitor rows and `run_pair`'s ordering margins
+are read from the same rows up to that one: the run ends with the state, t
+and monitors of a test after every step.
 
 `run` and `run_pair` share that loop over `operators.StepKernel` and the
 table, so a lockstep pair ends with the same verdicts as a single run.
@@ -42,19 +47,6 @@ from .problem import ProblemSpec, SolutionState
 COMPLETED = "Completed"
 GBU_DETECTED = "GBUDetected"
 STALLED = "StalledStep"
-
-# the columns of monitors.csv, in order; a run's monitor rows use the same order
-MONITOR_COLUMNS = (
-    "t",
-    "max_u",
-    "min_u",
-    "grad_inf",
-    "y",
-    "ut_l2_acc",
-    "max_ut",
-    "source_energy_acc",
-    "dt",
-)
 
 
 class StalledStepError(RuntimeError):
@@ -202,39 +194,54 @@ _BLOCK_VALUES = 65536
 
 class StepRows(NamedTuple):
     """Rows 0..m of a step block, as the stop rules read them: row 0 is the
-    state the block starts from, row j the state after its j-th step."""
+    state the block starts from, row j the state after its j-th step. The
+    first nine are the monitor columns, each with one row per field; a rule
+    reads them instead of reducing the fields again."""
 
     t: np.ndarray
-    w: np.ndarray  # W, the largest |grad u| over the fields
+    max_u: np.ndarray
+    min_u: np.ndarray
+    grad_inf: np.ndarray  # the field's W, its largest |grad u|
+    y: np.ndarray
+    ut_l2_acc: np.ndarray
+    max_ut: np.ndarray  # max u_t of the step to the row; NaN on the run's first row
+    source_energy_acc: np.ndarray
+    dt: np.ndarray
     bound: np.ndarray  # the step size the row's fields allow
     steps: np.ndarray  # the run's count of steps
-    ws: np.ndarray  # each field's W, one row per field
     fields: list[np.ndarray]  # each field's rows 0..m, views of its kernel's slots
 
 
+# the columns of monitors.csv, in order; a run's monitor rows use the same order
+MONITOR_COLUMNS = StepRows._fields[:9]
+
+
 def _grew(rows: StepRows) -> np.ndarray:
-    """W above the row before; never at row 0, which is the run's first
-    state or a row that an earlier block's rules passed."""
-    return np.concatenate(([False], rows.w[1:] > rows.w[:-1]))
+    """W (the largest |grad u| over the fields) above the row before; never
+    at row 0, which is the run's first state or a row that an earlier
+    block's rules passed."""
+    w = _max(rows.grad_inf, 0)
+    return np.concatenate(([False], w[1:] > w[:-1]))
 
 
 def _nonfinite(rows: StepRows, control: StepControl) -> np.ndarray:
-    """The first row with a W that is not finite stops the run: at the row
-    before when a field there has a non-finite node, else at itself (no step
-    can follow it). Every node enters some gradient stencil, so a non-finite
-    node makes W non-finite, and only then are the nodes themselves tested."""
-    flags = np.zeros(len(rows.t), bool)
-    for j in np.flatnonzero(~np.isfinite(rows.ws).all(0))[:1]:
-        flags[j - any(not np.isfinite(u[j]).all() for u in rows.fields)] = True
-    return flags
+    """A row whose fields have finite nodes but a W that is not finite (no
+    step can follow it), and the row before one where a field has a
+    non-finite node, which makes its min or max u non-finite. Every node
+    enters some gradient stencil, so a non-finite node makes W non-finite,
+    and the earliest of these rows is the run's last finite state."""
+    bad_w = ~np.isfinite(rows.grad_inf).all(0)
+    bad_u = ~np.isfinite((rows.min_u, rows.max_u)).all((0, 1))
+    return (bad_w & ~bad_u) | np.append(bad_u[1:], False)
 
 
 # The stop rules, in their priority: (reason, verdict, test), where a test
-# maps a block's rows to one flag per row. A run stops at the earliest
-# flagged row and, of the rules that flag it, takes the first; a GBU verdict
-# is detected at that row's t.
+# maps a block's rows to one flag per row, or per field and row (a row is
+# flagged when a field's is). A run stops at the earliest flagged row and, of
+# the rules that flag it, takes the first; a GBU verdict is detected at that
+# row's t.
 STOP_RULES = (
-    ("threshold", GBU_DETECTED, lambda rows, c: rows.w >= c.gbu_threshold),
+    ("threshold", GBU_DETECTED, lambda rows, c: _max(rows.grad_inf, 0) >= c.gbu_threshold),
     ("t_end", COMPLETED, lambda rows, c: rows.t >= c.t_end),
     ("max_steps", STALLED, lambda rows, c: rows.steps >= (c.max_steps or math.inf)),
     ("dt_floor", GBU_DETECTED, lambda rows, c: (rows.bound < c.dt_min) & _grew(rows)),
@@ -244,14 +251,14 @@ STOP_RULES = (
 
 
 class _Track:
-    """One field of a run: its kernel, monitors, accumulators and snapshots.
+    """One field of a run: its kernel, monitor rows, crossings and snapshots.
 
     The kernel's slots are the rows of a step block: slot 0 holds the state
     the block starts from, and slot j the field of the block's j-th step with
     the rhs and (|grad u|^2+eps)^(q/2) values it was computed from. The
-    monitors are reduced a block at a time, with the same bits as one step
-    at a time: a row-wise reduction sums each row as a reduction over that
-    row alone does, and an accumulate adds in sequence."""
+    monitor columns are reduced a block at a time, with the same bits as one
+    step at a time: a row-wise reduction sums each row as a reduction over
+    that row alone does, and an accumulate adds in sequence."""
 
     def __init__(self, spec: ProblemSpec, control: StepControl, rows: int):
         grid = spec.grid
@@ -265,91 +272,72 @@ class _Track:
             raise ValueError("functional_weight must be a grid field")
         self.qw = quadrature_weights(grid)
         self.qw_inner = self.qw[grid.interior_slice()]
-        self._stride = control.monitor_stride
         self._u, self._s_half, self._rhs = kernel.fields, kernel.s_half_slots, kernel.rhs_slots
         self._tmp, self._tmp_inner = np.empty_like(self._u), np.empty_like(self._rhs)
-        self._acc = np.empty((2, rows))  # the two accumulators' running sums
-        self.blocks: list[np.ndarray] = []  # monitor rows in MONITOR_COLUMNS order
-        self.snapshots = [SolutionState(grid, spec.initial.copy(), 0.0)]
+        self.blocks: list[np.ndarray] = []  # monitor rows, one MONITOR_COLUMNS row each
+        self.snapshots: list[SolutionState] = []
         self.crossings: dict[float, float] = {}
         self.thresholds = control.report_thresholds
-        self.ut_l2_acc = self.src_energy_acc = 0.0
         self.min_overall, self.max_overall = math.inf, -math.inf
-        self._record_current(0.0, 0.0)
 
-    def _fields(self, u: np.ndarray) -> tuple:
-        """(min, max, y) of each field in the block u; min and max also go
-        into the overall extrema."""
+    def columns(self, c: np.ndarray) -> None:
+        """Fill this field's monitor columns c (MONITOR_COLUMNS by rows 0..m)
+        of a block from its slots. t, grad_inf and dt are written already,
+        and row 0 holds the accumulators and max u_t of the row the block
+        before ended on: zero sums and NaN on the run's first row."""
+        m = c.shape[1] - 1
+        u = self._u[: m + 1]
         axes = tuple(range(1, u.ndim))
-        mn, mx = _min(u, axes), _max(u, axes)
-        self.min_overall = min(self.min_overall, _min(mn).item())
-        self.max_overall = max(self.max_overall, _max(mx).item())
-        if self.weight is None:
-            return mn, mx, np.full(len(u), math.nan)
-        tmp = np.multiply(self.qw, u, out=self._tmp[: len(u)])
-        return mn, mx, _sum(np.multiply(tmp, self.weight, out=tmp), axes)
+        _max(u, axes, None, c[1])  # max_u
+        _min(u, axes, None, c[2])  # min_u
+        # a block's last row may hold a non-finite node; the rules stop the
+        # run before such a row, so its other columns are not reduced
+        m -= not np.isfinite(c[1:3, m]).all()
+        _, _, _, _, y, ut, max_ut, src, dt = c[:, : m + 1]
+        u, rhs, s_half = u[: m + 1], self._rhs[1 : m + 1], self._s_half[1 : m + 1]
+        if self.weight is not None:
+            tmp = np.multiply(self.qw, u, out=self._tmp[: m + 1])
+            _sum(np.multiply(tmp, self.weight, out=tmp), axes, None, y)
+        _max(rhs, axes, None, max_ut[1:])
+        # the accumulators: row 0's sums, then dt * ut_l2 and dt * source energy per step
+        tmp = np.multiply(self.qw_inner, rhs, out=self._tmp_inner[:m])
+        _sum(np.multiply(tmp, rhs, out=tmp), axes, None, ut[1:])
+        tmp = np.multiply(s_half, s_half, out=self._tmp[:m])
+        _sum(np.multiply(self.qw, tmp, out=tmp), axes, None, src[1:])
+        for acc in (ut, src):
+            np.multiply(dt[1:], acc[1:], acc[1:])
+            np.add.accumulate(acc, out=acc)
 
-    def _record_current(self, t: float, dt_used: float) -> None:
-        """The monitor row of the current field outside a step: the first
-        row, and the last one when the run ends off the monitor stride."""
-        mn, mx, y = self._fields(self.kernel.u[None])
-        self.blocks.append(np.column_stack((
-            [t], mx, mn, [self.kernel.w], y, [self.ut_l2_acc], [math.nan],
-            [self.src_energy_acc], [dt_used])))
-
-    def read(self, t: np.ndarray, dt: np.ndarray, w: np.ndarray, steps: int,
+    def read(self, c: np.ndarray, on_stride: np.ndarray, last: np.ndarray,
              snapshots: np.ndarray) -> None:
-        """Read a block's rows 0..r (their t, dt and this field's W; `steps`
-        counts the run's steps at row 0): report-threshold crossings from
-        every row, monitors, accumulators and the `snapshots` rows from rows
-        1..r. Only finite fields get here: rows past a stop are not read."""
+        """Read this field's monitor columns c of the rows a block hands on:
+        report-threshold crossings, overall extrema, the `snapshots` rows, and
+        the monitor rows on the stride and at the run's `last` row, which
+        records no max u_t off the stride."""
+        t, mx, mn, w = c[:4]
         for g in self.thresholds:
             for j in np.flatnonzero(w >= g)[:1]:
                 self.crossings.setdefault(g, t[j].item())
-        m = len(t) - 1
+        self.min_overall = min(self.min_overall, _min(mn).item())
+        self.max_overall = max(self.max_overall, _max(mx).item())
         for j in snapshots:
             self.snapshots.append(SolutionState(self.spec.grid, self._u[j].copy(), t[j].item()))
-        if not m:
-            return
-        t, dt, w = t[1:], dt[1:], w[1:]
-        mn, mx, y = self._fields(self._u[1 : m + 1])
-        rhs, s_half = self._rhs[1 : m + 1], self._s_half[1 : m + 1]
-        axes = tuple(range(1, rhs.ndim))
-        max_ut = _max(rhs, axes)
-        # row 0: ut_l2_acc, then dt * ut_l2 per step; row 1 the same for the
-        # source energy
-        acc = self._acc[:, : m + 1]
-        acc[:, 0] = self.ut_l2_acc, self.src_energy_acc
-        tmp = np.multiply(self.qw_inner, rhs, out=self._tmp_inner[:m])
-        _sum(np.multiply(tmp, rhs, out=tmp), axes, None, acc[0, 1:])
-        tmp = np.multiply(s_half, s_half, out=self._tmp[:m])
-        _sum(np.multiply(self.qw, tmp, out=tmp), axes, None, acc[1, 1:])
-        np.multiply(dt, acc[:, 1:], acc[:, 1:])
-        acc = np.add.accumulate(acc, 1)
-        self.ut_l2_acc, self.src_energy_acc = acc[:, -1].tolist()
-        rows = slice(-(steps + 1) % self._stride, m, self._stride)
-        if rows.start < m:
-            cols = (t, mx, mn, w, y, acc[0, 1:], max_ut, acc[1, 1:], dt)
-            self.blocks.append(np.column_stack([c[rows] for c in cols]))
+        keep = on_stride | last
+        rows = c[:, keep]
+        rows[MONITOR_COLUMNS.index("max_ut"), ~on_stride[keep]] = math.nan
+        self.blocks.append(rows)
 
-    def finish(self, t: float, dt_last: float, steps: int, outcome: tuple):
-        if self.snapshots[-1].t != t:
-            self.snapshots.append(SolutionState(self.spec.grid, self.kernel.u.copy(), t))
-        if self.blocks[-1][-1][0] != t:  # final partial-stride step still gets a row
-            self._record_current(t, dt_last)
+    def finish(self, outcome: dict):
+        """The run's (trajectory, report), given its verdict, reason, steps,
+        t_detect and wall time."""
         # one array per column: a single (rows, columns) array would need one
         # allocation of every row's size, which a heap fragmented by earlier
         # runs' snapshots fits less often
-        monitors = {name: np.concatenate([b[:, k] for b in self.blocks])
+        monitors = {name: np.concatenate([b[k] for b in self.blocks])
                     for k, name in enumerate(MONITOR_COLUMNS)}
-        verdict, reason, t_detect, wall_time = outcome
         report = RunReport(
-            verdict=verdict,
-            t_detect=t_detect,
+            **outcome,
             monitors=monitors,
-            wall_time=wall_time,
-            reason=reason,
-            steps=steps,
             threshold_crossings=self.crossings,
             min_u_overall=self.min_overall,
             max_u_overall=self.max_overall,
@@ -371,24 +359,34 @@ def _integrate(specs, control: StepControl):
     commits each kernel, and writes t, dt, each field's W and the next bound
     into the block's rows. It leaves a block early only when no further step
     may follow: t at t_end, the step count at max_steps, or a bound below
-    dt_min (which includes a W that is not finite). The rules then read the
-    rows, and the kernels rewind to the stop row."""
+    dt_min (which includes a W that is not finite). Each field's monitor
+    columns are then reduced into the block's table, the rules read it, and
+    everything a run reports is read from it up to the stop row r. A block
+    that does not stop hands on its rows 0..m-1, and the next block starts
+    from its row m, every column included; the last block hands on rows
+    0..r."""
     t_start = time.perf_counter()
     rows = max(2, _BLOCK_VALUES // specs[0].grid.num_nodes())
     tracks = [_Track(spec, control, rows) for spec in specs]
     t_end, dt_min, max_steps = control.t_end, control.dt_min, control.max_steps
     # the times a step ends at exactly: the marks, then t_end
     marks = [t for t in control.t_marks if 0.0 < t < t_end] + [t_end]
+    every = control.snapshot_every or math.inf
     # the block's rows: t, dt, the bound and each field's W
     ts, dts, bs, *ws = [[0.0] * rows for _ in range(3 + len(tracks))]
     lanes = [(tr.kernel, tr.bound, w) for tr, w in zip(tracks, ws)]
-    t, dt, steps = 0.0, 0.0, 0
+    # each field's monitor columns: row 0 of the first block is the run's
+    # first row, with no step and so no max u_t
+    table = np.full((len(tracks), len(MONITOR_COLUMNS), rows), math.nan)
+    t, dt, steps, r = 0.0, 0.0, 0, 0
+    table[:, [MONITOR_COLUMNS.index(c) for c in ("ut_l2_acc", "source_energy_acc")], 0] = 0.0
     bound = min(dt_bound(k.w) for k, dt_bound, _ in lanes)
     times, margins = [], []
     while True:
         for k, _, w in lanes:
             k.rebase()  # row 0: the state the block starts from
             w[0] = k.w
+        table[:, :, 0] = table[:, :, r]
         ts[0], dts[0], bs[0] = t, dt, bound
         target = marks[bisect.bisect_right(marks, t)]
         m = 0
@@ -410,32 +408,33 @@ def _integrate(specs, control: StepControl):
             if t >= target:
                 target = marks[bisect.bisect_right(marks, t)]
 
-        w = np.array([w[: m + 1] for w in ws])
-        block = StepRows(np.array(ts[: m + 1]), _max(w), np.array(bs[: m + 1]),
-                         steps + np.arange(m + 1), w, [k.fields[: m + 1] for k, _, _ in lanes])
+        n = m + 1
+        block = StepRows(*table[:, :, :n].transpose(1, 0, 2), np.array(bs[:n]),
+                         steps + np.arange(n), [k.fields[:n] for k, _, _ in lanes])
+        block.t[:], block.dt[:], block.grad_inf[:] = ts[:n], dts[:n], [w[:n] for w in ws]
+        for tr, c in zip(tracks, table[:, :, :n]):
+            tr.columns(c)
         # the earliest flagged row, and the first rule that flags it
-        flags = np.array([test(block, control) for _, _, test in STOP_RULES])
+        flags = np.array([np.atleast_2d(test(block, control)).any(0) for *_, test in STOP_RULES])
         stop = np.flatnonzero(flags.any(0))[:1]
         r = stop[0].item() if stop.size else m
-        t_rows, dt_rows = block.t[: r + 1], np.array(dts[: r + 1])
-        cadence = np.arange(steps + 1, steps + r + 1) % (control.snapshot_every or math.inf)
-        snaps = 1 + np.flatnonzero((cadence == 0) | np.isin(t_rows[1:], marks))
-        for tr, w_tr in zip(tracks, w):
-            tr.read(t_rows, dt_rows, w_tr[: r + 1], steps, snaps)
+        end = r + 1 if stop.size else r
+        k_rows, last = block.steps[:end], np.arange(end) == (r if stop.size else -1)
+        snaps = np.flatnonzero((k_rows % every == 0) | np.isin(block.t[0, :end], marks) | last)
+        for tr, c in zip(tracks, table[:, :, :end]):
+            tr.read(c, k_rows % control.monitor_stride == 0, last, snaps)
         if len(lanes) == 2:  # run_pair's times and ordering margins
-            first = 1 if steps else 0  # row 0 is new in the first block only
-            times.append(t_rows[first:])
-            low, high = (k.fields[first : r + 1] for k, _, _ in lanes)
+            times.append(block.t[0, :end].copy())
+            low, high = (f[:end] for f in block.fields)
             margins.append(_min(high - low, tuple(range(1, low.ndim))))
-        t, dt, steps = ts[r], dts[r], steps + r
+        steps += r
         if stop.size:
             break
-    for k, _, _ in lanes:
-        k.rewind(r)
     reason, verdict, _ = STOP_RULES[flags[:, r].argmax()]
-    outcome = (verdict, reason, t if verdict == GBU_DETECTED else None,
-               time.perf_counter() - t_start)
-    results = [tr.finish(t, dt, steps, outcome) for tr in tracks]
+    outcome = dict(verdict=verdict, reason=reason, steps=steps,
+                   t_detect=ts[r] if verdict == GBU_DETECTED else None,
+                   wall_time=time.perf_counter() - t_start)
+    results = [tr.finish(outcome) for tr in tracks]
     return results, (np.concatenate(times), np.concatenate(margins)) if margins else None
 
 
@@ -581,10 +580,12 @@ class ContinuationReport:
 
 def continuation_epsilons(epsilons) -> list[float]:
     """The eps of a continuation study as floats: at least 3 of them,
-    strictly decreasing and nonnegative."""
+    finite, strictly decreasing and nonnegative."""
     eps = [float(e) for e in epsilons]
     if len(eps) < 3:
         raise ValueError("need at least 3 epsilon values")
+    if not all(map(math.isfinite, eps)):
+        raise ValueError(f"epsilons must be finite, got {eps}")
     if any(e1 >= e0 for e0, e1 in zip(eps, eps[1:])) or any(e < 0 for e in eps):
         raise ValueError("epsilons must be strictly decreasing and nonnegative")
     return eps

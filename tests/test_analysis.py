@@ -134,6 +134,12 @@ def test_monotonicity_suite_deterministic():
     assert a.worst_margin == b.worst_margin
 
 
+@pytest.mark.parametrize("n_samples", [3, 0])
+def test_monotonicity_suite_rejects_fewer_samples_than_dimensions(n_samples):
+    with pytest.raises(ValueError, match="monotonicity_samples must be >= 4"):
+        monotonicity_suite(n_samples)
+
+
 def test_monotonicity_rejects_sigma_below_two():
     with pytest.raises(ValueError):
         monotonicity_margin([1.0], [0.5], 1.5)

@@ -571,6 +571,21 @@ t_end = 0.01
       for key, value in (("profile", "ramp"), ("amplitude", "0.5"))),
     ("check", COMPLIANCE_CFG + "checks = max_principle\ntrajectory = monitors.csv\n",
      "compliance_suite with a stored trajectory takes no [control]"),
+    # unchecked, an infinite eps or q runs to a dt_floor stall at step 0,
+    # mu = inf to a non-finite stall, and inf or nan in epsilons to a failed run
+    *(("simulate", MINIMAL_SIMULATE.replace("q = 2.5", f"q = 2.5\n{key} = inf"),
+       "requires finite p, q, eps and mu") for key in ("epsilon", "mu")),
+    ("simulate", MINIMAL_SIMULATE.replace("q = 2.5", "q = inf"),
+     "requires finite p, q, eps and mu"),
+    ("continue-eps", CONTINUATION_CFG.replace("1e-2, 1e-3, 1e-4", "1e-2, nan, 0"),
+     "epsilons must be finite"),
+    ("continue-eps", CONTINUATION_CFG.replace("1e-2, 1e-3, 1e-4", "inf, 1e-2, 0"),
+     "epsilons must be finite"),
+    # unchecked, fewer samples than dimensions fail in the sweep, after the run
+    *(("check", COMPLIANCE_CFG.replace("= 2000", f"= {n}"), "monotonicity_samples must be >= 4")
+      for n in (3, 0)),
+    # unchecked, a negative count runs the two bracket probes and reports the bracket
+    ("bisect-criterion", BISECT_CFG + "bisect_iters = -3\n", "bisect_iters must be >= 0"),
 ], ids=["monitor_stride", "dt_min", "gbu_threshold", "snapshot_every", "max_steps", "ramp_2d",
         "gbu_grids", "gbu_thresholds", "epsilon_nan", "gbu_detect_control_threshold_neg",
         "gbu_detect_control_threshold_300", "epsilons", "gbu_grids_repeated",
@@ -579,7 +594,9 @@ t_end = 0.01
         "barrier_eps_values", "barrier_eps_values_empty", "compliance_checks_empty",
         "compliance_stored_checks_empty", "continuation_problem_epsilon", "barrier_epsilon",
         "barrier_mu", "barrier_profile", "barrier_amplitude", "bisect_profile",
-        "bisect_amplitude", "compliance_stored_control"])
+        "bisect_amplitude", "compliance_stored_control", "epsilon_inf", "mu_inf", "q_inf",
+        "epsilons_nan", "epsilons_inf", "monotonicity_samples_3", "monotonicity_samples_0",
+        "bisect_iters_negative"])
 def test_main_value_rejected_by_constructor_exit_2_before_any_run(
     tmp_path, capsys, verb, text, message
 ):
@@ -612,6 +629,21 @@ def test_every_verb_writes_its_canonical_config(tmp_path, verb):
     cfg = parse_config(VERB_CFGS[verb])
     assert written == canonical_text(cfg)
     assert parse_config(written).sections == cfg.sections
+
+
+@pytest.mark.parametrize(("text", "flags", "message"), [
+    (COMPLIANCE_CFG.replace("seed = 7", "seed = -1"), [], "requires seed >= 0, got -1"),
+    (COMPLIANCE_CFG, ["--seed", "-5"], "requires --seed >= 0, got -5"),
+], ids=["config", "flag"])
+def test_negative_seed_is_a_config_error_before_any_output(tmp_path, capsys, text, flags,
+                                                           message):
+    # numpy's seed sequence rejects a negative seed only in the monotonicity
+    # sweep, after the run has written its report, monitors and final field
+    path = write_cfg(tmp_path, text + "checks = monotonicity\n")
+    out = tmp_path / "out"
+    assert main(["check", "--config", str(path), "--out", str(out), *flags]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_canonical_config_records_the_seed_override(tmp_path):

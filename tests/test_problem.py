@@ -37,6 +37,13 @@ def test_spec_and_kernel_reject_nan_or_negative_eps_and_mu(spec_key, kernel_key,
         StepKernel(g, p=3.0, q=2.5, **{kernel_key: value})
 
 
+@pytest.mark.parametrize("key", ["q", "epsilon", "mu"])
+def test_spec_rejects_infinite_exponents_and_coefficients(key):
+    # each once made a run that stalled at step 0 instead of an input error
+    with pytest.raises(ValueError, match="requires finite p, q, eps and mu"):
+        make_spec(build_grid((0.0, 1.0), 41), **{"p": 3.0, "q": 2.5, key: math.inf})
+
+
 def test_solution_state_holds_its_field_only():
     # grad_mag is computed on every read; nothing is kept on the state, so
     # thousands of snapshots hold their fields and no more

@@ -298,6 +298,13 @@ def test_criterion_experiment_rejects_bad_bracket(low, high):
                              amplitude_low=low, amplitude_high=high)
 
 
+def test_criterion_experiment_rejects_a_negative_bisection_count():
+    g = build_grid((0.0, 1.0), 51)
+    ctl = StepControl(t_end=0.01)
+    with pytest.raises(ValueError, match="bisect_iters must be >= 0"):
+        criterion_experiment(g, 3.0, 4.0, alpha=2.0, control=ctl, bisect_iters=-3)
+
+
 def test_criterion_experiment_rejects_alpha_outside_window():
     g = build_grid((0.0, 1.0), 51)
     ctl = StepControl(t_end=0.01)

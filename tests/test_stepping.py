@@ -213,8 +213,8 @@ def test_run_bitwise_matches_repeated_step(dim):
 
 def test_run_bitwise_matches_repeated_step_on_a_grid_larger_than_a_block():
     # 257 x 257 nodes are more values than a step block holds, so a block
-    # holds 2 steps, the fewest the kernel's slots can cycle through; 5 steps
-    # fill two blocks and end in a partial one
+    # gets 2 rows, the fewest the kernel's slots can cycle through: the state
+    # it starts from and one step. The 5 steps fill 5 blocks
     g = build_grid([(0.0, 1.0), (0.0, 1.0)], (257, 257))
     assert g.num_nodes() > stepping._BLOCK_VALUES
     spec = make_spec(g, p=3.4, q=3.0, epsilon=1e-3, mu=0.8, profile="sine", amplitude=2.0)
@@ -545,6 +545,37 @@ def test_a_rule_appended_to_the_table_stops_at_its_first_flagged_row(monkeypatch
     assert run_outputs(pair.traj_high, pair.report_high) == run_outputs(traj, rep)
 
 
+def test_a_rule_on_a_monitor_column_stops_run_and_run_pair_at_the_reference_row(monkeypatch):
+    # a rule over a monitor column instead of the fields, here a field's max
+    # u below a level: run and run_pair stop at the step that a test after
+    # every step stops at; in a pair the field that falls below first stops
+    # both
+    level = 0.9
+    rule = ("extremum", STALLED, lambda rows, control: rows.max_u < level)
+    monkeypatch.setattr(stepping, "STOP_RULES", stepping.STOP_RULES + (rule,))
+    monkeypatch.setattr(stepping, "_BLOCK_VALUES", 7 * 41)  # 6 steps a block
+    spec, ctl = sine_spec(41), StepControl(t_end=1.0)
+    low = replace(spec, initial=0.95 * spec.initial)
+    for specs in ([spec], [low, spec]):
+        states, steps = [s.initial_state() for s in specs], 0
+        while min(np.max(st.u) for st in states) >= level:
+            dt = min(stable_dt(st, s, ctl) for st, s in zip(states, specs))
+            states, steps = [step(st, s, dt) for st, s in zip(states, specs)], steps + 1
+        assert steps % 6  # the flagged row is inside a block
+        if len(specs) == 1:
+            traj, rep = run(spec, ctl)
+            runs = [(traj, rep)]
+        else:
+            pair = run_pair(low, spec, ctl)
+            runs = [(pair.traj_low, pair.report_low), (pair.traj_high, pair.report_high)]
+            assert len(pair.ordering_margin) == len(pair.times) == steps + 1
+        for (traj, rep), st in zip(runs, states):
+            assert (rep.verdict, rep.reason, rep.steps) == (STALLED, "extremum", steps)
+            assert traj.states[-1].t == st.t == rep.monitors["t"][-1]
+            assert np.array_equal(traj.states[-1].u, st.u)
+            assert rep.monitors["max_u"][-1] == np.max(st.u)
+
+
 def test_run_pair_rejects_crossing_data():
     g = build_grid((0.0, 1.0), 41)
     a = make_spec(g, p=3.0, q=2.5, profile="sine", amplitude=2.0)
@@ -620,6 +651,12 @@ def test_continuation_requires_three_entries():
         epsilon_continuation(spec, [1e-2], StepControl(t_end=0.001))
     with pytest.raises(ValueError):
         epsilon_continuation(spec, [1e-2, 1e-2, 1e-3], StepControl(t_end=0.001))
+
+
+@pytest.mark.parametrize("epsilons", [[1e-2, math.nan, 0.0], [math.inf, 1e-2, 0.0]])
+def test_continuation_rejects_nonfinite_epsilons_before_any_run(epsilons):
+    with pytest.raises(ValueError, match="epsilons must be finite"):
+        epsilon_continuation(sine_spec(31), epsilons, StepControl(t_end=0.001))
 
 
 # -- monitor CSV ----------------------------------------------------------------------

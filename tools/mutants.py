@@ -15,7 +15,7 @@ A mutant is caught when pytest reports a failed test (exit code 1).
 The exit code is 0 when every mutant run is caught, 1 when one survives or
 its edit no longer applies (its old text must occur exactly once in the
 file), and 2 when a listed test fails on the unchanged checkout. A full
-run starts 16 pytest processes, one after another (20-40 s on 2 cores).
+run starts 17 pytest processes, one after another (20-40 s on 2 cores).
 Run it after changing a check or the code a mutant edits, and add a
 mutant with each new check.
 """
@@ -96,10 +96,13 @@ MUTANTS = (
            "margins.append(_min(high - low, tuple(range(1, low.ndim))))",
            "margins.append(_min(np.abs(high - low), tuple(range(1, low.ndim))))",
            ("tests/test_stepping.py::test_run_pair_ordering_margin_shows_a_broken_order",)),
-    Mutant("rewind_past_the_stop_row", "src/gbulab/stepping.py",
-           "k.rewind(r)", "k.rewind(r + 1)",
+    Mutant("stop_past_the_flagged_row", "src/gbulab/stepping.py",
+           "r = stop[0].item() if stop.size else m", "r = stop[0].item() + 1 if stop.size else m",
            ("tests/test_stepping.py::test_a_rule_appended_to_the_table_stops_at_its_first_flagged_row",
             "tests/test_stepping.py::test_nonfinite_stop_keeps_last_accepted_field")),
+    Mutant("accumulators_without_the_running_sums", "src/gbulab/stepping.py",
+           "np.add.accumulate(acc, out=acc)", "np.add.accumulate(acc[1:], out=acc[1:])",
+           ("tests/test_stepping.py::test_run_bitwise_matches_repeated_step",)),
 )
 
 
