@@ -24,8 +24,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 
-class NoAdmissibleParams(RuntimeError):
-    """Bisection exhausted floating-point precision without admissibility."""
+class NoAdmissibleParams(ValueError):
+    """The search for delta left the float range without admissibility. It
+    depends only on the parameters asked for, so it is a value error."""
 
 
 def _check_phi_domain(s, delta: float, beta: float) -> np.ndarray:
@@ -83,6 +84,9 @@ class BarrierParams:
     data_sup: float = 1.0
 
     def __post_init__(self):
+        norms = (self.grad_g, self.hess_g, self.g_sup, self.g_min, self.data_sup)
+        if not all(0 <= v < math.inf for v in norms):
+            raise ValueError("data norms and g_min must be finite and nonnegative")
         if not (self.rho > 0 and self.delta > 0 and self.eta > 0):
             raise ValueError("rho, delta, eta must be positive")
         if not 0 < self.beta < 1:
@@ -93,8 +97,6 @@ class BarrierParams:
             raise ValueError("requires q > p - 1 > 1")
         if self.N not in (1, 2, 3):
             raise ValueError("N must be 1, 2 or 3")
-        if min(self.grad_g, self.hess_g, self.g_sup, self.data_sup) < 0:
-            raise ValueError("data norms must be nonnegative")
 
     def scaled_delta(self, factor: float) -> "BarrierParams":
         """Same parameters with delta (and the tied collar width) scaled."""
@@ -162,12 +164,13 @@ def find_barrier_params(
     data_sup overall and Lipschitz near the contact point with constant
     data_sup.
 
-    g_norms is (|grad g|_inf, |D2 g|_inf, |g|_inf).
+    g_norms is (|grad g|_inf, |D2 g|_inf, |g|_inf). Raises NoAdmissibleParams
+    when no delta is admissible before the search leaves the float range.
     """
-    if not q > p - 1 > 1:
-        raise ValueError("requires q > p - 1 > 1")
-    if not rho > 0:
-        raise ValueError("requires rho > 0")
+    if not math.inf > q > p - 1 > 1:
+        raise ValueError("requires finite q > p - 1 > 1")
+    if not 0 < rho < math.inf:
+        raise ValueError("requires a finite rho > 0")
     grad_g, hess_g, g_sup = (float(v) for v in g_norms)
     beta = beta_exponent(p, q)
     K = max((N + p - 3.0) / rho, 0.0) + 1.0
@@ -181,13 +184,16 @@ def find_barrier_params(
         )
 
     lo = rho
-    while not is_admissible(make(lo)):
-        lo *= 0.5
-        if lo < 1e-300:
-            raise NoAdmissibleParams(
-                f"no admissible delta above float precision for p={p}, q={q}, N={N}"
-            )
-    return make(_largest_admissible_delta(make, lo, rho))
+    try:
+        while not is_admissible(make(lo)):
+            lo *= 0.5
+            if lo < 1e-300:  # the float floor: the next powers of delta overflow
+                raise OverflowError
+        return make(_largest_admissible_delta(make, lo, rho))
+    except OverflowError:
+        raise NoAdmissibleParams(
+            f"no admissible delta within the float range for p={p}, q={q}, N={N}"
+        ) from None
 
 
 def _kappas(p: float) -> tuple[float, ...]:

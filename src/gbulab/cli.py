@@ -5,6 +5,19 @@ Verbs: simulate, continue-eps, detect-gbu, certify-barrier,
 bisect-criterion, check, eig. Exit codes: 0 pass, 1 check failure,
 2 config error, 3 runtime failure. GBULAB_OUT sets the default output root.
 
+`_build` is the one place that turns parsed sections into the objects a
+verb runs: the grid, a spec per grid, each spec's `StepControl` with its
+[control] alpha weight phi1^alpha (alpha finite and >= 1), the criterion
+exponent, and the certify-barrier `BarrierParams` that
+`barriers.find_barrier_params` searches for (finite rho > 0, n in {1, 2,
+3}, finite nonnegative norms and g_min, a search that stays in the float
+range). It runs before the output root exists, so every value that one of
+these objects rejects is exit 2 with no output. Non-finite t_end, dt_min,
+[gbu] thresholds entries and grid extents are rejected; gbu_threshold = inf
+is a run with no threshold stop. `--seed` replaces [experiment] seed before
+any check, so one check covers the flag and the config value. The handlers
+then only run and write.
+
 `_VERBS` declares each verb once: its experiment kind, its handler, the
 sections its config requires and may add, and the keys of those sections
 the kind does not read. Setting such a key is a config error.
@@ -134,33 +147,44 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """The parsed sections and the objects built from them: the grid of
-    [grid], a spec per grid the run uses (one per [gbu] grids entry for
-    gbu_detect) and the run control (for gbu_detect it stops at the largest
-    [gbu] thresholds entry and reports the crossing of each)."""
+    """The parsed sections and every object built from them: the grid of
+    [grid], a spec per grid the run steps (one per [gbu] grids entry for
+    gbu_detect), each spec's run control with its [control] alpha weight
+    (for gbu_detect it stops at the largest [gbu] thresholds entry and
+    reports the crossing of each), the criterion exponent and the barrier
+    parameters."""
 
     kind: str
-    seed: int
     sections: dict
     grid: Grid | None = None
     specs: tuple[ProblemSpec, ...] = ()
-    control: StepControl | None = None
+    controls: tuple[StepControl, ...] = ()  # one per spec
     alpha: float | None = None  # the [criterion] exponent, "mid" resolved
+    barrier: barriers.BarrierParams | None = None
+
+    @property
+    def seed(self) -> int:
+        return self.sections["experiment"]["seed"]
 
     @property
     def spec(self) -> ProblemSpec:
         return self.specs[0]
 
+    @property
+    def control(self) -> StepControl | None:
+        return self.controls[0] if self.controls else None
+
     def __getitem__(self, section: str) -> dict:
         return self.sections[section]
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a flat key=value config with [section] headers.
+def parse_config(text: str, seed: int | None = None) -> RunConfig:
+    """Parse and validate a flat key=value config with [section] headers;
+    seed, when given, replaces [experiment] seed before any check.
 
     Unknown sections and keys are errors; constraint violations name the
-    violated hypothesis. A value that a domain constructor rejects raises
-    ConfigError with the constructor's message."""
+    violated hypothesis. A value that a run object rejects raises
+    ConfigError with its constructor's message."""
     cp = configparser.ConfigParser(interpolation=None, delimiters=("=",))
     cp.optionxform = str
     try:
@@ -206,25 +230,23 @@ def parse_config(text: str) -> RunConfig:
         if key in cp[sec]:
             raise ConfigError(f"{kind} takes no [{sec}] {key}: {why}")
         del sections[sec][key]
+    if seed is not None:
+        sections["experiment"]["seed"] = seed
 
-    config = RunConfig(kind=kind, seed=sections["experiment"]["seed"], sections=sections)
-    _validate_constraints(config)
     try:
-        return _build(config)
-    except ConfigError:
-        raise
-    except ValueError as exc:
+        return _build(kind, sections)
+    except ValueError as exc:  # a ConfigError too: either way its message is kept
         raise ConfigError(str(exc)) from None
 
 
-def _validate_constraints(cfg: RunConfig) -> None:
-    """The checks no domain constructor makes; `_build` makes the others."""
-    s = cfg.sections
-    if cfg.seed < 0:
-        raise ConfigError(f"requires seed >= 0, got {cfg.seed}")
-    if "control" in s:
-        if s["control"].get("alpha") is not None and s["control"]["alpha"] < 1:
-            raise ConfigError("requires alpha >= 1")
+def _build(kind: str, s: dict) -> RunConfig:
+    """The one place that turns parsed sections into the objects a verb
+    runs: grid, specs, controls with their weights, criterion exponent and
+    barrier parameters. Their constructors check every value they take;
+    this function makes the checks that no constructor makes."""
+    seed = s["experiment"]["seed"]
+    if seed < 0:
+        raise ConfigError(f"requires seed >= 0, got {seed}")
     if "gbu" in s:
         g = s["gbu"]
         if len(g["thresholds"]) * len(g["grids"]) < 2:
@@ -233,12 +255,6 @@ def _validate_constraints(cfg: RunConfig) -> None:
             raise ConfigError("thresholds must be strictly increasing")
         if len(set(g["grids"])) < len(g["grids"]):
             raise ConfigError(f"grids must not repeat an entry, got {g['grids']}")
-    if "barrier" in s:
-        b = s["barrier"]
-        if not b["rho"] > 0:
-            raise ConfigError("requires rho > 0")
-        if b["n"] not in (1, 2, 3):
-            raise ConfigError("requires n in {1, 2, 3}")
     if "compliance" in s:
         c = s["compliance"]
         if not c["checks"]:
@@ -254,7 +270,7 @@ def _validate_constraints(cfg: RunConfig) -> None:
                     "as a fresh check (regularizing_effect needs its snapshots and "
                     "energy_estimate its initial gradient energy)"
                 )
-    if cfg.kind == "compliance_suite":
+    if kind == "compliance_suite":
         stored = "compliance" in s and bool(s["compliance"]["trajectory"])
         if stored and "control" in s:
             raise ConfigError(
@@ -264,39 +280,34 @@ def _validate_constraints(cfg: RunConfig) -> None:
         if not stored and "control" not in s:
             raise ConfigError("compliance_suite without a stored trajectory requires [control]")
 
-
-def _build(cfg: RunConfig) -> RunConfig:
-    """cfg with the grid, specs, control and criterion exponent its run
-    uses. Their constructors check every value they take."""
-    s = cfg.sections
     grid = build_grid(s["grid"]["extents"], s["grid"]["points"]) if "grid" in s else None
-    if cfg.kind == "gbu_detect":
+    grids = [] if grid is None else [grid]
+    if kind == "gbu_detect":
         extents = s["grid"]["extents"]
         grids = [build_grid(extents, [n] * len(extents)) for n in s["gbu"]["grids"]]
-    elif cfg.kind == "barrier_certify":
-        # no [grid]: the smallest grid lets [problem] pass the same constructor
-        grids = [build_grid((0.0, 1.0), 3)]
-    else:
-        grids = [grid]
     specs = tuple(make_spec(g, **s["problem"]) for g in grids) if "problem" in s else ()
-    control = None
+    controls = ()
     if "control" in s:
-        c = {k: v for k, v in s["control"].items() if k != "alpha"}
+        c = dict(s["control"])
+        power = c.pop("alpha", None)  # of phi1 in the weight of the recorded mass y
+        if power is not None and not 1 <= power < math.inf:
+            raise ConfigError(f"requires a finite alpha >= 1, got {power}")
         if "gbu" in s:
             thresholds = s["gbu"]["thresholds"]
             c.update(gbu_threshold=max(thresholds), report_thresholds=thresholds)
         control = StepControl(**c)
+        controls = tuple(control if power is None else replace(
+            control, functional_weight=np.power(spectral.principal_eigenpair(sp.grid).phi1, power)
+        ) for sp in specs)
     if "continuation" in s:
         stepping.continuation_epsilons(s["continuation"]["epsilons"])
-    if "barrier" in s:
-        barriers.certify_sampling(s["barrier"]["eps_values"], s["barrier"]["n_radial"])
     if "criterion" in s:
         c = s["criterion"]
         spectral.criterion_bracket(c["amplitude_low"], c["amplitude_high"], c["bisect_iters"])
     if "compliance" in s:
         analysis.monotonicity_samples(s["compliance"]["monotonicity_samples"])
     alpha = None
-    if cfg.kind == "criterion_bisect":
+    if kind == "criterion_bisect":
         window = spectral.alpha_window(specs[0].p, specs[0].q)  # EmptyAlphaWindow unless q > p
         key = s["criterion"]["alpha"]
         alpha = window.midpoint() if key == "mid" else _parse_float(key)
@@ -305,7 +316,16 @@ def _build(cfg: RunConfig) -> RunConfig:
                 f"alpha={alpha} outside the admissible exponent window "
                 f"({window.lo}, {window.hi})"
             )
-    return replace(cfg, grid=grid, specs=specs, control=control, alpha=alpha)
+    barrier = None
+    if "barrier" in s:
+        b = s["barrier"]
+        barriers.certify_sampling(b["eps_values"], b["n_radial"])
+        barrier = barriers.find_barrier_params(
+            s["problem"]["p"], s["problem"]["q"], b["n"], b["rho"],
+            g_norms=(b["grad_g"], b["hess_g"], b["g_sup"]), g_min=b["g_min"],
+            data_sup=b["data_sup"],
+        )
+    return RunConfig(kind, s, grid, specs, controls, alpha, barrier)
 
 
 def canonical_text(cfg: RunConfig) -> str:
@@ -345,16 +365,6 @@ def write_json(path: Path, schema_name: str, obj: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _weight(cfg: RunConfig, grid: Grid) -> np.ndarray | None:
-    """The functional weight phi1^alpha on grid when [control] sets alpha."""
-    alpha = cfg["control"]["alpha"]
-    return None if alpha is None else np.power(spectral.principal_eigenpair(grid).phi1, alpha)
-
-
-def _run_control(cfg: RunConfig) -> StepControl:
-    return replace(cfg.control, functional_weight=_weight(cfg, cfg.spec.grid))
-
-
 def _write_run_artifacts(out: Path, traj, report) -> None:
     """The run's report, monitors and final state, and every earlier state
     under snapshots/ when the run kept more than its first and last."""
@@ -370,21 +380,18 @@ def _write_run_artifacts(out: Path, traj, report) -> None:
 
 # -- dispatch ------------------------------------------------------------------
 
-def dispatch(cfg: RunConfig, out: Path, jobs: int = 1, seed: int | None = None) -> int:
-    """Run cfg's verb into out, after writing its canonical config there
-    with the seed the run uses."""
+def dispatch(cfg: RunConfig, out: Path, jobs: int = 1) -> int:
+    """Run cfg's verb into out, after writing its canonical config there.
+    The handlers only run and write: parse_config built what they run."""
     out.mkdir(parents=True, exist_ok=True)
-    seed = cfg.seed if seed is None else seed
-    experiment = {**cfg["experiment"], "seed": seed}
-    recorded = replace(cfg, sections={**cfg.sections, "experiment": experiment})
-    (out / "config.canonical.cfg").write_text(canonical_text(recorded))
+    (out / "config.canonical.cfg").write_text(canonical_text(cfg))
     handler = next(row.handler for row in _VERBS.values() if row.kind == cfg.kind)
-    return handler(cfg, out, jobs, seed)
+    return handler(cfg, out, jobs)
 
 
-def _do_simulate(cfg: RunConfig, out: Path, jobs: int, seed: int) -> int:
+def _do_simulate(cfg: RunConfig, out: Path, jobs: int) -> int:
     spec = cfg.spec
-    traj, report = stepping.run(spec, _run_control(cfg))
+    traj, report = stepping.run(spec, cfg.control)
     _write_run_artifacts(out, traj, report)
     gamma_star = 1.0 / (spec.q - spec.p + 1.0)
     analysis.write_shell_profile_csv(
@@ -393,7 +400,7 @@ def _do_simulate(cfg: RunConfig, out: Path, jobs: int, seed: int) -> int:
     return 0 if report.verdict in (COMPLETED, GBU_DETECTED) else 3
 
 
-def _do_continuation(cfg: RunConfig, out: Path, jobs: int, seed: int) -> int:
+def _do_continuation(cfg: RunConfig, out: Path, jobs: int) -> int:
     control = cfg.control
     report = stepping.epsilon_continuation(cfg.spec, cfg["continuation"]["epsilons"], control)
     write_json(out / "continuation.json", "continuation", report.to_dict())
@@ -418,9 +425,8 @@ def _gbu_job(spec: ProblemSpec, control: StepControl, out: Path) -> list:
     ]
 
 
-def _do_gbu_detect(cfg: RunConfig, out: Path, jobs: int, seed: int) -> int:
-    specs = cfg.specs
-    controls = [replace(cfg.control, functional_weight=_weight(cfg, s.grid)) for s in specs]
+def _do_gbu_detect(cfg: RunConfig, out: Path, jobs: int) -> int:
+    specs, controls = cfg.specs, cfg.controls
     dirs = [out / "runs" / f"n{s.grid.points_per_axis[0]}" for s in specs]
     if jobs > 1:
         # imported here: only parallel jobs start a process pool
@@ -442,23 +448,14 @@ def _do_gbu_detect(cfg: RunConfig, out: Path, jobs: int, seed: int) -> int:
     return 0 if verdict.status in ("GBU", "NoGBU") else 1
 
 
-def _do_barrier(cfg: RunConfig, out: Path, jobs: int, seed: int) -> int:
+def _do_barrier(cfg: RunConfig, out: Path, jobs: int) -> int:
     b = cfg["barrier"]
-    params = barriers.find_barrier_params(
-        cfg.spec.p,
-        cfg.spec.q,
-        b["n"],
-        b["rho"],
-        g_norms=(b["grad_g"], b["hess_g"], b["g_sup"]),
-        g_min=b["g_min"],
-        data_sup=b["data_sup"],
-    )
-    report = barriers.certify(params, eps_values=b["eps_values"], n_radial=b["n_radial"])
+    report = barriers.certify(cfg.barrier, eps_values=b["eps_values"], n_radial=b["n_radial"])
     write_json(out / "barrier_certificate.json", "barrier_certificate", report)
     return 0 if report["certified"] else 1
 
 
-def _do_bisect(cfg: RunConfig, out: Path, jobs: int, seed: int) -> int:
+def _do_bisect(cfg: RunConfig, out: Path, jobs: int) -> int:
     spec = cfg.spec
     result = spectral.criterion_experiment(
         spec.grid,
@@ -489,17 +486,17 @@ def _section_defaults(name: str) -> dict:
     }
 
 
-def _do_compliance(cfg: RunConfig, out: Path, jobs: int, seed: int) -> int:
+def _do_compliance(cfg: RunConfig, out: Path, jobs: int) -> int:
     comp = cfg.sections.get("compliance", _section_defaults("compliance"))
     checks = comp["checks"]
     reports: list[analysis.ComplianceReport] = []
 
     spec = cfg.spec
-    if comp["trajectory"]:  # the checks are max_principle alone (_validate_constraints)
+    if comp["trajectory"]:  # the checks are max_principle alone (_build)
         monitors = stepping.read_monitors_csv(comp["trajectory"])
         traj = stepping.Trajectory(grid=cfg.grid, spec=None, states=[], monitors=monitors)
     else:
-        traj, run_report = stepping.run(spec, _run_control(cfg))
+        traj, run_report = stepping.run(spec, cfg.control)
         _write_run_artifacts(out, traj, run_report)
     if "max_principle" in checks:
         reports.append(analysis.max_principle_check(traj))
@@ -509,18 +506,18 @@ def _do_compliance(cfg: RunConfig, out: Path, jobs: int, seed: int) -> int:
     if "energy_estimate" in checks:
         reports.append(analysis.energy_estimate(run_report, spec))
     if "monotonicity" in checks:
-        reports.append(analysis.monotonicity_suite(comp["monotonicity_samples"], seed=seed))
+        reports.append(analysis.monotonicity_suite(comp["monotonicity_samples"], seed=cfg.seed))
 
     doc = {
         "passed": all(r.passed for r in reports),
-        "seed": seed,
+        "seed": cfg.seed,
         "checks": [r.to_dict() for r in reports],
     }
     write_json(out / "compliance_report.json", "compliance_report", doc)
     return 0 if doc["passed"] else 1
 
 
-def _do_eig(cfg: RunConfig, out: Path, jobs: int, seed: int) -> int:
+def _do_eig(cfg: RunConfig, out: Path, jobs: int) -> int:
     grid = cfg.grid
     eig = spectral.principal_eigenpair(grid)
     fieldio.write_field(out / "phi1.field", eig.phi1, 0.0)
@@ -544,7 +541,7 @@ class _Verb:
     not read; setting one is a config error."""
 
     kind: str
-    handler: Callable[[RunConfig, Path, int, int], int]
+    handler: Callable[[RunConfig, Path, int], int]
     required: tuple[str, ...]
     optional: tuple[str, ...] = ()
     unread: tuple[tuple[str, str, str], ...] = ()
@@ -594,21 +591,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = parse_config(Path(args.config).read_text())
+        cfg = parse_config(Path(args.config).read_text(), seed=args.seed)
         expected = _VERBS[args.verb].kind
         if cfg.kind != expected:
             raise ConfigError(
                 f"verb {args.verb!r} expects kind {expected!r}, config says {cfg.kind!r}"
             )
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"requires --seed >= 0, got {args.seed}")
     except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     out = _resolve_out(args.out, cfg)
     try:
-        return dispatch(cfg, out, jobs=args.jobs, seed=args.seed)
+        return dispatch(cfg, out, jobs=args.jobs)
     except Exception as exc:  # runtime failure: machine-readable summary
         out.mkdir(parents=True, exist_ok=True)
         failure = {"error": type(exc).__name__, "message": str(exc)}

@@ -16,7 +16,7 @@ import numpy as np
 class Grid:
     """Discrete geometry of an interval or axis-aligned rectangle.
 
-    extents: ((a, b),) in 1D or ((a1, b1), (a2, b2)) in 2D.
+    extents: ((a, b),) in 1D or ((a1, b1), (a2, b2)) in 2D, finite with a < b.
     points_per_axis: number of nodes per axis, >= 3 (so interior nodes exist).
     """
 
@@ -32,8 +32,8 @@ class Grid:
         for (a, b), n in zip(self.extents, self.points_per_axis):
             if n < 3:
                 raise ValueError(f"need at least 3 nodes per axis, got {n}")
-            if not b > a:
-                raise ValueError(f"degenerate extent [{a}, {b}]")
+            if not -np.inf < a < b < np.inf:
+                raise ValueError(f"requires a finite extent [a, b] with a < b, got [{a}, {b}]")
         object.__setattr__(
             self,
             "spacing",

@@ -258,8 +258,7 @@ def criterion_experiment(
     if not window.contains(alpha):
         raise ValueError(f"alpha={alpha} outside admissible window {window}")
     criterion_bracket(amplitude_low, amplitude_high, bisect_iters)
-    weight = np.power(principal_eigenpair(grid).phi1, alpha)
-    qw = quadrature_weights(grid)
+    phi1 = principal_eigenpair(grid).phi1
 
     history = []
     runs = 0
@@ -267,7 +266,7 @@ def criterion_experiment(
     def probe(amp: float) -> tuple[str, float, RunReport]:
         nonlocal runs
         spec = make_spec(grid, p, q, epsilon=epsilon, mu=mu, profile="sine", amplitude=amp)
-        y0 = float(np.sum(qw * spec.initial * weight))
+        y0 = blowup_functional(spec.initial_state(), phi1, alpha)
         _, report = run(spec, control)
         runs += 1
         if report.verdict not in (COMPLETED, GBU_DETECTED):

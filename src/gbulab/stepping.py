@@ -60,7 +60,7 @@ class StepControl:
     t_end: float
     theta: float = 0.5
     dt_min: float = 1e-14
-    gbu_threshold: float = 1e6
+    gbu_threshold: float = 1e6  # inf: no threshold stop
     snapshot_every: int = 0
     t_marks: tuple[float, ...] = ()
     report_thresholds: tuple[float, ...] = ()
@@ -69,12 +69,12 @@ class StepControl:
     max_steps: int = 0  # 0 = unlimited
 
     def __post_init__(self):
-        if not self.t_end > 0:
-            raise ValueError("t_end must be positive")
+        if not 0 < self.t_end < math.inf:
+            raise ValueError("t_end must be positive and finite")
         if not 0 < self.theta <= 1:
             raise ValueError("theta must be in (0, 1]")
-        if not self.dt_min > 0:
-            raise ValueError("dt_min must be positive")
+        if not 0 < self.dt_min < math.inf:
+            raise ValueError("dt_min must be positive and finite")
         if not self.gbu_threshold > 0:
             raise ValueError("gbu_threshold must be positive")
         if self.snapshot_every < 0:
@@ -83,8 +83,8 @@ class StepControl:
             raise ValueError("monitor_stride must be >= 1")
         if self.max_steps < 0:
             raise ValueError("max_steps must be >= 0")
-        if not all(g > 0 for g in self.report_thresholds):
-            raise ValueError("report_thresholds must be positive")
+        if not all(0 < g < math.inf for g in self.report_thresholds):
+            raise ValueError("report_thresholds must be positive and finite")
         object.__setattr__(self, "t_marks", tuple(sorted(float(t) for t in self.t_marks)))
         object.__setattr__(
             self, "report_thresholds", tuple(sorted(float(g) for g in self.report_thresholds))

@@ -130,6 +130,21 @@ def test_invalid_exponents_rejected():
         find_barrier_params(3.0, 1.9, 1, 0.5)  # q <= p - 1
 
 
+@pytest.mark.parametrize(("kwargs", "message"), [
+    ({"q": math.inf}, "requires finite q > p - 1 > 1"),
+    ({"g_min": math.nan}, "data norms and g_min must be finite and nonnegative"),
+    ({"g_min": -1.0}, "data norms and g_min must be finite and nonnegative"),
+    ({"data_sup": math.nan}, "data norms and g_min must be finite and nonnegative"),
+    ({"g_norms": (0.0, math.inf, 0.0)}, "data norms and g_min must be finite and nonnegative"),
+    ({"g_norms": (1e300, 0.0, 0.0)}, "no admissible delta within the float range"),
+], ids=["q_inf", "g_min_nan", "g_min_negative", "data_sup_nan", "hess_g_inf",
+        "grad_g_overflow"])
+def test_search_rejects_nonfinite_or_overflowing_input(kwargs, message):
+    args = {"p": 3.0, "q": 4.0, "N": 1, "rho": 0.5, **kwargs}
+    with pytest.raises(ValueError, match=message):
+        find_barrier_params(**args)
+
+
 # -- supersolution certificate -----------------------------------------------------
 
 @pytest.mark.parametrize("p,q", [(3.0, 4.0), (3.0, 3.5), (4.0, 5.0)])

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from gbulab import fieldio
 from gbulab.cli import _VERBS, ConfigError, canonical_text, dispatch, main, parse_config
 from gbulab.schema import SchemaError, load_schema, validate
+from gbulab.spectral import principal_eigenpair
 from gbulab.stepping import MONITOR_COLUMNS, epsilon_continuation, read_monitors_csv, run
 
 try:
@@ -425,6 +427,18 @@ def test_parse_builds_one_spec_per_grid_and_one_control():
     assert (cfg.control.t_end, cfg.control.dt_min) == (0.05, 1e-13)
     assert cfg.grid.points_per_axis == (51,)
     assert parse_config(canonical_text(cfg)).sections == cfg.sections
+    assert cfg.controls == (cfg.control, cfg.control)
+
+
+def test_parse_weights_each_control_on_its_grid():
+    # [control] alpha: each spec's control records y with phi1^alpha of its own grid
+    cfg = parse_config(GBU_DETECT_CFG.replace("grids = 101", "grids = 51, 101")
+                       .replace("t_end", "alpha = 2.5\nt_end"))
+    for spec, control in zip(cfg.specs, cfg.controls, strict=True):
+        phi1 = principal_eigenpair(spec.grid).phi1
+        assert np.array_equal(control.functional_weight, np.power(phi1, 2.5))
+        assert replace(control, functional_weight=None) == replace(
+            cfg.control, functional_weight=None)
 
 
 def test_dispatch_gbu_detect(tmp_path):
@@ -586,6 +600,14 @@ t_end = 0.01
       for n in (3, 0)),
     # unchecked, a negative count runs the two bracket probes and reports the bracket
     ("bisect-criterion", BISECT_CFG + "bisect_iters = -3\n", "bisect_iters must be >= 0"),
+    # unchecked, huge norms overflow the delta search after the output root is
+    # written (exit 3), a negative g_min certifies (exit 0), and alpha < 1 runs
+    *(("certify-barrier", BARRIER_CFG + f"{key} = 1e300\n",
+       "no admissible delta within the float range for p=3.0, q=4.0, N=1")
+      for key in ("grad_g", "hess_g")),
+    ("certify-barrier", BARRIER_CFG + "g_min = -1\n",
+     "data norms and g_min must be finite and nonnegative"),
+    ("simulate", MINIMAL_SIMULATE + "alpha = 0.5\n", "requires a finite alpha >= 1, got 0.5"),
 ], ids=["monitor_stride", "dt_min", "gbu_threshold", "snapshot_every", "max_steps", "ramp_2d",
         "gbu_grids", "gbu_thresholds", "epsilon_nan", "gbu_detect_control_threshold_neg",
         "gbu_detect_control_threshold_300", "epsilons", "gbu_grids_repeated",
@@ -596,7 +618,8 @@ t_end = 0.01
         "barrier_mu", "barrier_profile", "barrier_amplitude", "bisect_profile",
         "bisect_amplitude", "compliance_stored_control", "epsilon_inf", "mu_inf", "q_inf",
         "epsilons_nan", "epsilons_inf", "monotonicity_samples_3", "monotonicity_samples_0",
-        "bisect_iters_negative"])
+        "bisect_iters_negative", "barrier_grad_g_overflow", "barrier_hess_g_overflow",
+        "barrier_g_min_negative", "control_alpha_below_1"])
 def test_main_value_rejected_by_constructor_exit_2_before_any_run(
     tmp_path, capsys, verb, text, message
 ):
@@ -620,6 +643,46 @@ VERB_CFGS = {
 }
 
 
+def _nonfinite_cases():
+    """(verb, text) with one float key of the verb's VERB_CFGS config set to
+    nan and to inf: a number, the last entry of a list, the upper bound of
+    the last extent. gbu_threshold = inf is a run with no threshold stop."""
+    cases = []
+    for verb in sorted(_VERBS):
+        cfg = parse_config(VERB_CFGS[verb])
+        for sec, values in cfg.sections.items():
+            for key, value in values.items():
+                for bad in (math.nan, math.inf):
+                    if value and isinstance(value, list) and isinstance(value[-1], list):
+                        new = [*value[:-1], [value[-1][0], bad]]
+                    elif value and isinstance(value, list) and isinstance(value[-1], float):
+                        new = [*value[:-1], bad]
+                    elif isinstance(value, float) or value is None:  # None: [control] alpha
+                        new = bad
+                    else:
+                        continue
+                    if (key, bad) == ("gbu_threshold", math.inf):
+                        continue
+                    sections = {name: dict(v) for name, v in cfg.sections.items()}
+                    sections[sec][key] = new
+                    text = canonical_text(replace(cfg, sections=sections))
+                    cases.append(pytest.param(verb, text, id=f"{verb}-{key}-{bad}"))
+    return cases
+
+
+@pytest.mark.parametrize(("verb", "text"), _nonfinite_cases())
+def test_nonfinite_value_is_a_config_error_before_any_output(tmp_path, verb, text):
+    # parse first: unchecked, t_end = inf (simulate, continue-eps) and
+    # [barrier] rho = inf never return; other values fail after the output
+    # root is written, or pass with nan monitors
+    with pytest.raises(ConfigError):
+        parse_config(text)
+    path = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main([verb, "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("verb", sorted(_VERBS))
 def test_every_verb_writes_its_canonical_config(tmp_path, verb):
     path = write_cfg(tmp_path, VERB_CFGS[verb])
@@ -633,7 +696,7 @@ def test_every_verb_writes_its_canonical_config(tmp_path, verb):
 
 @pytest.mark.parametrize(("text", "flags", "message"), [
     (COMPLIANCE_CFG.replace("seed = 7", "seed = -1"), [], "requires seed >= 0, got -1"),
-    (COMPLIANCE_CFG, ["--seed", "-5"], "requires --seed >= 0, got -5"),
+    (COMPLIANCE_CFG, ["--seed", "-5"], "requires seed >= 0, got -5"),
 ], ids=["config", "flag"])
 def test_negative_seed_is_a_config_error_before_any_output(tmp_path, capsys, text, flags,
                                                            message):

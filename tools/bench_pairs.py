@@ -10,8 +10,11 @@ host's speed does not favour one side. Every run's result line (the last
 line it prints, one JSON object) is kept with the provenance it prints and a
 hash of its iterations' determinism fingerprints. The summary gives, per
 end-to-end metric, each side's median and quartiles (linear interpolation,
-as numpy's default), the change's median relative to the parent's, and in
-how many pairs the change was better; plus the failed operations per side.
+as numpy's default), the change's median relative to the parent's, in how
+many pairs the change was better, split by whether it ran first or second,
+and in how many pairs the run that went second was worse; plus the failed
+operations per side. On a host whose speed drifts within a pair, the split
+shows run order passing for a difference of code.
 
 The output file holds one entry per workload and seed under "workloads";
 an existing file gains or replaces that entry and keeps the others. The
@@ -64,8 +67,13 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
 
 
 def summarize(runs: list[dict]) -> dict:
+    """Per metric: each side's median and quartiles, and pair counts. `runs`
+    is in the order the runs ran, so the first run of a pair ran first."""
     by_side = {side: [r for r in runs if r["side"] == side] for side in SIDES}
     names = list(runs[0]["result"]["metrics"])
+    first, second = {}, {}  # pair -> the side that ran first, second
+    for r in runs:
+        (second if r["pair"] in first else first)[r["pair"]] = r["side"]
     summary = {}
     for name in names:
         entry = {}
@@ -78,8 +86,14 @@ def summarize(runs: list[dict]) -> dict:
         pairs = {}
         for r in runs:
             pairs.setdefault(r["pair"], {})[r["side"]] = r["result"]["metrics"][name]["value"]
-        wins = sum(p["change"] < p["parent"] for p in pairs.values())  # every metric: lower is better
-        entry["pairs_change_better"] = f"{wins}/{len(pairs)}"
+        # every metric: lower is better
+        better = {k: p["change"] < p["parent"] for k, p in pairs.items()}
+        entry["pairs_change_better"] = f"{sum(better.values())}/{len(pairs)}"
+        for when, side in (("first", "change"), ("second", "parent")):
+            ks = [k for k in pairs if first[k] == side]
+            entry[f"pairs_change_better_when_{when}"] = f"{sum(better[k] for k in ks)}/{len(ks)}"
+        second_worse = sum(p[second[k]] > p[first[k]] for k, p in pairs.items())
+        entry["pairs_second_run_worse"] = f"{second_worse}/{len(pairs)}"
         summary[name] = entry
     return summary
 
@@ -128,7 +142,11 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     s = entry["summary"]
     print(json.dumps({name: {"parent": v["parent"]["median"], "change": v["change"]["median"],
-                             "better": v["pairs_change_better"]} for name, v in s.items()}))
+                             "better": v["pairs_change_better"],
+                             "better_first": v["pairs_change_better_when_first"],
+                             "better_second": v["pairs_change_better_when_second"],
+                             "second_worse": v["pairs_second_run_worse"]}
+                      for name, v in s.items()}))
     return 0
 
 

@@ -15,7 +15,7 @@ A mutant is caught when pytest reports a failed test (exit code 1).
 The exit code is 0 when every mutant run is caught, 1 when one survives or
 its edit no longer applies (its old text must occur exactly once in the
 file), and 2 when a listed test fails on the unchanged checkout. A full
-run starts 17 pytest processes, one after another (20-40 s on 2 cores).
+run starts 18 pytest processes, one after another (20-40 s on 2 cores).
 Run it after changing a check or the code a mutant edits, and add a
 mutant with each new check.
 """
@@ -103,6 +103,12 @@ MUTANTS = (
     Mutant("accumulators_without_the_running_sums", "src/gbulab/stepping.py",
            "np.add.accumulate(acc, out=acc)", "np.add.accumulate(acc[1:], out=acc[1:])",
            ("tests/test_stepping.py::test_run_bitwise_matches_repeated_step",)),
+    Mutant("t_end_may_be_infinite", "src/gbulab/stepping.py",
+           "if not 0 < self.t_end < math.inf:", "if not 0 < self.t_end:",
+           ("tests/test_cli.py::test_nonfinite_value_is_a_config_error_before_any_output"
+            "[simulate-t_end-inf]",
+            "tests/test_cli.py::test_nonfinite_value_is_a_config_error_before_any_output"
+            "[continue-eps-t_end-inf]")),
 )
 
 
