@@ -5,7 +5,10 @@ L2-in-time energy bound.
 
 Each check returns a ComplianceReport whose signed worst margin is "bound
 minus observed"; it passes iff the margin is >= -tolerance. Checks are
-deterministic functions of their inputs.
+deterministic functions of their inputs, and each reads the record its run
+keeps: the extremum, regularizing and energy checks the monitor rows, the
+ordering check a lockstep pair's margin after every step, the profile and
+boundedness checks the snapshot states.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ import numpy as np
 
 from .grid import Grid, boundary_distance
 from .problem import ProblemSpec, SolutionState
-from .stepping import COMPLETED, RunReport, StepControl, Trajectory, run
+from .stepping import COMPLETED, PairReport, RunReport, StepControl, Trajectory, run
 
 
 class InsufficientCollar(ValueError):
@@ -80,30 +83,17 @@ def max_principle_check(traj: Trajectory) -> ComplianceReport:
     )
 
 
-def comparison_check(traj_low: Trajectory, traj_high: Trajectory) -> ComplianceReport:
-    """Ordered data must stay ordered: u <= v + BOUND_TOL_H*h at matched snapshot times.
-
-    Both trajectories must come from a lockstep run (same grid, same dt
-    sequence, same snapshot cadence)."""
-    if traj_low.grid != traj_high.grid:
-        raise ValueError("trajectories live on different grids")
-    if np.any(traj_low.states[0].u > traj_high.states[0].u):
-        raise ValueError("initial data are not ordered: need u0 <= v0")
-    g_low = traj_low.spec.boundary_values
-    g_high = traj_high.spec.boundary_values
-    if np.any(g_low > g_high):
-        raise ValueError("boundary data are not ordered: need g_u <= g_v")
-    t_low, t_high = traj_low.times, traj_high.times
-    if len(t_low) != len(t_high) or np.any(t_low != t_high):
-        raise ValueError("snapshot times differ; use a lockstep run")
-    tol = BOUND_TOL_H * traj_low.grid.h_min
-    worst = math.inf
-    loc = ""
-    for s_lo, s_hi in zip(traj_low.states, traj_high.states):
-        m = float(np.min(s_hi.u - s_lo.u))
-        if m < worst:
-            worst, loc = m, f"t={s_lo.t:.6g}"
-    return _report("comparison", worst, tol, loc, snapshots=len(t_low))
+def comparison_check(pair: PairReport) -> ComplianceReport:
+    """Ordered data must stay ordered: u <= v + BOUND_TOL_H*h after every
+    step of a lockstep pair, scored on its ordering margins min(v - u), one
+    per accepted step and one for the start, at `pair.times`. `run_pair`
+    requires the ordered data on one grid."""
+    margins = pair.ordering_margin
+    k = int(np.argmin(margins))
+    return _report(
+        "comparison", margins[k], BOUND_TOL_H * pair.traj_low.grid.h_min,
+        f"t={pair.times[k]:.6g}", steps=len(margins) - 1,
+    )
 
 
 # -- vector monotonicity inequality -------------------------------------------

@@ -115,7 +115,7 @@ def check_invariants(params: BarrierParams) -> dict[str, float]:
         "beta_formula": -abs(b - beta_exponent(p, q)),
         "ing_closed_form": 4.0 ** (p - q - 4.0) * b - d ** ((q - p + 3.0) / (2.0 * (q - p + 2.0))),
         "k_rate": params.K - (N + p - 3.0) / rho,
-        "jal": float(phi_prime(e, d, b)) - params.grad_g,
+        "jal": ((1.0 - b) * e + d) * (e + d) ** (-b - 1.0) - params.grad_g,  # phi'(eta)
         "inegs": b * d * (e + d) ** (-b - 2.0) - 4.0 * (p - 2.0 + math.sqrt(N)) * params.hess_g,
         "aux_scale": 4.0 * (e + d) ** (-2.0 * b) - 1.0,
         "aux_curv": b * d - max(N + p - 3.0, 0.0) * (e + d) ** 2 / rho,
@@ -129,16 +129,20 @@ def is_admissible(params: BarrierParams) -> bool:
     return strict and all(v >= 0 for k, v in m.items() if k != "k_rate")
 
 
-def _largest_admissible_delta(make, lo: float, hi: float) -> float:
-    """Largest delta in [lo, hi] whose make(delta) is admissible: hi when it
-    is, else 80 bisection steps up from an admissible lo, else nan. Shrinking
-    an admissible delta preserves admissibility, so the bisection is sound."""
-    if is_admissible(make(hi)):
-        return hi
-    if not is_admissible(make(lo)):
-        return math.nan
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
+def _largest_admissible_delta(make, hi: float) -> float:
+    """Largest delta <= hi whose make(delta) is admissible, to the last ulp:
+    halve from hi to the first admissible lo, then bisect [lo, min(2 lo, hi)]
+    until its ends are adjacent floats (the halving found 2 lo inadmissible).
+    Shrinking an admissible delta preserves admissibility, so the bisection
+    is sound. Raises OverflowError when a power of delta leaves the float
+    range or lo reaches the float floor first."""
+    lo = hi
+    while not is_admissible(make(lo)):
+        lo *= 0.5
+        if lo < 1e-300:  # the float floor: the next powers of delta overflow
+            raise OverflowError
+    hi = min(2.0 * lo, hi)
+    while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
         if is_admissible(make(mid)):
             lo = mid
         else:
@@ -158,11 +162,10 @@ def find_barrier_params(
     """Admissible (delta=eta, beta, K, C) for the collar construction.
 
     beta is pinned to 1/(2(q-p+2)); delta is the largest admissible value
-    found by bisection downward from rho (the constraint set is monotone:
-    shrinking an admissible delta preserves admissibility). K exceeds the
-    rate floor (N+p-3)/rho; C dominates the initial data: bounded by
-    data_sup overall and Lipschitz near the contact point with constant
-    data_sup.
+    up to rho, to the last ulp (the constraint set is monotone: shrinking an
+    admissible delta preserves admissibility). K exceeds the rate floor
+    (N+p-3)/rho; C dominates the initial data: bounded by data_sup overall
+    and Lipschitz near the contact point with constant data_sup.
 
     g_norms is (|grad g|_inf, |D2 g|_inf, |g|_inf). Raises NoAdmissibleParams
     when no delta is admissible before the search leaves the float range.
@@ -183,13 +186,8 @@ def find_barrier_params(
             g_min=g_min, data_sup=data_sup,
         )
 
-    lo = rho
     try:
-        while not is_admissible(make(lo)):
-            lo *= 0.5
-            if lo < 1e-300:  # the float floor: the next powers of delta overflow
-                raise OverflowError
-        return make(_largest_admissible_delta(make, lo, rho))
+        return make(_largest_admissible_delta(make, rho))
     except OverflowError:
         raise NoAdmissibleParams(
             f"no admissible delta within the float range for p={p}, q={q}, N={N}"
@@ -359,12 +357,16 @@ def certify(
     params: BarrierParams, eps_values=(0.0, 1e-3, 1e-1, 1.0), n_radial: int = 10000
 ) -> dict:
     """Certification report: parameters, per-inequality minimum residuals
-    for each eps, the admissible-delta upper bound, and the T0 window.
-    `certify_sampling` checks eps_values and n_radial."""
+    for each eps, the admissible-delta upper bound (the largest admissible
+    delta <= rho, nan when there is none in the float range), and the T0
+    window. `certify_sampling` checks eps_values and n_radial."""
     eps_values = certify_sampling(eps_values, n_radial)
-    delta_upper = _largest_admissible_delta(
-        lambda dd: replace(params, delta=dd, eta=dd), params.delta, params.rho
-    )
+    try:
+        delta_upper = _largest_admissible_delta(
+            lambda dd: replace(params, delta=dd, eta=dd), params.rho
+        )
+    except OverflowError:
+        delta_upper = math.nan
 
     sup_reports = {}
     exp_reports = {}

@@ -15,8 +15,11 @@ range). It runs before the output root exists, so every value that one of
 these objects rejects is exit 2 with no output. Non-finite t_end, dt_min,
 [gbu] thresholds entries and grid extents are rejected; gbu_threshold = inf
 is a run with no threshold stop. `--seed` replaces [experiment] seed before
-any check, so one check covers the flag and the config value. The handlers
-then only run and write.
+any check, so one check covers the flag and the config value. An optional
+section whose keys all have defaults ([compliance] of check) is parsed, and
+written to config.canonical.cfg, as if its header stood alone. The handlers
+then only run and write. A check of stored monitors runs every check but
+energy_estimate, which needs the initial gradient energy of a fresh run.
 
 `_VERBS` declares each verb once: its experiment kind, its handler, the
 sections its config requires and may add, and the keys of those sections
@@ -210,9 +213,12 @@ def parse_config(text: str, seed: int | None = None) -> RunConfig:
     for sec in row.required:
         if sec not in present:
             raise ConfigError(f"kind {kind!r} requires section [{sec}]")
+    for sec in row.optional:  # one whose keys all have defaults runs with them
+        if sec not in present and _REQUIRED not in [d for _, d in _SCHEMA[sec].values()]:
+            cp.add_section(sec)
 
     sections: dict[str, dict] = {}
-    for sec in present:
+    for sec in cp.sections():
         schema = _SCHEMA[sec]
         values = {}
         for key in cp[sec]:
@@ -262,22 +268,17 @@ def _build(kind: str, s: dict) -> RunConfig:
         unknown = set(c["checks"]) - set(COMPLIANCE_CHECKS)
         if unknown:
             raise ConfigError(f"unknown checks {sorted(unknown)}; known: {COMPLIANCE_CHECKS}")
-        if c["trajectory"]:
-            bad = set(c["checks"]) - {"max_principle"}
-            if bad:
-                raise ConfigError(
-                    f"stored-trajectory checking supports only max_principle; run {sorted(bad)} "
-                    "as a fresh check (regularizing_effect needs its snapshots and "
-                    "energy_estimate its initial gradient energy)"
-                )
-    if kind == "compliance_suite":
-        stored = "compliance" in s and bool(s["compliance"]["trajectory"])
-        if stored and "control" in s:
+        if c["trajectory"] and "energy_estimate" in c["checks"]:
+            raise ConfigError(
+                "a stored-trajectory check cannot run energy_estimate: it needs the "
+                "initial gradient energy of a fresh run"
+            )
+        if c["trajectory"] and "control" in s:
             raise ConfigError(
                 "compliance_suite with a stored trajectory takes no [control]: "
                 "it checks the stored monitors and runs nothing"
             )
-        if not stored and "control" not in s:
+        if not c["trajectory"] and "control" not in s:
             raise ConfigError("compliance_suite without a stored trajectory requires [control]")
 
     grid = build_grid(s["grid"]["extents"], s["grid"]["points"]) if "grid" in s else None
@@ -478,30 +479,21 @@ def _do_bisect(cfg: RunConfig, out: Path, jobs: int) -> int:
     return 0
 
 
-def _section_defaults(name: str) -> dict:
-    return {
-        key: (list(default) if isinstance(default, list) else default)
-        for key, (_, default) in _SCHEMA[name].items()
-        if default is not _REQUIRED
-    }
-
-
 def _do_compliance(cfg: RunConfig, out: Path, jobs: int) -> int:
-    comp = cfg.sections.get("compliance", _section_defaults("compliance"))
+    comp = cfg["compliance"]
     checks = comp["checks"]
     reports: list[analysis.ComplianceReport] = []
 
     spec = cfg.spec
-    if comp["trajectory"]:  # the checks are max_principle alone (_build)
-        monitors = stepping.read_monitors_csv(comp["trajectory"])
-        traj = stepping.Trajectory(grid=cfg.grid, spec=None, states=[], monitors=monitors)
+    if comp["trajectory"]:  # every check but energy_estimate (_build)
+        traj = stepping.Trajectory(cfg.grid, [], stepping.read_monitors_csv(comp["trajectory"]))
     else:
         traj, run_report = stepping.run(spec, cfg.control)
         _write_run_artifacts(out, traj, run_report)
     if "max_principle" in checks:
         reports.append(analysis.max_principle_check(traj))
     if "regularizing_effect" in checks:
-        u0_sup = float(np.max(np.abs(spec.initial)))
+        u0_sup = float(max(abs(traj.monitors["min_u"][0]), abs(traj.monitors["max_u"][0])))
         reports.append(analysis.regularizing_effect_check(traj, spec.p, u0_sup))
     if "energy_estimate" in checks:
         reports.append(analysis.energy_estimate(run_report, spec))

@@ -96,10 +96,11 @@ SNAPSHOT_RTOL = 1e-9  # relative time tolerance of Trajectory.state_at
 
 @dataclass
 class Trajectory:
-    """Snapshot states (always including t=0 and the final time) + monitors."""
+    """Snapshot states (always including t=0 and the final time) and the
+    monitor rows of a run on `grid`. A check of a stored monitors.csv reads
+    one with no states."""
 
     grid: Grid
-    spec: ProblemSpec
     states: list[SolutionState]
     monitors: dict[str, np.ndarray]
 
@@ -343,10 +344,7 @@ class _Track:
             max_u_overall=self.max_overall,
             initial_gradient_energy=self.e0,
         )
-        traj = Trajectory(
-            grid=self.spec.grid, spec=self.spec, states=self.snapshots, monitors=monitors
-        )
-        return traj, report
+        return Trajectory(self.spec.grid, self.snapshots, monitors), report
 
 
 def _integrate(specs, control: StepControl):

@@ -14,6 +14,7 @@ from gbulab import (
     SolutionState,
     StepControl,
     build_grid,
+    comparison_check,
     epsilon_continuation,
     gradient_source,
     make_spec,
@@ -182,20 +183,15 @@ def test_criterion_03_max_principle():
 def test_criterion_04_comparison_principle():
     t0 = time.perf_counter()
     g = build_grid((0.0, 1.0), 201)
-    h = g.spacing[0]
     lo = make_spec(g, p=3.0, q=2.5, profile="sine", amplitude=1.0)
     hi = make_spec(g, p=3.0, q=2.5, profile="sine", amplitude=2.0)
     pair = run_pair(lo, hi, StepControl(t_end=0.05, snapshot_every=1000))
-    worst = float(np.min(pair.ordering_margin))
+    report = comparison_check(pair)
     elapsed = time.perf_counter() - t0
 
-    ok = (
-        pair.report_low.verdict == "Completed"
-        and worst >= -2 * h
-        and elapsed < 120.0
-    )
+    ok = pair.report_low.verdict == "Completed" and report.passed and elapsed < 120.0
     assert line(4, "comparison principle", ok,
-                f"worst ordering margin {worst:.2e} (tol {-2 * h:.2e}) "
+                f"worst ordering margin {report.worst_margin:.2e} (tol {-report.tolerance:.2e}) "
                 f"over {len(pair.times)} steps {elapsed:.1f}s")
 
 

@@ -74,29 +74,25 @@ def test_comparison_ordered_sines():
     lo = make_spec(g, p=3.0, q=2.5, profile="sine", amplitude=1.0)
     hi = make_spec(g, p=3.0, q=2.5, profile="sine", amplitude=2.0)
     pair = run_pair(lo, hi, StepControl(t_end=0.01, snapshot_every=100))
-    report = comparison_check(pair.traj_low, pair.traj_high)
+    report = comparison_check(pair)
     assert report.passed
-    assert np.min(pair.ordering_margin) >= -2 * g.spacing[0]
+    assert report.worst_margin == np.min(pair.ordering_margin) >= -2 * g.spacing[0]
+    assert report.details["steps"] == pair.report_low.steps
 
 
-def test_comparison_rejects_crossing_initial_data():
+def test_comparison_fails_on_a_broken_order():
+    # negative control: the crossing pair of
+    # test_run_pair_ordering_margin_shows_a_broken_order (twice the source
+    # below, none above) must fail, at its worst step
     g = build_grid((0.0, 1.0), 41)
-    a = make_spec(g, p=3.0, q=2.5, profile="sine", amplitude=2.0)
-    b = make_spec(g, p=3.0, q=2.5, profile="ramp", amplitude=1.0)
-    ta, _ = run(a, StepControl(t_end=0.001))
-    tb, _ = run(b, StepControl(t_end=0.001))
-    with pytest.raises(ValueError):
-        comparison_check(ta, tb)
-
-
-def test_comparison_requires_matching_times():
-    g = build_grid((0.0, 1.0), 41)
-    lo = make_spec(g, p=3.0, q=2.5, profile="sine", amplitude=1.0)
-    hi = make_spec(g, p=3.0, q=2.5, profile="sine", amplitude=2.0)
-    ta, _ = run(lo, StepControl(t_end=0.001))
-    tb, _ = run(hi, StepControl(t_end=0.002))
-    with pytest.raises(ValueError):
-        comparison_check(ta, tb)
+    low = make_spec(g, 3.0, 2.5, mu=2.0, profile="sine", amplitude=1.0)
+    high = make_spec(g, 3.0, 2.5, mu=0.0, profile="sine", amplitude=1.0)
+    pair = run_pair(low, high, StepControl(t_end=0.01))
+    report = comparison_check(pair)
+    assert not report.passed
+    assert report.worst_margin == min(pair.ordering_margin)
+    k = int(np.argmin(pair.ordering_margin))
+    assert report.location == f"t={pair.times[k]:.6g}"
 
 
 # -- monotonicity inequality --------------------------------------------------------

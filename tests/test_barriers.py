@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -145,6 +146,46 @@ def test_search_rejects_nonfinite_or_overflowing_input(kwargs, message):
         find_barrier_params(**args)
 
 
+
+def at_the_edge(params: BarrierParams) -> bool:
+    """params' delta is admissible and the next float above it is not."""
+    up = float(np.nextafter(params.delta, math.inf))
+    return is_admissible(params) and not is_admissible(replace(params, delta=up, eta=up))
+
+
+@pytest.mark.parametrize("rho", [0.5, 10.0, 1e3, 1e50])
+def test_search_ends_at_the_admissible_edge_from_any_rho(rho):
+    # the ing edge binds at every rho; a bisection of a fixed 80 steps over
+    # [lo, rho] ended short of it once rho/lo passed about 2^28 (rho = 1e50
+    # gave 2.039e-6 against 2.0764581831047703e-6)
+    params = find_barrier_params(3.0, 4.0, 1, rho)
+    assert params.delta == find_barrier_params(3.0, 4.0, 1, 0.5).delta
+    assert at_the_edge(params)
+
+
+def test_search_with_a_rough_boundary_ends_at_the_edge():
+    assert at_the_edge(find_barrier_params(3.0, 4.0, 1, 0.5, g_norms=(50.0, 0.0, 1.0)))
+
+
+def test_certify_bound_is_the_edge_whatever_the_delta():
+    # the bound is the largest admissible delta <= rho, searched from rho, so
+    # an inadmissible or a shrunk delta of the same set reports the same one
+    params = find_barrier_params(3.0, 4.0, 1, 0.5)
+    for factor in (1.0, 100.0, 1e-3):
+        report = certify(params.scaled_delta(factor), eps_values=(0.0,), n_radial=200)
+        assert report["admissible_delta_upper_bound"] == params.delta
+
+
+
+def test_certify_bound_is_nan_without_an_admissible_delta():
+    # |grad g| = 1e300: no delta in the float range meets jal
+    params = replace(find_barrier_params(3.0, 4.0, 1, 0.5), grad_g=1e300)
+    with np.errstate(over="ignore", invalid="ignore"):  # the residuals of such norms overflow
+        report = certify(params, eps_values=(0.0,), n_radial=200)
+    assert math.isnan(report["admissible_delta_upper_bound"])
+    assert not report["certified"]
+
+
 # -- supersolution certificate -----------------------------------------------------
 
 @pytest.mark.parametrize("p,q", [(3.0, 4.0), (3.0, 3.5), (4.0, 5.0)])
@@ -247,6 +288,6 @@ def test_certify_report_structure():
     params = find_barrier_params(3.0, 4.0, 1, 0.5)
     report = certify(params, eps_values=(0.0, 1.0), n_radial=500)
     assert report["certified"]
-    assert report["admissible_delta_upper_bound"] == pytest.approx(params.delta, rel=1e-6)
+    assert report["admissible_delta_upper_bound"] == params.delta
     assert set(report["supersolution"]) == {"0.0", "1.0"}
     assert report["t0_window"] >= 0.0

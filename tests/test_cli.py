@@ -750,6 +750,58 @@ def test_stored_check_on_a_monitor_file_without_rows_exit_3(tmp_path):
     assert not (out / "compliance_report.json").exists()
 
 
+
+def test_stored_check_writes_the_fresh_checks_report(tmp_path):
+    # every check but energy_estimate reads only the monitors (p from
+    # [problem], sup|u0| from the first row) or nothing, so a check of the
+    # simulate output gives the fresh check's report byte for byte
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", str(write_cfg(tmp_path, MINIMAL_SIMULATE)),
+                 "--out", str(sim)]) == 0
+    checks = ("\n[compliance]\nchecks = max_principle, regularizing_effect, monotonicity\n"
+              "monotonicity_samples = 2000\n")
+    fresh = MINIMAL_SIMULATE.replace("kind = simulate", "kind = compliance_suite") + checks
+    stored = fresh.split("[control]")[0] + checks + f"trajectory = {sim / 'monitors.csv'}\n"
+    for name, text in (("fresh", fresh), ("stored", stored)):
+        path = write_cfg(tmp_path, text, f"{name}.cfg")
+        assert main(["check", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+    fresh_doc, stored_doc = ((tmp_path / name / "compliance_report.json").read_text()
+                             for name in ("fresh", "stored"))
+    assert stored_doc == fresh_doc
+    assert [c["name"] for c in json.loads(stored_doc)["checks"]] == [
+        "max_principle", "regularizing_effect", "monotonicity_suite"]
+    assert sorted(p.name for p in (tmp_path / "stored").iterdir()) == [
+        "compliance_report.json", "config.canonical.cfg"]
+
+
+@pytest.mark.parametrize("checks", ["checks = energy_estimate\n",
+                                    "checks = max_principle, energy_estimate\n", ""],
+                         ids=["alone", "among_others", "default_all"])
+def test_stored_check_of_energy_estimate_is_a_config_error_before_any_output(
+    tmp_path, capsys, checks
+):
+    # the bound needs the initial gradient energy of a fresh run, which no
+    # monitors.csv holds
+    text = COMPLIANCE_CFG.split("[control]")[0] + (
+        f"[compliance]\n{checks}trajectory = monitors.csv\n")
+    out = tmp_path / "out"
+    assert main(["check", "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 2
+    assert ("config error: a stored-trajectory check cannot run energy_estimate"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_check_without_a_compliance_section_records_what_it_runs():
+    # the canonical config of a check names the checks and sample count it
+    # ran, whether its config spells out [compliance] or not
+    text = COMPLIANCE_CFG.split("[compliance]")[0]
+    canon = canonical_text(parse_config(text))
+    assert canon == canonical_text(parse_config(text + "[compliance]\n"))
+    assert ("\n[compliance]\nchecks = max_principle, regularizing_effect, energy_estimate, "
+            "monotonicity\n") in canon
+    assert "\nmonotonicity_samples = 20000\n" in canon
+
+
 def test_main_check_on_zero_data_exit_0(tmp_path):
     # flat data take one step; the regularizing check scores that step's
     # u_t = 0 against the zero-data bound, with no warm-up rows to skip

@@ -15,7 +15,7 @@ A mutant is caught when pytest reports a failed test (exit code 1).
 The exit code is 0 when every mutant run is caught, 1 when one survives or
 its edit no longer applies (its old text must occur exactly once in the
 file), and 2 when a listed test fails on the unchanged checkout. A full
-run starts 18 pytest processes, one after another (20-40 s on 2 cores).
+run starts 19 pytest processes, one after another (20-40 s on 2 cores).
 Run it after changing a check or the code a mutant edits, and add a
 mutant with each new check.
 """
@@ -92,6 +92,10 @@ MUTANTS = (
            "bound = SCALING_TOL_COEF * (h * h + dt_max)",
            "bound = 100.0 * SCALING_TOL_COEF * (h * h + dt_max)",
            ("tests/test_analysis.py::test_scaling_transform_check_rejects_perturbed_data",)),
+    Mutant("comparison_tolerance_x100", "src/gbulab/analysis.py",
+           "margins[k], BOUND_TOL_H * pair.traj_low.grid.h_min",
+           "margins[k], 100.0 * BOUND_TOL_H * pair.traj_low.grid.h_min",
+           ("tests/test_analysis.py::test_comparison_fails_on_a_broken_order",)),
     Mutant("ordering_margin_abs", "src/gbulab/stepping.py",
            "margins.append(_min(high - low, tuple(range(1, low.ndim))))",
            "margins.append(_min(np.abs(high - low), tuple(range(1, low.ndim))))",
