@@ -1,5 +1,5 @@
 """Batch CLI: parse flat key=value configs (fail-closed), dispatch runs,
-sweeps and checks, and emit JSON/CSV artifacts.
+sweeps and checks, and emit JSON/CSV artifacts and field files.
 
 Verbs: simulate, continue-eps, detect-gbu, certify-barrier,
 bisect-criterion, check, eig. Exit codes: 0 pass, 1 check failure,
@@ -367,16 +367,12 @@ def write_json(path: Path, schema_name: str, obj: dict) -> None:
 
 
 def _write_run_artifacts(out: Path, traj, report) -> None:
-    """The run's report, monitors and final state, and every earlier state
-    under snapshots/ when the run kept more than its first and last."""
+    """The run's report, its monitors, and its kept states as states.field:
+    one record per state in time order, t = 0 first and the final state
+    last."""
     write_json(out / "run_report.json", "run_report", report.to_dict())
     stepping.write_monitors_csv(out / "monitors.csv", report.monitors)
-    fieldio.write_field(out / "final_state.field", traj.states[-1].u, traj.states[-1].t)
-    if len(traj.states) > 2:
-        snapdir = out / "snapshots"
-        snapdir.mkdir(exist_ok=True)
-        for k, s in enumerate(traj.states[:-1]):
-            fieldio.write_field(snapdir / f"{k:05d}.field", s.u, s.t)
+    fieldio.write_fields(out / "states.field", [(s.u, s.t) for s in traj.states])
 
 
 # -- dispatch ------------------------------------------------------------------
@@ -402,12 +398,11 @@ def _do_simulate(cfg: RunConfig, out: Path, jobs: int) -> int:
 
 
 def _do_continuation(cfg: RunConfig, out: Path, jobs: int) -> int:
-    control = cfg.control
-    report = stepping.epsilon_continuation(cfg.spec, cfg["continuation"]["epsilons"], control)
+    report = stepping.epsilon_continuation(cfg.spec, cfg["continuation"]["epsilons"], cfg.control)
     write_json(out / "continuation.json", "continuation", report.to_dict())
-    for eps, field in zip(report.epsilons, report.final_fields):
-        fieldio.write_field(out / f"final_eps_{eps!r}.field", field, control.t_end)
-    fieldio.write_field(out / "final_extrapolated.field", report.extrapolated, control.t_end)
+    # one record per eps in the order of report.epsilons, then the extrapolation
+    fields = [*report.final_fields, report.extrapolated]
+    fieldio.write_fields(out / "final_fields.field", [(u, cfg.control.t_end) for u in fields])
     return 0
 
 
@@ -512,7 +507,7 @@ def _do_compliance(cfg: RunConfig, out: Path, jobs: int) -> int:
 def _do_eig(cfg: RunConfig, out: Path, jobs: int) -> int:
     grid = cfg.grid
     eig = spectral.principal_eigenpair(grid)
-    fieldio.write_field(out / "phi1.field", eig.phi1, 0.0)
+    fieldio.write_fields(out / "phi1.field", [(eig.phi1, 0.0)])
     doc = {
         "lambda1": eig.lambda1,
         "residual": eig.residual,

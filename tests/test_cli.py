@@ -178,8 +178,17 @@ def test_dispatch_simulate_artifacts(tmp_path):
     assert header == "t,max_u,min_u,grad_inf,y,ut_l2_acc,max_ut,source_energy_acc,dt"
     monitors = read_monitors_csv(tmp_path / "out" / "monitors.csv")
     assert monitors["t"][-1] == 0.002
-    u, t = fieldio.read_field(tmp_path / "out" / "final_state.field")
-    assert t == 0.002 and u.shape == (41,)
+    # states.field: every kept state in time order, t = 0 first, the final state last
+    states = fieldio.read_fields(tmp_path / "out" / "states.field")
+    traj, _ = run(cfg.spec, cfg.control)
+    assert len(states) == len(traj.states)
+    assert states[0][1] == 0.0
+    u, t = states[-1]
+    assert t == monitors["t"][-1] and u.shape == (41,)
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "config.canonical.cfg", "monitors.csv", "run_report.json", "shell_profile.csv",
+        "states.field",
+    ]
     shell = (tmp_path / "out" / "shell_profile.csv").read_text().splitlines()
     assert shell[0] == "delta_shell,max_grad,bound_value"
     d, m, b = (float(v) for v in shell[1].split(","))
@@ -187,19 +196,19 @@ def test_dispatch_simulate_artifacts(tmp_path):
 
 
 def test_simulate_writes_each_state_once(tmp_path):
-    # snapshots/ holds every state but the final one, which final_state.field holds
+    # states.field holds every kept state once, in time order
     cfg = parse_config(MINIMAL_SIMULATE + "snapshot_every = 20\n")
     traj, _ = run(cfg.spec, cfg.control)
     assert len(traj.states) > 2
     assert dispatch(cfg, tmp_path / "out") == 0
-    snaps = sorted((tmp_path / "out" / "snapshots").iterdir())
-    assert len(snaps) == len(traj.states) - 1
-    _, t_final = fieldio.read_field(tmp_path / "out" / "final_state.field")
-    assert t_final == traj.states[-1].t
-    for path, state in zip(snaps, traj.states):
-        u, t = fieldio.read_field(path)
-        assert t == state.t < t_final
+    states = fieldio.read_fields(tmp_path / "out" / "states.field")
+    assert len(states) == len(traj.states)
+    assert states[0][1] == 0.0
+    assert states[-1][1] == read_monitors_csv(tmp_path / "out" / "monitors.csv")["t"][-1]
+    for (u, t), state in zip(states, traj.states):
+        assert t == state.t
         assert np.array_equal(u, state.u)
+    assert all(a[1] < b[1] for a, b in zip(states, states[1:]))
 
 
 def test_dispatch_deterministic_outputs(tmp_path):
@@ -337,7 +346,8 @@ def test_dispatch_eig(tmp_path):
     validate(doc, load_schema("eigen"))
     assert "iterations" not in doc
     assert doc["lambda1"] == pytest.approx(np.pi**2, abs=2e-3)
-    phi, _ = fieldio.read_field(tmp_path / "out" / "phi1.field")
+    [(phi, t)] = fieldio.read_fields(tmp_path / "out" / "phi1.field")
+    assert t == 0.0
     assert phi.shape == (101,)
     assert np.max(phi) == pytest.approx(1.0)
 
@@ -379,19 +389,23 @@ def test_dispatch_continuation(tmp_path):
     doc = json.loads((tmp_path / "out" / "continuation.json").read_text())
     validate(doc, load_schema("continuation"))
     assert doc["monotone"]
-    assert (tmp_path / "out" / "final_extrapolated.field").exists()
+    assert len(fieldio.read_fields(tmp_path / "out" / "final_fields.field")) == 4
 
 
 def test_dispatch_continuation_writes_one_field_per_eps(tmp_path):
-    # the first two eps agree to 6 significant digits; each run keeps its file
+    # the first two eps agree to 6 significant digits; each run keeps its record,
+    # in the order of continuation.json's epsilons, and the extrapolation comes last
     cfg = parse_config(CONTINUATION_CFG.replace("1e-2, 1e-3, 1e-4", "0.1234562, 0.1234561, 0"))
     assert dispatch(cfg, tmp_path / "out") == 0
+    doc = json.loads((tmp_path / "out" / "continuation.json").read_text())
     report = epsilon_continuation(cfg.spec, cfg["continuation"]["epsilons"], cfg.control)
-    files = sorted((tmp_path / "out").glob("final_eps_*.field"))
-    assert len(files) == 3
-    for eps, field in zip(report.epsilons, report.final_fields):
-        u, _ = fieldio.read_field(tmp_path / "out" / f"final_eps_{eps!r}.field")
+    assert doc["epsilons"] == list(report.epsilons) == [0.1234562, 0.1234561, 0.0]
+    records = fieldio.read_fields(tmp_path / "out" / "final_fields.field")
+    assert len(records) == 4
+    for (u, t), field in zip(records, [*report.final_fields, report.extrapolated]):
+        assert t == cfg.control.t_end
         assert np.array_equal(u, field)
+    assert not list((tmp_path / "out").glob("final_eps_*"))
 
 
 GBU_DETECT_CFG = """

@@ -679,6 +679,23 @@ def test_monitor_csv_roundtrip(tmp_path):
     assert not np.all(np.isnan(back["y"]))
 
 
+def test_monitor_csv_writes_each_value_as_its_repr(tmp_path):
+    # the text is pinned to repr(float(v)) per value: nan, -0.0, a large and a
+    # subnormal value included, and integer columns written as floats
+    values = [math.nan, -0.0, 1e16, 5e-324, 0.1 + 0.2, -math.inf, 1.0, 2.5e-7, 3.0]
+    monitors = {c: np.roll(values, -k) for k, c in enumerate(MONITOR_COLUMNS)}
+    monitors["dt"] = np.arange(9)
+    path = tmp_path / "monitors.csv"
+    write_monitors_csv(path, monitors)
+    cols = [monitors[c] for c in MONITOR_COLUMNS]
+    expected = ",".join(MONITOR_COLUMNS) + "\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in zip(*cols)
+    )
+    assert path.read_text() == expected
+    first_row = "nan,-0.0,1e+16,5e-324,0.30000000000000004,-inf,1.0,2.5e-07,0.0"
+    assert expected.splitlines()[1] == first_row
+
+
 def test_monitor_csv_rejects_rows_of_the_wrong_length(tmp_path):
     path = tmp_path / "monitors.csv"
     path.write_text(",".join(MONITOR_COLUMNS) + "\n0.0,1.0,0.0\n0.1,1.0,0.0\n")

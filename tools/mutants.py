@@ -15,7 +15,7 @@ A mutant is caught when pytest reports a failed test (exit code 1).
 The exit code is 0 when every mutant run is caught, 1 when one survives or
 its edit no longer applies (its old text must occur exactly once in the
 file), and 2 when a listed test fails on the unchanged checkout. A full
-run starts 19 pytest processes, one after another (20-40 s on 2 cores).
+run starts 20 pytest processes, one after another (20-40 s on 2 cores).
 Run it after changing a check or the code a mutant edits, and add a
 mutant with each new check.
 """
@@ -113,6 +113,10 @@ MUTANTS = (
             "[simulate-t_end-inf]",
             "tests/test_cli.py::test_nonfinite_value_is_a_config_error_before_any_output"
             "[continue-eps-t_end-inf]")),
+    Mutant("read_fields_drops_the_last_record", "src/gbulab/fieldio.py",
+           "return _unpack_fields(Path(path).read_bytes())",
+           "return _unpack_fields(Path(path).read_bytes())[:-1]",
+           ("tests/test_fieldio.py::test_multi_record_roundtrip_bit_exact",)),
 )
 
 
