@@ -2,114 +2,43 @@
 source term, its boundary gradient blow-up, and the quantitative properties
 of its solutions (extremum/ordering principles, barrier certificates,
 boundary gradient profile, time-derivative regularization, spectral
-blow-up criterion)."""
+blow-up criterion).
+
+The package re-exports the names a study script starts from; everything
+else is imported from its module (`gbulab.stepping`, `gbulab.analysis`,
+`gbulab.barriers`, ...)."""
 
 from .analysis import (
-    ComplianceReport,
     comparison_check,
-    energy_estimate,
-    envelope_constants,
-    fit_profile,
-    gradient_profile_check,
-    interior_boundedness_check,
     max_principle_check,
     monotonicity_margin,
     monotonicity_suite,
     regularizing_effect_check,
     scaling_transform_check,
-    write_shell_profile_csv,
 )
-from .barriers import (
-    BarrierParams,
-    collar_lipschitz_bound,
-    exp_barrier_residual,
-    find_barrier_params,
-    phi,
-    phi_prime,
-    phi_second,
-    supersolution_residual,
-)
-from .grid import Grid, boundary_distance, build_grid
-from .operators import (
-    gradient,
-    gradient_source,
-    regularized_diffusion,
-    strong_residual,
-    weak_residual,
-)
-from .problem import ProblemSpec, SolutionState, make_spec
-from .spectral import (
-    EigenData,
-    alpha_window,
-    blowup_functional,
-    blowup_ode_fit,
-    criterion_experiment,
-    principal_eigenpair,
-)
-from .stepping import (
-    RunReport,
-    StepControl,
-    Trajectory,
-    detect_gbu,
-    epsilon_continuation,
-    restore,
-    run,
-    run_pair,
-    snapshot,
-    stable_dt,
-    step,
-)
+from .grid import build_grid
+from .operators import gradient_source, regularized_diffusion
+from .problem import SolutionState, make_spec
+from .spectral import principal_eigenpair
+from .stepping import StepControl, epsilon_continuation, run, run_pair
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BarrierParams",
-    "ComplianceReport",
-    "EigenData",
-    "Grid",
-    "ProblemSpec",
-    "RunReport",
     "SolutionState",
     "StepControl",
-    "Trajectory",
-    "alpha_window",
-    "blowup_functional",
-    "blowup_ode_fit",
-    "boundary_distance",
     "build_grid",
-    "collar_lipschitz_bound",
     "comparison_check",
-    "criterion_experiment",
-    "detect_gbu",
-    "energy_estimate",
-    "envelope_constants",
     "epsilon_continuation",
-    "exp_barrier_residual",
-    "find_barrier_params",
-    "fit_profile",
-    "gradient",
-    "gradient_profile_check",
     "gradient_source",
-    "interior_boundedness_check",
     "make_spec",
     "max_principle_check",
     "monotonicity_margin",
     "monotonicity_suite",
-    "phi",
-    "phi_prime",
-    "phi_second",
     "principal_eigenpair",
     "regularized_diffusion",
     "regularizing_effect_check",
-    "restore",
     "run",
     "run_pair",
     "scaling_transform_check",
-    "snapshot",
-    "stable_dt",
-    "step",
-    "strong_residual",
-    "supersolution_residual",
-    "weak_residual",
-    "write_shell_profile_csv",
 ]

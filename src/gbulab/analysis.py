@@ -116,7 +116,7 @@ def monotonicity_margin(a, b, sigma) -> np.ndarray | float:
     b = np.atleast_2d(np.asarray(b, dtype=float))
     sig = np.asarray(sigma, dtype=float)
     if np.any(sig < 2.0):
-        raise ValueError("requires sigma >= 2 (use the transformed form below 2)")
+        raise ValueError("requires sigma >= 2")
     sig_col = sig.reshape(-1, 1) if sig.ndim else sig
     lhs_vec = _power_vec(a, np.asarray(sig_col) - 2.0) - _power_vec(b, np.asarray(sig_col) - 2.0)
     lhs = np.sum(lhs_vec * (a - b), axis=-1)
@@ -169,19 +169,6 @@ def monotonicity_suite(n_samples: int = 100_000, seed: int = 0) -> ComplianceRep
         "monotonicity_suite", worst, 1e-12, f"{n_samples} samples, seed {seed}",
         violations=violations, n_samples=n_samples,
     )
-
-
-def monotonicity_margin_small_sigma(a, b, sigma: float):
-    """sigma in (1, 2) via the transformation a -> |a|^(sigma-2) a, which
-    turns the inequality into the m = sigma/(sigma-1) > 2 case."""
-    if not 1.0 < sigma < 2.0:
-        raise ValueError("requires sigma in (1, 2)")
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    m = sigma / (sigma - 1.0)
-    ta = _power_vec(np.atleast_2d(a), sigma - 2.0)
-    tb = _power_vec(np.atleast_2d(b), sigma - 2.0)
-    return monotonicity_margin(ta, tb, m)
 
 
 # -- regularizing effect -------------------------------------------------------

@@ -15,6 +15,13 @@ worst-case residuals of every inequality the construction rests on:
 
 `min_residual` is the minimum over all of them; a parameter set is
 certified when it is nonnegative for every tested regularization eps.
+
+The search for delta admits a parameter set only if, besides the
+closed-form invariants, its eps = 0 residuals are nonnegative at the collar
+edge s = eta, computed as the certificate computes them. There phi' is
+least, so the lower bound phi' - |grad g| of |grad v| is least: where the
+`jal` invariant binds it is 0, the degenerate diffusion in `ret` vanishes,
+and only the source (2 |grad g|)^q is left.
 """
 from __future__ import annotations
 
@@ -124,9 +131,12 @@ def check_invariants(params: BarrierParams) -> dict[str, float]:
 
 
 def is_admissible(params: BarrierParams) -> bool:
+    """The invariants hold (`k_rate` strictly) and the certificate's eps = 0
+    residuals are nonnegative at the collar edge."""
     m = check_invariants(params)
     strict = m["k_rate"] > 0
-    return strict and all(v >= 0 for k, v in m.items() if k != "k_rate")
+    return (strict and all(v >= 0 for k, v in m.items() if k != "k_rate")
+            and all(r[0] >= 0 for r in _residuals(params, np.array([params.eta]), 0.0)))
 
 
 def _largest_admissible_delta(make, hi: float) -> float:
@@ -225,30 +235,22 @@ def certify_sampling(eps_values, n_radial: int) -> list[float]:
     return eps
 
 
-def supersolution_residual(
-    params: BarrierParams, eps: float, n_radial: int = 10000
-) -> SupersolutionCertificate:
-    """Worst-case residuals of the collar supersolution on [rho, rho+eta].
-
-    The expanded-form residual uses the radial identities for phi(r-rho),
-    the worst-case data-norm bounds (|grad v| between phi' -/+ |grad g|,
-    Laplacian contribution of g bounded by sqrt(N) |D2 g|), and sweeps the
-    diffusivity ratio kappa over the endpoints and midpoint of [0, p-2].
-    """
-    certify_sampling((eps,), n_radial)
+def _residuals(params: BarrierParams, s: np.ndarray, eps: float) -> list[np.ndarray]:
+    """The residuals of the module docstring at the collar offsets s: `ret`
+    for each kappa of the sweep, then `ing`, `inegs` and `jal`. `ret` uses
+    the radial identities for phi(r-rho), the worst-case data-norm bounds
+    (|grad v| between phi' -/+ |grad g|, Laplacian contribution of g bounded
+    by sqrt(N) |D2 g|), and sweeps the diffusivity ratio kappa over the
+    endpoints and midpoint of [0, p-2]. Every residual is elementwise in s."""
     p, q, N = params.p, params.q, params.N
     d, b, rho = params.delta, params.beta, params.rho
-    s = np.linspace(0.0, params.eta, n_radial)
     fp = phi_prime(s, d, b)
     fpp = phi_second(s, d, b)
     w_hi = fp + params.grad_g
     w_lo = np.maximum(fp - params.grad_g, 0.0)
     rhs = np.power(w_hi * w_hi + eps, q / 2.0) - eps ** (q / 2.0)
     sqrt_n = math.sqrt(N)
-
-    per_kappa = {}
-    ret_min = math.inf
-    argmin_s = 0.0
+    residuals = []
     for kappa in _kappas(p):
         bracket = (
             -fpp
@@ -258,17 +260,32 @@ def supersolution_residual(
         )
         w_pick = np.where(bracket >= 0, w_lo, w_hi)
         diff = np.power(w_pick * w_pick + eps, (p - 2.0) / 2.0) * bracket
-        res = diff - rhs
+        residuals.append(diff - rhs)
+    base = b * d * np.power(s + d, -b - 2.0)
+    ing = base - 4.0 ** (q - p + 3.0) * np.power(s + d, -b * (q - p + 2.0))
+    inegs = base - 4.0 * (p - 2.0 + sqrt_n) * params.hess_g
+    return residuals + [ing, inegs, fp - params.grad_g]
+
+
+def supersolution_residual(
+    params: BarrierParams, eps: float, n_radial: int = 10000
+) -> SupersolutionCertificate:
+    """Worst-case residuals of the collar supersolution on [rho, rho+eta]:
+    the minimum of each of `_residuals` over n_radial offsets from 0 to eta."""
+    certify_sampling((eps,), n_radial)
+    s = np.linspace(0.0, params.eta, n_radial)
+    *ret, ing, inegs, jal = _residuals(params, s, eps)
+
+    per_kappa = {}
+    ret_min = math.inf
+    argmin_s = 0.0
+    for kappa, res in zip(_kappas(params.p), ret):
         k = int(np.argmin(res))
         per_kappa[kappa] = float(res[k])
         if res[k] < ret_min:
             ret_min = float(res[k])
             argmin_s = float(s[k])
 
-    base = b * d * np.power(s + d, -b - 2.0)
-    ing = base - 4.0 ** (q - p + 3.0) * np.power(s + d, -b * (q - p + 2.0))
-    inegs = base - 4.0 * (p - 2.0 + sqrt_n) * params.hess_g
-    jal = fp - params.grad_g
     ing_min = float(np.min(ing))
     inegs_min = float(np.min(inegs))
     jal_min = float(np.min(jal))

@@ -13,7 +13,6 @@ Header layout (ASCII, exactly 32 bytes):
 The hex-encoded time keeps the header textual while making round trips
 bit-exact. This module alone decides how fields sit on disk: `write_fields`
 writes a file of (u, t) records and `read_fields` reads them back in order.
-`stepping.snapshot` and `stepping.restore` pack and unpack one record.
 """
 from __future__ import annotations
 
@@ -23,8 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Grid
-
 HEADER_BYTES = 32
 # the header's layout; decimal counts and uppercase hex time digits only,
 # where int() would also take signs, blanks and underscores
@@ -32,7 +29,7 @@ _HEADER = re.compile(rb"GB([12])([0-9]{6})([0-9]{6})([0-9A-F]{16})\n")
 
 
 class FieldFormatError(ValueError):
-    """Malformed header, truncated payload, or grid mismatch."""
+    """Malformed header, truncated payload, or a field the header cannot hold."""
 
 
 def pack_field(u: np.ndarray, t: float) -> bytes:
@@ -73,21 +70,6 @@ def _unpack_fields(data: bytes) -> list[tuple[np.ndarray, float]]:
         records.append((np.frombuffer(data, "<f8", count, pos).reshape(shape).copy(), t))
         pos += 8 * count
     return records
-
-
-def unpack_field(data: bytes) -> tuple[np.ndarray, float]:
-    """The one (u, t) record that data holds."""
-    records = _unpack_fields(data)
-    if len(records) > 1:
-        raise FieldFormatError(f"{len(records) - 1} records after the first")
-    return records[0]
-
-
-def validate_against_grid(u: np.ndarray, grid: Grid) -> None:
-    if u.shape != grid.shape:
-        raise FieldFormatError(
-            f"grid mismatch: field shape {u.shape}, grid shape {grid.shape}"
-        )
 
 
 def write_fields(path, records) -> None:

@@ -79,17 +79,11 @@ class Grid:
             mask[tuple(idx_hi)] = True
         return mask
 
-    def interior_mask(self) -> np.ndarray:
-        return ~self.boundary_mask()
-
     def interior_slice(self) -> tuple[slice, ...]:
         return tuple(slice(1, -1) for _ in range(self.dimension))
 
     def num_nodes(self) -> int:
         return int(np.prod(self.shape))
-
-    def num_interior(self) -> int:
-        return int(np.prod([n - 2 for n in self.shape]))
 
     def compatible_field(self, u: np.ndarray) -> bool:
         return u.shape == self.shape

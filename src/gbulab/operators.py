@@ -1,5 +1,5 @@
-"""Discrete spatial operators: gradient, flux-form regularized diffusion,
-gradient source, and strong/weak residuals.
+"""Discrete spatial operators: the nodal gradient, flux-form regularized
+diffusion and the gradient source, with trapezoid quadrature.
 
 The diffusion term is discretized in conservative flux form: face fluxes
 F = (|grad u|^2 + eps)^((p-2)/2) * (normal derivative), with the face
@@ -9,9 +9,9 @@ face. The divergence is the difference of face fluxes. Nodal gradients use
 central differences at interior nodes and one-sided second-order stencils on
 the faces.
 
-`StepKernel` computes all of these into buffers it allocates once; the
-public functions below are thin wrappers that build a kernel per call,
-except `gradient` and `gradient_magnitude`, which reuse one kernel per grid.
+`StepKernel` computes all of these into buffers it allocates once.
+`regularized_diffusion` and `gradient_source` build a kernel per call;
+`gradient_magnitude` reuses one gradient kernel per grid.
 """
 from __future__ import annotations
 
@@ -67,8 +67,8 @@ class StepKernel:
     Every slot has two prebuilt tuples of (ufunc, operands) calls on views
     of these buffers. The step tuple computes the diffusion of the slot's
     field, its source and the rhs, and writes the update into the next slot;
-    `advance` runs it, and `diffusion`, `source` and `interior_rhs` run its
-    leading segments. The gradient tuple computes the central differences
+    `advance` runs it, and `diffusion` and `source` run its leading
+    segments. The gradient tuple computes the central differences
     of the slot's field, which `commit` and `load` finish with the
     one-sided stencils, |grad u| and W. So the arithmetic is written once,
     for 1D and 2D alike, and a step runs it without Python in between.
@@ -207,13 +207,12 @@ class StepKernel:
                     calls.append((np.subtract, (s_half, shift_op, src)))
                 if mu != 1.0:
                     calls.append((np.multiply, (mu_op, s_half if shift == 0.0 else src, src)))
-            self._s_end = self._r_end = len(calls)
+            self._s_end = len(calls)
             if p is not None and q is not None:
                 rhs = self.rhs_slots[nxt]
                 calls += [(np.add, (self.div, src[inner], rhs)),
                           (np.multiply, (self._dt, rhs, incr)),
                           (np.add, (f[inner], incr, self.fields[nxt][inner]))]
-                self._r_end += 1
             self._calls.append(tuple(calls))
             grad = []
             for (hi, lo), cd, two_h_a, g in zip(centres, cdiff, two_h, grad_mid):
@@ -278,10 +277,6 @@ class StepKernel:
         """mu * ((|grad u|^2+eps)^(q/2) - eps^(q/2)) at every node."""
         return self._src[self._segment(self._s_end, self._d_end)]
 
-    def interior_rhs(self) -> np.ndarray:
-        """diffusion + source on interior nodes."""
-        return self.rhs_slots[self._segment(self._r_end)]
-
     def advance(self, dt: float) -> np.ndarray:
         """Write u + dt * (diffusion + source) into the next slot, with the
         rhs and s_half it was computed from, and return it; `commit` makes it
@@ -313,31 +308,12 @@ def _gradient_kernel(grid: Grid) -> StepKernel:
     return StepKernel(grid)
 
 
-def gradient(state: SolutionState) -> tuple[np.ndarray, ...]:
-    """Nodal gradient, one array per axis. One gradient kernel per grid
-    serves every call on it, so a call must not overlap another one in a
-    second thread (gbulab runs parallel jobs in processes)."""
-    kernel = _gradient_kernel(state.grid).load(state.u)
-    return tuple(g.copy() for g in kernel.grad)
-
-
 def gradient_magnitude(state: SolutionState) -> np.ndarray:
-    """|grad u| at every node, from the same kernel as `gradient`: |g| in
-    1D, sqrt(gx*gx + gy*gy) in 2D."""
+    """|grad u| at every node: |g| in 1D, sqrt(gx*gx + gy*gy) in 2D. One
+    gradient kernel per grid serves every call on it, so a call must not
+    overlap another one in a second thread (gbulab runs parallel jobs in
+    processes)."""
     return _gradient_kernel(state.grid).load(state.u).mag.copy()
-
-
-def face_fluxes(u: np.ndarray, grid: Grid, p: float, eps: float) -> list[np.ndarray]:
-    """Diffusive flux on the faces along each axis.
-
-    Along axis k the returned array has one fewer node in direction k; entry
-    i is the flux on the face between nodes i and i+1. Tangential gradient
-    components on faces touching a tangential boundary row are never used by
-    interior divergences and are left zero.
-    """
-    kernel = StepKernel(grid, p=p, eps=eps).load(u)
-    kernel.diffusion()
-    return kernel.flux
 
 
 def regularized_diffusion(state: SolutionState, p: float, eps: float) -> np.ndarray:
@@ -359,25 +335,6 @@ def gradient_source(
     return StepKernel(state.grid, q=q, eps=eps, mu=mu).load(state.u).source()
 
 
-def interior_rhs(state: SolutionState, spec: ProblemSpec) -> np.ndarray:
-    """diffusion + source; the explicit update direction. Zero on faces."""
-    rhs = np.zeros(state.grid.shape)
-    rhs[state.grid.interior_slice()] = StepKernel.of(spec).load(state.u).interior_rhs()
-    return rhs
-
-
-def strong_residual(
-    state: SolutionState, spec: ProblemSpec, u_t_field: np.ndarray
-) -> np.ndarray:
-    """u_t - diffusion - source on interior nodes (0 on faces)."""
-    grid = state.grid
-    res = np.zeros(grid.shape)
-    inner = grid.interior_slice()
-    rhs = interior_rhs(state, spec)
-    res[inner] = np.asarray(u_t_field)[inner] - rhs[inner]
-    return res
-
-
 def quadrature_weights(grid: Grid) -> np.ndarray:
     """Trapezoid weights over the grid (tensor product in 2D)."""
     ws = []
@@ -394,62 +351,3 @@ def quadrature_weights(grid: Grid) -> np.ndarray:
 
 def integrate(grid: Grid, f: np.ndarray) -> float:
     return float(np.sum(quadrature_weights(grid) * f))
-
-
-def weak_residual(states, spec: ProblemSpec, psi) -> float:
-    """Space-time weak-form residual against a test function.
-
-    Accepts a list of states or a trajectory carrying `.states`.
-    psi(points, t) -> field must be nonnegative and vanish on the lateral
-    boundary. The u_t term integrates the piecewise-linear-in-time u against
-    the interval-averaged test function; the flux and source terms use the
-    trapezoid rule in time. Near zero for genuine solutions, O(h^2 + dt)
-    under refinement. Uses the unregularized forms |grad u|^(p-2), |grad u|^q.
-    """
-    states = getattr(states, "states", states)
-    if len(states) < 2:
-        raise ValueError("need at least 2 time levels")
-    grid = spec.grid
-    coords = grid.coords()
-    bd = grid.boundary_mask()
-    w = quadrature_weights(grid)
-
-    def eval_psi(t: float) -> np.ndarray:
-        f = np.asarray(psi(coords, t), dtype=float)
-        if f.shape != grid.shape:
-            raise ValueError("test function must evaluate to a grid field")
-        if np.any(f < 0):
-            raise ValueError("test function must be nonnegative")
-        # accept roundoff-level boundary values (e.g. sin(pi*1.0)) and pin them
-        scale = float(np.max(f)) if f.size else 0.0
-        if np.any(np.abs(f[bd]) > 1e-12 * (1.0 + scale)):
-            raise ValueError("test function must vanish on the lateral boundary")
-        f = f.copy()
-        f[bd] = 0.0
-        return f
-
-    def level_term(state: SolutionState, psi_f: np.ndarray) -> float:
-        gpsi = gradient(SolutionState(grid, psi_f, state.t))
-        # the kernel's own buffers, read before its next load
-        kernel = _gradient_kernel(state.grid).load(state.u)
-        gu, mag = kernel.grad, kernel.mag
-        coef = np.power(mag, spec.p - 2.0)
-        flux_dot = sum(coef * gu[k] * gpsi[k] for k in range(grid.dimension))
-        source = spec.mu * np.power(mag, spec.q) * psi_f
-        return float(np.sum(w * (flux_dot - source)))
-
-    total = 0.0
-    psi_prev = eval_psi(states[0].t)
-    term_prev = level_term(states[0], psi_prev)
-    for k in range(len(states) - 1):
-        s0, s1 = states[k], states[k + 1]
-        dt = s1.t - s0.t
-        if dt <= 0:
-            raise ValueError("states must be strictly increasing in time")
-        psi_next = eval_psi(s1.t)
-        term_next = level_term(s1, psi_next)
-        psi_bar = 0.5 * (psi_prev + psi_next)
-        total += float(np.sum(w * (s1.u - s0.u) * psi_bar))
-        total += 0.5 * dt * (term_prev + term_next)
-        psi_prev, term_prev = psi_next, term_next
-    return total

@@ -86,7 +86,7 @@ class ProblemSpec:
 class SolutionState:
     """Grid field u at time t. It holds the field only: `grad_mag`
     computes a new array on every read, so a reader that needs it twice
-    keeps the array it got (`operators.gradient` gives the components)."""
+    keeps the array it got (`operators.gradient_magnitude` computes it)."""
 
     __slots__ = ("grid", "u", "t")
 
@@ -103,9 +103,6 @@ class SolutionState:
         from .operators import gradient_magnitude
 
         return gradient_magnitude(self)
-
-    def copy(self) -> "SolutionState":
-        return SolutionState(self.grid, self.u.copy(), self.t)
 
 
 # -- named data profiles -----------------------------------------------------

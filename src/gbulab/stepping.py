@@ -1,5 +1,5 @@
 """Explicit time integration with CFL step control, gradient blow-up
-detection, eps-continuation, and snapshot/restart.
+detection, eps-continuation, and the monitors.csv reader and writer.
 
 Forward Euler on the interior; the boundary nodes hold g after every step.
 The step size never exceeds theta times the stability bound
@@ -39,7 +39,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import fieldio
 from .grid import Grid
 from .operators import StepKernel, integrate, quadrature_weights
 from .problem import ProblemSpec, SolutionState
@@ -104,10 +103,6 @@ class Trajectory:
     states: list[SolutionState]
     monitors: dict[str, np.ndarray]
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
-
     def state_at(self, t: float) -> SolutionState:
         for s in self.states:
             if math.isclose(s.t, t, rel_tol=SNAPSHOT_RTOL, abs_tol=1e-300):
@@ -162,25 +157,6 @@ def _dt_bound(spec: ProblemSpec, h: float, d: int, theta: float):
         return num / denom
 
     return bound
-
-
-def stable_dt(state: SolutionState, spec: ProblemSpec, control: StepControl) -> float:
-    """theta-scaled explicit stability bound; infinite when the RHS is flat.
-    W is the max of |grad u| over all nodes, one-sided boundary stencils included."""
-    w, grid = float(np.max(state.grad_mag)), state.grid
-    return _dt_bound(spec, grid.h_min, grid.dimension, control.theta)(w)
-
-
-def step(state: SolutionState, spec: ProblemSpec, dt: float) -> SolutionState:
-    """One explicit step; returns a new state at t + dt."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    kernel = StepKernel.of(spec)
-    kernel.load(state.u)
-    u_new = kernel.advance(dt)
-    if not np.all(np.isfinite(u_new)):
-        raise StalledStepError(f"non-finite field values after step at t={state.t}")
-    return SolutionState(state.grid, u_new, state.t + dt)
 
 
 # what np.max, np.min and np.sum call, minus their per-call Python wrapper
@@ -633,32 +609,23 @@ def epsilon_continuation(
     )
 
 
-# -- snapshots ----------------------------------------------------------------
-
-def snapshot(state: SolutionState) -> bytes:
-    return fieldio.pack_field(state.u, state.t)
-
-
-def restore(
-    data: bytes, grid: Grid, boundary_values: np.ndarray | None = None
-) -> SolutionState:
-    u, t = fieldio.unpack_field(data)
-    fieldio.validate_against_grid(u, grid)
-    if boundary_values is not None:
-        bd = grid.boundary_mask()
-        if np.max(np.abs(u[bd] - np.asarray(boundary_values)[bd])) != 0.0:
-            raise fieldio.FieldFormatError("boundary values are not pinned to g")
-    return SolutionState(grid, u, t)
-
-
 # -- monitor CSV --------------------------------------------------------------
 
+# monitor rows formatted per write: the text of a whole 35 000-row run at
+# once would add its size to the peak memory of the writer
+_CSV_CHUNK_ROWS = 4096
+
+
 def write_monitors_csv(path, monitors: dict[str, np.ndarray]) -> None:
-    cols = [monitors[c] for c in MONITOR_COLUMNS]
+    """The MONITOR_COLUMNS of a run, one line per row, each value as its
+    repr: the shortest text that reads back to the same float."""
+    cols = [np.asarray(monitors[c], dtype=float) for c in MONITOR_COLUMNS]
+    line = ",".join(["%r"] * len(cols)) + "\n"
     with open(path, "w") as f:
         f.write(",".join(MONITOR_COLUMNS) + "\n")
-        for row in zip(*cols):
-            f.write(",".join(repr(float(v)) for v in row) + "\n")
+        for start in range(0, len(cols[0]), _CSV_CHUNK_ROWS):
+            chunk = [c[start : start + _CSV_CHUNK_ROWS].tolist() for c in cols]
+            f.writelines(line % row for row in zip(*chunk))
 
 
 def read_monitors_csv(path) -> dict[str, np.ndarray]:

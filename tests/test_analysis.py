@@ -6,33 +6,25 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gbulab import (
-    SolutionState,
-    StepControl,
-    build_grid,
+from gbulab.analysis import (
+    InsufficientCollar,
+    _anchored_slope,
+    _shells,
     comparison_check,
     energy_estimate,
     fit_profile,
     gradient_profile_check,
     interior_boundedness_check,
-    make_spec,
     max_principle_check,
     monotonicity_margin,
     monotonicity_suite,
     regularizing_effect_check,
-    run,
-    run_pair,
     scaling_transform_check,
-)
-from gbulab.analysis import (
-    InsufficientCollar,
-    _anchored_slope,
-    _shells,
-    monotonicity_margin_small_sigma,
     shell_maxima,
 )
-from gbulab.grid import boundary_distance
-from gbulab.problem import ProblemSpec
+from gbulab.grid import boundary_distance, build_grid
+from gbulab.problem import ProblemSpec, SolutionState, make_spec
+from gbulab.stepping import StepControl, run, run_pair
 
 
 def sine_run(n=101, p=3.0, q=2.5, amp=1.0, t_end=0.01, **ctl):
@@ -139,17 +131,6 @@ def test_monotonicity_suite_rejects_fewer_samples_than_dimensions(n_samples):
 def test_monotonicity_rejects_sigma_below_two():
     with pytest.raises(ValueError):
         monotonicity_margin([1.0], [0.5], 1.5)
-
-
-def test_monotonicity_small_sigma_transformed_form():
-    rng = np.random.default_rng(3)
-    for sigma in (1.2, 1.5, 1.9):
-        a = rng.uniform(-5, 5, size=(200, 3))
-        b = rng.uniform(-5, 5, size=(200, 3))
-        margins = np.array([
-            monotonicity_margin_small_sigma(ai, bi, sigma) for ai, bi in zip(a, b)
-        ])
-        assert np.all(margins >= -1e-10)
 
 
 # -- regularizing effect ---------------------------------------------------------------

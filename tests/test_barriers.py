@@ -6,21 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbulab import (
-    collar_lipschitz_bound,
-    exp_barrier_residual,
-    find_barrier_params,
-    phi,
-    phi_prime,
-    phi_second,
-    supersolution_residual,
-)
 from gbulab.barriers import (
     BarrierParams,
     beta_exponent,
     certify,
     check_invariants,
+    collar_lipschitz_bound,
+    exp_barrier_residual,
+    find_barrier_params,
     is_admissible,
+    phi,
+    phi_prime,
+    phi_second,
+    supersolution_residual,
     t0_window,
 )
 

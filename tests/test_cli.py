@@ -362,6 +362,21 @@ def test_dispatch_barrier(tmp_path):
     assert doc["params"]["beta"] == pytest.approx(1 / 6)
 
 
+@pytest.mark.parametrize("g_sup", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("grad_g", [0.0, 1.0, 10.0, 50.0, 200.0])
+def test_certify_barrier_certifies_the_delta_its_search_returns(tmp_path, grad_g, g_sup):
+    # from grad_g = 10 on the jal invariant binds at the searched delta: the
+    # lower bound phi' - |grad g| of |grad v| reaches 0 at the collar edge,
+    # where the eps = 0 residual would then be -(2 |grad g|)^q. A config
+    # that the search accepts must certify (exit 0), never fail (exit 1)
+    path = tmp_path / "barrier.cfg"
+    path.write_text(BARRIER_CFG + f"grad_g = {grad_g!r}\ng_sup = {g_sup!r}\n")
+    out = tmp_path / "out"
+    code = main(["certify-barrier", "--config", str(path), "--out", str(out)])
+    assert code != 1, json.loads((out / "barrier_certificate.json").read_text())["supersolution"]
+    assert code in (0, 2, 3)
+
+
 CONTINUATION_CFG = """
 [experiment]
 kind = epsilon_continuation

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbulab import boundary_distance, build_grid
+from gbulab.grid import boundary_distance, build_grid
 
 
 def test_interval_three_nodes():
@@ -11,20 +11,20 @@ def test_interval_three_nodes():
     assert g.shape == (3,)
     assert g.spacing == (0.5,)
     assert np.array_equal(g.axis_coords(0), [0.0, 0.5, 1.0])
-    assert np.array_equal(g.interior_mask(), [False, True, False])
+    assert np.array_equal(g.boundary_mask(), [True, False, True])
 
 
 def test_square_5x5_classification():
     g = build_grid([(0, 1), (0, 1)], (5, 5))
     assert g.num_nodes() == 25
-    assert g.num_interior() == 9
+    assert np.count_nonzero(~g.boundary_mask()) == 9
     assert g.spacing == (0.25, 0.25)
 
 
 def test_interval_0_2_interior():
     g = build_grid((0.0, 2.0), 5)
     assert g.spacing == (0.5,)
-    interior = g.axis_coords(0)[g.interior_mask()]
+    interior = g.axis_coords(0)[g.interior_slice()]
     assert np.allclose(interior, [0.5, 1.0, 1.5])
 
 

@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 
-from gbulab import (
-    SolutionState,
-    build_grid,
-    gradient,
+from scheme_reference import reference_gradient, reference_step
+
+from gbulab.grid import build_grid
+from gbulab.operators import (
+    StepKernel,
     gradient_source,
-    make_spec,
+    integrate,
+    quadrature_weights,
     regularized_diffusion,
-    strong_residual,
-    weak_residual,
 )
-from gbulab.operators import StepKernel, face_fluxes, integrate, quadrature_weights
-from gbulab.problem import ProblemSpec
+from gbulab.problem import ProblemSpec, SolutionState, make_spec
 
 
 def state_1d(f, n=11, extent=(0.0, 1.0)):
@@ -45,61 +44,6 @@ def test_kernel_pins_g_on_a_field_loaded_with_other_boundary_values(shape):
             assert np.array_equal(new[bd], spec.boundary_values[bd])
             kernel.commit()
             assert np.array_equal(kernel.u[bd], spec.boundary_values[bd])
-
-
-def _along(dim, axis, part, rest=slice(None)):
-    idx = [rest] * dim
-    idx[axis] = part
-    return tuple(idx)
-
-
-def reference_gradient(u, grid, eps):
-    """(gradient, |grad u|, W, |grad u|^2 + eps) written out in numpy:
-    central differences inside, one-sided second-order stencils on the faces."""
-    dim, grads = grid.dimension, []
-    for a, h in enumerate(grid.spacing):
-        g = np.empty(u.shape)
-        g[_along(dim, a, slice(1, -1))] = (
-            u[_along(dim, a, slice(2, None))] - u[_along(dim, a, slice(0, -2))]) / (2.0 * h)
-        f0, f1, f2, l0, l1, l2 = (_along(dim, a, i) for i in (0, 1, 2, -1, -2, -3))
-        g[f0] = (-3.0 * u[f0] + 4.0 * u[f1] - u[f2]) / (2.0 * h)
-        g[l0] = (3.0 * u[l0] - 4.0 * u[l1] + u[l2]) / (2.0 * h)
-        grads.append(g)
-    if dim == 1:
-        mag = np.abs(grads[0])
-    else:
-        mag = np.sqrt(grads[0] * grads[0] + grads[1] * grads[1])
-    return grads, mag, np.max(mag), mag * mag + eps
-
-
-def reference_step(u, spec, dt):
-    """(u + dt * rhs with g on the boundary, rhs, (|grad u|^2+eps)^(q/2))
-    written out in numpy, in the order of the module docstring's scheme:
-    face differences / h, squared (plus the 2D tangential part), + eps, to
-    the power (p-2)/2, times the differences, differenced / h; the source
-    mu * ((|grad u|^2+eps)^(q/2) - eps^(q/2)); rhs = div + source."""
-    grid, eps = spec.grid, spec.epsilon
-    dim, inner = grid.dimension, grid.interior_slice()
-    div = None
-    for a, h in enumerate(grid.spacing):
-        dn = (u[_along(dim, a, slice(1, None))] - u[_along(dim, a, slice(0, -1))]) / h
-        fsq = dn * dn
-        if dim == 2:
-            o = 1 - a
-            cd = u[_along(2, o, slice(2, None))] - u[_along(2, o, slice(0, -2))]
-            tang = (cd[_along(2, a, slice(0, -1))] + cd[_along(2, a, slice(1, None))]) / (
-                4.0 * grid.spacing[o])
-            fsq[_along(2, o, slice(1, -1))] += tang * tang
-        flux = (fsq + eps) ** ((spec.p - 2.0) / 2.0) * dn
-        div_a = (flux[_along(dim, a, slice(1, None), slice(1, -1))]
-                 - flux[_along(dim, a, slice(0, -1), slice(1, -1))]) / h
-        div = div_a if div is None else div + div_a
-    s_half = reference_gradient(u, grid, eps)[3] ** (spec.q / 2.0)
-    src = spec.mu * (s_half - eps ** (spec.q / 2.0))
-    rhs = div + src[inner]
-    new = spec.boundary_values.copy()
-    new[inner] = u[inner] + dt * rhs
-    return new, rhs, s_half
 
 
 @pytest.mark.parametrize("p, q, eps, mu", [
@@ -135,6 +79,12 @@ def test_kernel_steps_bitwise_as_plain_numpy(shape, p, q, eps, mu):
 
 # -- gradient ------------------------------------------------------------------
 
+def gradient(st):
+    """The nodal gradient of a state, one array per axis, from a kernel
+    that computes the gradient only."""
+    return StepKernel(st.grid).load(st.u).grad
+
+
 def test_gradient_constant_is_zero():
     st = state_1d(lambda x: np.full_like(x, 5.0))
     assert np.all(gradient(st)[0] == 0.0)
@@ -166,14 +116,12 @@ def test_gradient_2d_components():
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_gradient_magnitude_bitwise_from_the_gradient(dim):
+    # |g| in 1D, sqrt(gx*gx + gy*gy) in 2D, of the reference gradient
     if dim == 1:
         st = state_1d(lambda x: np.sin(3 * x) + x * x, n=31)
-        expected = np.abs(gradient(st)[0])
     else:
         st = state_2d(lambda x, y: np.sin(3 * x) * np.cos(2 * y) + x * y, n=13)
-        gx, gy = gradient(st)
-        expected = np.sqrt(gx * gx + gy * gy)
-    assert np.array_equal(st.grad_mag, expected)
+    assert np.array_equal(st.grad_mag, reference_gradient(st.u, st.grid, 0.0)[1])
 
 
 # -- regularized diffusion -------------------------------------------------------
@@ -249,7 +197,9 @@ def test_diffusion_conservative_dirichlet_1d():
     st = state_1d(lambda x: np.sin(2.2 * x) + x, n=41)
     p, eps = 3.5, 0.2
     out = regularized_diffusion(st, p, eps)
-    flux = face_fluxes(st.u, st.grid, p, eps)[0]
+    kernel = StepKernel(st.grid, p=p, eps=eps).load(st.u)
+    kernel.diffusion()
+    flux = kernel.flux[0]
     h = st.grid.spacing[0]
     interior_sum = np.sum(out[1:-1]) * h
     assert interior_sum == pytest.approx(flux[-1] - flux[0], rel=1e-12)
@@ -259,7 +209,9 @@ def test_diffusion_conservative_dirichlet_2d():
     st = state_2d(lambda x, y: np.sin(2 * x) * np.cos(y) + x * y, n=17)
     p, eps = 3.0, 0.3
     out = regularized_diffusion(st, p, eps)
-    fx, fy = face_fluxes(st.u, st.grid, p, eps)
+    kernel = StepKernel(st.grid, p=p, eps=eps).load(st.u)
+    kernel.diffusion()
+    fx, fy = kernel.flux
     hx, hy = st.grid.spacing
     interior_sum = np.sum(out[1:-1, 1:-1]) * hx * hy
     net = (
@@ -344,41 +296,18 @@ def test_source_exact_on_quadratic_gradient():
 
 # -- strong residual ----------------------------------------------------------------
 
-def make_spec_1d(n=41, **kw):
-    g = build_grid((0.0, 1.0), n)
-    kw.setdefault("p", 3.0)
-    kw.setdefault("q", 2.5)
-    return make_spec(g, **kw)
-
-
 def test_strong_residual_stationary_constant():
-    spec = make_spec_1d(profile="constant", amplitude=2.0)
-    st = spec.initial_state()
-    res = strong_residual(st, spec, np.zeros(41))
-    assert np.all(res == 0.0)
-
-
-def test_strong_residual_identity_on_random_field():
-    rng = np.random.default_rng(11)
-    g = build_grid((0.0, 1.0), 31)
-    u0 = rng.uniform(0.0, 1.0, 31)
-    u0[0] = u0[-1] = 0.4
-    gfield = np.full(31, 0.4)
-    spec = ProblemSpec(
-        grid=g, p=3.2, q=2.8, epsilon=0.02, mu=1.0,
-        boundary_values=gfield, initial=u0,
-    )
-    st = spec.initial_state()
-    from gbulab.operators import interior_rhs
-
-    rhs = interior_rhs(st, spec)
-    res = strong_residual(st, spec, rhs)
-    assert np.max(np.abs(res)) == 0.0
+    # u = 2 solves the equation with u_t = 0: the rhs a step applies is 0
+    spec = make_spec(build_grid((0.0, 1.0), 41), p=3.0, q=2.5, profile="constant", amplitude=2.0)
+    kernel = StepKernel.of(spec).load(spec.initial)
+    kernel.advance(1e-3)
+    assert np.all(kernel.rhs_slots[0] == 0.0)  # a step after a load writes slot 0
 
 
 def test_strong_residual_manufactured_quadratic():
-    # u(x, t) = x^2 + t solves u_t = 1; residual = 1 - rhs is O(h^2)-accurate
-    # against the closed form because the operators are exact/2nd order
+    # u(x, t) = x^2 + t solves u_t = 1; the residual 1 - rhs of the rhs a
+    # step applies is O(h^2)-accurate against the closed form because the
+    # operators are exact/2nd order
     errs = []
     for n in (33, 65):
         g = build_grid((0.0, 1.0), n)
@@ -387,61 +316,15 @@ def test_strong_residual_manufactured_quadratic():
             grid=g, p=3.0, q=2.5, epsilon=0.1, mu=1.0,
             boundary_values=x * x, initial=x * x,
         )
-        st = spec.initial_state()
-        res = strong_residual(st, spec, np.ones(n))
+        kernel = StepKernel.of(spec).load(spec.initial)
+        kernel.advance(1e-6)
+        res = 1.0 - kernel.rhs_slots[0]
         exact_rhs = closed_form_diffusion_1d(x, 3.0, 0.1) + (
             np.power(4 * x * x + 0.1, 2.5 / 2) - 0.1 ** (2.5 / 2)
         )
         exact_res = 1.0 - exact_rhs
-        errs.append(np.max(np.abs(res[1:-1] - exact_res[1:-1])))
+        errs.append(np.max(np.abs(res - exact_res[1:-1])))
     assert errs[1] < errs[0] / 3.0  # ~O(h^2)
-
-
-# -- weak residual -------------------------------------------------------------------
-
-def bump(coords, t):
-    x = coords[0]
-    return np.sin(np.pi * x) ** 2
-
-
-def test_weak_residual_stationary_constant():
-    spec = make_spec_1d(profile="constant", amplitude=1.5)
-    s0 = spec.initial_state()
-    s1 = SolutionState(spec.grid, s0.u.copy(), 0.1)
-    assert weak_residual([s0, s1], spec, bump) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_weak_residual_zero_test_function():
-    spec = make_spec_1d(profile="sine")
-    s0 = spec.initial_state()
-    s1 = SolutionState(spec.grid, s0.u * 0.9, 0.05)
-    psi0 = lambda coords, t: np.zeros_like(coords[0])
-    assert weak_residual([s0, s1], spec, psi0) == 0.0
-
-
-def test_weak_residual_rejects_bad_test_function():
-    spec = make_spec_1d(profile="sine")
-    s0 = spec.initial_state()
-    s1 = SolutionState(spec.grid, s0.u * 0.9, 0.05)
-    with pytest.raises(ValueError):
-        weak_residual([s0, s1], spec, lambda c, t: -np.ones_like(c[0]))
-    with pytest.raises(ValueError):
-        weak_residual([s0, s1], spec, lambda c, t: np.ones_like(c[0]))
-
-
-def test_weak_residual_small_on_solver_output():
-    from gbulab import StepControl, run
-
-    vals = []
-    for n in (51, 101):
-        g = build_grid((0.0, 1.0), n)
-        spec = make_spec(g, p=3.0, q=2.5, epsilon=1e-3, profile="sine")
-        traj, rep = run(spec, StepControl(t_end=0.01, snapshot_every=1))
-        assert rep.verdict == "Completed"
-        vals.append(abs(weak_residual(traj.states, spec, bump)))
-    # residual is already small and shrinks (or stays tiny) under refinement
-    assert vals[0] < 2e-3
-    assert vals[1] < max(vals[0], 1e-6)
 
 
 # -- quadrature -----------------------------------------------------------------------

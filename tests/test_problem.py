@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from gbulab import ProblemSpec, SolutionState, build_grid, make_spec
+from gbulab.grid import build_grid
 from gbulab.operators import StepKernel
+from gbulab.problem import ProblemSpec, SolutionState, make_spec
 
 
 @pytest.mark.parametrize("field", ["initial", "boundary_values"])

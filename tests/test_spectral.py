@@ -1,20 +1,18 @@
 import numpy as np
 import pytest
 
-from gbulab import (
-    SolutionState,
-    StepControl,
-    alpha_window,
-    blowup_functional,
-    blowup_ode_fit,
-    build_grid,
-    criterion_experiment,
-    principal_eigenpair,
-)
+from gbulab.grid import build_grid
+from gbulab.problem import SolutionState
 from gbulab.spectral import (
     DegenerateSeriesError,
     EmptyAlphaWindow,
+    alpha_window,
+    blowup_functional,
+    blowup_ode_fit,
+    criterion_experiment,
+    principal_eigenpair,
 )
+from gbulab.stepping import StepControl
 
 
 def discrete_lambda1(h: float, length: float = 1.0) -> float:

@@ -4,28 +4,29 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gbulab import (
-    ProblemSpec,
-    StepControl,
-    build_grid,
-    detect_gbu,
-    epsilon_continuation,
-    make_spec,
-    run,
-    run_pair,
-    stable_dt,
-    step,
-)
+from scheme_reference import reference_dt, reference_gradient, reference_step
+
 from gbulab import stepping
-from gbulab.operators import interior_rhs, quadrature_weights
+from gbulab.grid import build_grid
+from gbulab.operators import (
+    StepKernel,
+    gradient_source,
+    quadrature_weights,
+    regularized_diffusion,
+)
+from gbulab.problem import ProblemSpec, SolutionState, make_spec
 from gbulab.stepping import (
     COMPLETED,
     GBU_DETECTED,
     MONITOR_COLUMNS,
     STALLED,
-    StalledStepError,
+    StepControl,
     ThresholdCrossing,
+    detect_gbu,
+    epsilon_continuation,
     read_monitors_csv,
+    run,
+    run_pair,
     write_monitors_csv,
 )
 
@@ -35,16 +36,21 @@ def sine_spec(n=101, p=3.0, q=2.5, eps=0.0, amp=1.0):
     return make_spec(g, p=p, q=q, epsilon=eps, profile="sine", amplitude=amp)
 
 
-# -- stable_dt -------------------------------------------------------------------
+# -- step bound ----------------------------------------------------------------
+
+def first_dt(spec, **control):
+    """The size of the first step that `run` takes (t_end 1 unless given)."""
+    control.setdefault("t_end", 1.0)
+    _, rep = run(spec, StepControl(max_steps=1, **control))
+    return rep.monitors["dt"][1]
+
 
 def test_stable_dt_contract_value():
     # W=0, eps=1, p=3, q=3, d=1, h=0.1, theta=1:
     # dt = 0.01 / (2*1*2*1 + 0.1*3*1) = 0.01/4.3
     g = build_grid((0.0, 1.0), 11)
     spec = make_spec(g, p=3.0, q=3.0, epsilon=1.0, profile="constant", amplitude=0.0)
-    st = spec.initial_state()
-    dt = stable_dt(st, spec, StepControl(t_end=1.0, theta=1.0))
-    assert dt == pytest.approx(0.01 / 4.3, rel=1e-14)
+    assert first_dt(spec, theta=1.0) == pytest.approx(0.01 / 4.3, rel=1e-14)
 
 
 def test_stable_dt_h_squared_scaling_diffusion_limited():
@@ -53,90 +59,77 @@ def test_stable_dt_h_squared_scaling_diffusion_limited():
                        epsilon=1.0, profile="constant", amplitude=0.0)
     spec_f = make_spec(build_grid((0.0, 1.0), 41), p=3.0, q=2.5,
                        epsilon=1.0, profile="constant", amplitude=0.0)
-    ctl = StepControl(t_end=1.0, theta=1.0)
-    dt_c = stable_dt(spec_c.initial_state(), spec_c, ctl)
-    dt_f = stable_dt(spec_f.initial_state(), spec_f, ctl)
+    dt_c = first_dt(spec_c, theta=1.0)
+    dt_f = first_dt(spec_f, theta=1.0)
     ratio = dt_c / dt_f
     assert 3.5 < ratio < 4.5
 
 
 def test_stable_dt_monotone_decreasing_in_gradient():
-    g = build_grid((0.0, 1.0), 41)
-    ctl = StepControl(t_end=1.0)
     prev = math.inf
     for amp in (0.5, 1.0, 2.0, 4.0):
-        spec = sine_spec(41, amp=amp)
-        dt = stable_dt(spec.initial_state(), spec, ctl)
+        dt = first_dt(sine_spec(41, amp=amp))
         assert dt < prev
         prev = dt
 
 
 def test_stable_dt_flat_state_is_unbounded_without_regularization():
+    # no bound: the first step goes to t_end in one
     spec = make_spec(build_grid((0.0, 1.0), 11), p=3.0, q=2.5,
                      epsilon=0.0, profile="constant", amplitude=1.0)
-    assert stable_dt(spec.initial_state(), spec, StepControl(t_end=1.0)) == math.inf
+    _, rep = run(spec, StepControl(t_end=0.3, max_steps=1))
+    assert (rep.verdict, rep.reason, rep.steps) == (COMPLETED, "t_end", 1)
+    assert rep.monitors["dt"][1] == 0.3
 
 
 # -- step --------------------------------------------------------------------------
 
+def kernel_step(spec, u, dt):
+    """One step of `run`'s kernel from field u: (the new field, the kernel)."""
+    kernel = StepKernel.of(spec).load(u)
+    return kernel.advance(dt).copy(), kernel
+
+
 def test_step_stationary_constant():
     spec = make_spec(build_grid((0.0, 1.0), 21), p=3.0, q=2.5,
                      epsilon=0.5, profile="constant", amplitude=2.0)
-    st = spec.initial_state()
-    out = step(st, spec, 0.01)
-    assert np.array_equal(out.u, st.u)
-    assert out.t == 0.01
+    out, _ = kernel_step(spec, spec.initial, 0.01)
+    assert np.array_equal(out, spec.initial)
 
 
 def test_step_linear_profile_stationary_without_source():
     g = build_grid((0.0, 1.0), 21)
     spec = make_spec(g, p=3.0, q=2.5, epsilon=0.0, mu=0.0, profile="ramp")
-    st = spec.initial_state()
-    out = step(st, spec, 1e-3)
-    assert np.allclose(out.u, st.u, atol=1e-15)
+    out, _ = kernel_step(spec, spec.initial, 1e-3)
+    assert np.allclose(out, spec.initial, atol=1e-15)
 
 
 def test_step_matches_manufactured_rhs():
+    # the update is u + dt * (diffusion + source) of the public operators
     g = build_grid((0.0, 1.0), 65)
     x = g.axis_coords(0)
     spec = ProblemSpec(grid=g, p=3.0, q=2.5, epsilon=0.1, mu=1.0,
                        boundary_values=x * x, initial=x * x)
     st = spec.initial_state()
     dt = 1e-5
-    out = step(st, spec, dt)
-    from gbulab.operators import interior_rhs
-
-    expected = st.u + dt * interior_rhs(st, spec)
+    out, _ = kernel_step(spec, st.u, dt)
+    rhs = regularized_diffusion(st, spec.p, spec.epsilon) + gradient_source(
+        st, spec.q, spec.epsilon, spec.mu)
+    expected = st.u + dt * rhs
     expected[0], expected[-1] = x[0] ** 2, x[-1] ** 2
-    assert np.array_equal(out.u, expected)
-
-
-def test_step_rejects_nonpositive_dt():
-    spec = sine_spec(21)
-    with pytest.raises(ValueError):
-        step(spec.initial_state(), spec, 0.0)
-
-
-def test_step_raises_on_nonfinite():
-    spec = sine_spec(21)
-    st = spec.initial_state()
-    # a wildly unstable dt produces inf/nan within a few steps
-    bad = st
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(StalledStepError):
-            for _ in range(60):
-                bad = step(bad, spec, 1e3)
+    assert np.array_equal(out, expected)
 
 
 def test_step_repins_boundary_and_invalidates_cache():
+    # after a commit the kernel's gradient is the new field's
     spec = sine_spec(31, q=2.5)
-    st = spec.initial_state()
-    _ = st.grad_mag
-    out = step(st, spec, 1e-5)
+    out, kernel = kernel_step(spec, spec.initial, 1e-5)
+    kernel.commit()
     bd = spec.grid.boundary_mask()
-    assert np.array_equal(out.u[bd], spec.boundary_values[bd])
-    fresh = np.abs(np.gradient(out.u, spec.grid.spacing[0]))
-    assert np.max(np.abs(out.grad_mag - fresh)) < 0.2  # the new field's gradient
+    assert np.array_equal(out[bd], spec.boundary_values[bd])
+    assert np.array_equal(kernel.mag, SolutionState(spec.grid, out).grad_mag)
+    fresh = np.abs(np.gradient(out, spec.grid.spacing[0]))
+    assert np.max(np.abs(kernel.mag - fresh)) < 0.2
 
 
 # -- run ----------------------------------------------------------------------------
@@ -156,8 +149,8 @@ def test_run_first_step_bitwise_matches_step():
     spec = sine_spec(51)
     traj, rep = run(spec, StepControl(t_end=1.0, max_steps=1))
     dt = rep.monitors["dt"][1]
-    manual = step(spec.initial_state(), spec, dt)
-    assert np.array_equal(traj.states[-1].u, manual.u)
+    assert dt == reference_dt(spec.initial, spec, 0.5)
+    assert np.array_equal(traj.states[-1].u, reference_step(spec.initial, spec, dt)[0])
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -180,30 +173,28 @@ def test_run_bitwise_matches_repeated_step(dim):
     block = stepping._BLOCK_VALUES // g.num_nodes()
     assert 2 * block < rep.steps and rep.steps % block
     qw, inner = quadrature_weights(g), g.interior_slice()
-    eps, q = spec.epsilon, spec.q
 
-    def field_row(st):
-        return {"t": st.t, "max_u": np.max(st.u), "min_u": np.min(st.u),
-                "grad_inf": np.max(st.grad_mag), "y": np.sum(qw * st.u * weight)}
+    def field_row(u, t):
+        return {"t": t, "max_u": np.max(u), "min_u": np.min(u),
+                "grad_inf": reference_gradient(u, g, 0.0)[2], "y": np.sum(qw * u * weight)}
 
-    st = spec.initial_state()
+    u, t = spec.initial, 0.0
     ut_l2 = src_energy = 0.0
-    rows = [{**field_row(st), "ut_l2_acc": 0.0, "max_ut": math.nan, "source_energy_acc": 0.0,
+    rows = [{**field_row(u, t), "ut_l2_acc": 0.0, "max_ut": math.nan, "source_energy_acc": 0.0,
              "dt": 0.0}]
     for k in range(700):
-        dt = stable_dt(st, spec, ctl)
-        rhs = interior_rhs(st, spec)[inner]
-        s_half = np.power(st.grad_mag * st.grad_mag + eps, q / 2.0)
+        dt = reference_dt(u, spec, ctl.theta)
+        u, rhs, s_half = reference_step(u, spec, dt)
+        t += dt
         ut_l2 += dt * np.sum(qw[inner] * rhs * rhs)
         src_energy += dt * np.sum(qw * (s_half * s_half))
         max_ut = np.max(rhs)
-        st = step(st, spec, dt)
-        assert np.array_equal(traj.states[k + 1].u, st.u)
+        assert np.array_equal(traj.states[k + 1].u, u)
         if (k + 1) % 3 == 0:
-            rows.append({**field_row(st), "ut_l2_acc": ut_l2, "max_ut": max_ut,
+            rows.append({**field_row(u, t), "ut_l2_acc": ut_l2, "max_ut": max_ut,
                          "source_energy_acc": src_energy, "dt": dt})
     # the final off-stride row has no step terms; its dt is the last step's
-    rows.append({**field_row(st), "ut_l2_acc": ut_l2, "max_ut": math.nan,
+    rows.append({**field_row(u, t), "ut_l2_acc": ut_l2, "max_ut": math.nan,
                  "source_energy_acc": src_energy, "dt": dt})
     for col in MONITOR_COLUMNS:
         assert np.array_equal(rep.monitors[col], [r[col] for r in rows], equal_nan=True), col
@@ -222,24 +213,23 @@ def test_run_bitwise_matches_repeated_step_on_a_grid_larger_than_a_block():
     ctl = StepControl(t_end=1.0, max_steps=5, snapshot_every=1, functional_weight=weight)
     traj, rep = run(spec, ctl)
     qw, inner = quadrature_weights(g), g.interior_slice()
-    st, dt, max_ut = spec.initial_state(), 0.0, math.nan
+    u, t, dt, max_ut = spec.initial, 0.0, 0.0, math.nan
     ut_l2 = src_energy = 0.0
     rows = []
     for k in range(6):
-        rows.append({"t": st.t, "max_u": np.max(st.u), "min_u": np.min(st.u),
-                     "grad_inf": np.max(st.grad_mag), "y": np.sum(qw * st.u * weight),
+        rows.append({"t": t, "max_u": np.max(u), "min_u": np.min(u),
+                     "grad_inf": reference_gradient(u, g, 0.0)[2], "y": np.sum(qw * u * weight),
                      "ut_l2_acc": ut_l2, "max_ut": max_ut, "source_energy_acc": src_energy,
                      "dt": dt})
         if k == 5:
             break
-        dt = stable_dt(st, spec, ctl)
-        rhs = interior_rhs(st, spec)[inner]
-        s_half = np.power(st.grad_mag * st.grad_mag + spec.epsilon, spec.q / 2.0)
+        dt = reference_dt(u, spec, ctl.theta)
+        u, rhs, s_half = reference_step(u, spec, dt)
+        t += dt
         ut_l2 += dt * np.sum(qw[inner] * rhs * rhs)
         src_energy += dt * np.sum(qw * (s_half * s_half))
         max_ut = np.max(rhs)
-        st = step(st, spec, dt)
-        assert np.array_equal(traj.states[k + 1].u, st.u)
+        assert np.array_equal(traj.states[k + 1].u, u)
     assert len(MONITOR_COLUMNS) == 9
     for col in MONITOR_COLUMNS:
         assert np.array_equal(rep.monitors[col], [r[col] for r in rows], equal_nan=True), col
@@ -314,7 +304,7 @@ def test_run_hits_marks_exactly():
     spec = sine_spec(41)
     marks = (0.001, 0.0025, 0.004)
     traj, rep = run(spec, StepControl(t_end=0.005, t_marks=marks))
-    times = traj.times
+    times = [s.t for s in traj.states]
     for m in marks:
         assert m in times
     assert traj.state_at(0.0025).t == 0.0025
@@ -323,17 +313,13 @@ def test_run_hits_marks_exactly():
 def test_run_discrete_max_principle_per_step_convex_bound():
     # explicit update never exceeds the stencil max plus dt * source
     spec = sine_spec(41, q=2.5)
-    st = spec.initial_state()
-    from gbulab.operators import gradient_source
-
-    for _ in range(50):
-        dt = stable_dt(st, spec, StepControl(t_end=1.0))
+    traj, rep = run(spec, StepControl(t_end=1.0, max_steps=50, snapshot_every=1))
+    assert len(traj.states) == 51
+    for st, nxt, dt in zip(traj.states, traj.states[1:], rep.monitors["dt"][1:]):
         src = gradient_source(st, spec.q, spec.epsilon, spec.mu)
         u = st.u
         stencil_max = np.maximum(np.maximum(u[:-2], u[1:-1]), u[2:])
-        nxt = step(st, spec, dt)
         assert np.all(nxt.u[1:-1] <= stencil_max + dt * src[1:-1] + 1e-14)
-        st = nxt
 
 
 def test_run_monitor_stride_thins_series_but_tracks_overall():
@@ -445,8 +431,8 @@ def test_nonfinite_stop_keeps_last_accepted_field():
         assert (np.min(final.u), np.max(final.u)) == (
             rep.monitors["min_u"][-1], rep.monitors["max_u"][-1])
         # the step the run rejected
-        with pytest.raises(StalledStepError):
-            step(final, spec, stable_dt(final, spec, ctl))
+        rejected = reference_step(final.u, spec, reference_dt(final.u, spec, ctl.theta))[0]
+        assert not np.all(np.isfinite(rejected))
 
 
 def test_step_bound_overflow_ends_in_dt_floor_verdict():
@@ -454,7 +440,6 @@ def test_step_bound_overflow_ends_in_dt_floor_verdict():
     spec = sine_spec(41, q=4.0, amp=1e130)
     ctl = StepControl(t_end=0.01, gbu_threshold=1e300)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert stable_dt(spec.initial_state(), spec, ctl) == 0.0
         _, rep = run(spec, ctl)
         pair = run_pair(spec, spec, ctl)
     for r in (rep, pair.report_low, pair.report_high):
@@ -533,14 +518,15 @@ def test_a_rule_appended_to_the_table_stops_at_its_first_flagged_row(monkeypatch
     monkeypatch.setattr(stepping, "STOP_RULES", stepping.STOP_RULES + (rule,))
     monkeypatch.setattr(stepping, "_BLOCK_VALUES", 7 * 41)  # 6 steps a block
     spec, ctl = sine_spec(41), StepControl(t_end=1.0)
-    st, steps = spec.initial_state(), 0
-    while np.max(st.u) >= level:
-        st, steps = step(st, spec, stable_dt(st, spec, ctl)), steps + 1
+    u, t, steps = spec.initial, 0.0, 0
+    while np.max(u) >= level:
+        dt = reference_dt(u, spec, ctl.theta)
+        u, t, steps = reference_step(u, spec, dt)[0], t + dt, steps + 1
     assert steps % 6  # the flagged row is inside a block
     traj, rep = run(spec, ctl)
     assert (rep.verdict, rep.reason, rep.steps) == (COMPLETED, "settled", steps)
-    assert traj.states[-1].t == st.t == rep.monitors["t"][-1]
-    assert np.array_equal(traj.states[-1].u, st.u)
+    assert traj.states[-1].t == t == rep.monitors["t"][-1]
+    assert np.array_equal(traj.states[-1].u, u)
     pair = run_pair(spec, spec, ctl)
     assert run_outputs(pair.traj_high, pair.report_high) == run_outputs(traj, rep)
 
@@ -557,10 +543,11 @@ def test_a_rule_on_a_monitor_column_stops_run_and_run_pair_at_the_reference_row(
     spec, ctl = sine_spec(41), StepControl(t_end=1.0)
     low = replace(spec, initial=0.95 * spec.initial)
     for specs in ([spec], [low, spec]):
-        states, steps = [s.initial_state() for s in specs], 0
-        while min(np.max(st.u) for st in states) >= level:
-            dt = min(stable_dt(st, s, ctl) for st, s in zip(states, specs))
-            states, steps = [step(st, s, dt) for st, s in zip(states, specs)], steps + 1
+        fields, t, steps = [s.initial for s in specs], 0.0, 0
+        while min(np.max(u) for u in fields) >= level:
+            dt = min(reference_dt(u, s, ctl.theta) for u, s in zip(fields, specs))
+            fields = [reference_step(u, s, dt)[0] for u, s in zip(fields, specs)]
+            t, steps = t + dt, steps + 1
         assert steps % 6  # the flagged row is inside a block
         if len(specs) == 1:
             traj, rep = run(spec, ctl)
@@ -569,11 +556,11 @@ def test_a_rule_on_a_monitor_column_stops_run_and_run_pair_at_the_reference_row(
             pair = run_pair(low, spec, ctl)
             runs = [(pair.traj_low, pair.report_low), (pair.traj_high, pair.report_high)]
             assert len(pair.ordering_margin) == len(pair.times) == steps + 1
-        for (traj, rep), st in zip(runs, states):
+        for (traj, rep), u in zip(runs, fields):
             assert (rep.verdict, rep.reason, rep.steps) == (STALLED, "extremum", steps)
-            assert traj.states[-1].t == st.t == rep.monitors["t"][-1]
-            assert np.array_equal(traj.states[-1].u, st.u)
-            assert rep.monitors["max_u"][-1] == np.max(st.u)
+            assert traj.states[-1].t == t == rep.monitors["t"][-1]
+            assert np.array_equal(traj.states[-1].u, u)
+            assert rep.monitors["max_u"][-1] == np.max(u)
 
 
 def test_run_pair_rejects_crossing_data():
@@ -694,6 +681,20 @@ def test_monitor_csv_writes_each_value_as_its_repr(tmp_path):
     assert path.read_text() == expected
     first_row = "nan,-0.0,1e+16,5e-324,0.30000000000000004,-inf,1.0,2.5e-07,0.0"
     assert expected.splitlines()[1] == first_row
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 9, 10])
+def test_monitor_csv_text_does_not_depend_on_the_chunk_size(tmp_path, monkeypatch, chunk):
+    # rows are formatted a chunk at a time: chunks that split the rows
+    # unevenly, evenly, or hold them all give the text of one row at a time
+    values = [math.nan, -0.0, 1e16, 5e-324, 0.1 + 0.2, -math.inf, math.inf, 2.5e-7, 3.0]
+    monitors = {c: np.roll(values, k) for k, c in enumerate(MONITOR_COLUMNS)}
+    path = tmp_path / "monitors.csv"
+    monkeypatch.setattr(stepping, "_CSV_CHUNK_ROWS", chunk)
+    write_monitors_csv(path, monitors)
+    cols = [monitors[c] for c in MONITOR_COLUMNS]
+    assert path.read_text() == ",".join(MONITOR_COLUMNS) + "\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in zip(*cols))
 
 
 def test_monitor_csv_rejects_rows_of_the_wrong_length(tmp_path):

@@ -15,7 +15,7 @@ A mutant is caught when pytest reports a failed test (exit code 1).
 The exit code is 0 when every mutant run is caught, 1 when one survives or
 its edit no longer applies (its old text must occur exactly once in the
 file), and 2 when a listed test fails on the unchanged checkout. A full
-run starts 20 pytest processes, one after another (20-40 s on 2 cores).
+run starts 21 pytest processes, one after another (20-40 s on 2 cores).
 Run it after changing a check or the code a mutant edits, and add a
 mutant with each new check.
 """
@@ -117,6 +117,11 @@ MUTANTS = (
            "return _unpack_fields(Path(path).read_bytes())",
            "return _unpack_fields(Path(path).read_bytes())[:-1]",
            ("tests/test_fieldio.py::test_multi_record_roundtrip_bit_exact",)),
+    Mutant("barrier_search_skips_the_edge_residuals", "src/gbulab/barriers.py",
+           "and all(r[0] >= 0 for r in _residuals(params, np.array([params.eta]), 0.0))",
+           "and True",
+           ("tests/test_cli.py::test_certify_barrier_certifies_the_delta_its_search_returns"
+            "[50.0-1.0]",)),
 )
 
 
