@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import problem
 from .grid import Grid, boundary_distance
 from .problem import ProblemSpec, SolutionState
 from .stepping import COMPLETED, PairReport, RunReport, StepControl, Trajectory, run
@@ -350,7 +351,7 @@ def gradient_profile_check(
     across the last decade of times before t_detect."""
     if not states:
         raise ValueError("no states given")
-    gamma_star = 1.0 / (q - p + 1.0)
+    gamma_star = problem.gamma_star(p, q)
     fits = []
     skipped = 0
     for s in states:

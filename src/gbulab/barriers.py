@@ -16,10 +16,11 @@ worst-case residuals of every inequality the construction rests on:
 `min_residual` is the minimum over all of them; a parameter set is
 certified when it is nonnegative for every tested regularization eps.
 
-The search for delta admits a parameter set only if, besides the
-closed-form invariants, its eps = 0 residuals are nonnegative at the collar
-edge s = eta, computed as the certificate computes them. There phi' is
-least, so the lower bound phi' - |grad g| of |grad v| is least: where the
+`find_barrier_params` is the one search for delta; `certify` checks the
+parameters it is given. The search admits a parameter set only if, besides
+the closed-form invariants, its eps = 0 residuals are nonnegative at the
+collar edge s = eta, computed as the certificate computes them. There phi'
+is least, so the lower bound phi' - |grad g| of |grad v| is least: where the
 `jal` invariant binds it is 0, the degenerate diffusion in `ret` vanishes,
 and only the source (2 |grad g|)^q is left.
 """
@@ -217,7 +218,6 @@ class SupersolutionCertificate:
     inegs_min: float
     jal_min: float
     per_kappa: dict
-    argmin_s: float
     certified: bool
 
 
@@ -276,16 +276,8 @@ def supersolution_residual(
     s = np.linspace(0.0, params.eta, n_radial)
     *ret, ing, inegs, jal = _residuals(params, s, eps)
 
-    per_kappa = {}
-    ret_min = math.inf
-    argmin_s = 0.0
-    for kappa, res in zip(_kappas(params.p), ret):
-        k = int(np.argmin(res))
-        per_kappa[kappa] = float(res[k])
-        if res[k] < ret_min:
-            ret_min = float(res[k])
-            argmin_s = float(s[k])
-
+    per_kappa = {kappa: float(np.min(res)) for kappa, res in zip(_kappas(params.p), ret)}
+    ret_min = min(per_kappa.values())
     ing_min = float(np.min(ing))
     inegs_min = float(np.min(inegs))
     jal_min = float(np.min(jal))
@@ -297,7 +289,6 @@ def supersolution_residual(
         inegs_min=inegs_min,
         jal_min=jal_min,
         per_kappa=per_kappa,
-        argmin_s=argmin_s,
         certified=min_residual >= 0.0,
     )
 
@@ -373,18 +364,12 @@ def t0_window(params: BarrierParams) -> float:
 def certify(
     params: BarrierParams, eps_values=(0.0, 1e-3, 1e-1, 1.0), n_radial: int = 10000
 ) -> dict:
-    """Certification report: parameters, per-inequality minimum residuals
-    for each eps, the admissible-delta upper bound (the largest admissible
-    delta <= rho, nan when there is none in the float range), and the T0
-    window. `certify_sampling` checks eps_values and n_radial."""
+    """Certification report of the parameters as given (it searches no
+    delta): their invariant margins, per-inequality minimum residuals for
+    each eps, the Lipschitz bound and the T0 window. Certified when every
+    residual is nonnegative and the parameters are admissible.
+    `certify_sampling` checks eps_values and n_radial."""
     eps_values = certify_sampling(eps_values, n_radial)
-    try:
-        delta_upper = _largest_admissible_delta(
-            lambda dd: replace(params, delta=dd, eta=dd), params.rho
-        )
-    except OverflowError:
-        delta_upper = math.nan
-
     sup_reports = {}
     exp_reports = {}
     all_ok = True
@@ -419,7 +404,6 @@ def certify(
         },
         "invariant_margins": check_invariants(params),
         "collar_lipschitz_bound": collar_lipschitz_bound(params),
-        "admissible_delta_upper_bound": delta_upper,
         "t0_window": t0_window(params),
         "supersolution": sup_reports,
         "exp_barrier": exp_reports,

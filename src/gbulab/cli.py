@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, barriers, fieldio, spectral, stepping
+from . import analysis, barriers, fieldio, problem, spectral, stepping
 from .grid import Grid, build_grid
 from .problem import ProblemSpec, make_spec
 from .schema import validate_output
@@ -390,9 +390,8 @@ def _do_simulate(cfg: RunConfig, out: Path, jobs: int) -> int:
     spec = cfg.spec
     traj, report = stepping.run(spec, cfg.control)
     _write_run_artifacts(out, traj, report)
-    gamma_star = 1.0 / (spec.q - spec.p + 1.0)
     analysis.write_shell_profile_csv(
-        out / "shell_profile.csv", traj.states[-1], gamma_star
+        out / "shell_profile.csv", traj.states[-1], problem.gamma_star(spec.p, spec.q)
     )
     return 0 if report.verdict in (COMPLETED, GBU_DETECTED) else 3
 

@@ -83,6 +83,11 @@ class ProblemSpec:
         return SolutionState(grid=self.grid, u=self.initial.copy(), t=0.0)
 
 
+def gamma_star(p: float, q: float) -> float:
+    """The boundary exponent of |grad u| <= C1 delta^(-gamma*) + C2."""
+    return 1.0 / (q - p + 1.0)
+
+
 class SolutionState:
     """Grid field u at time t. It holds the field only: `grad_mag`
     computes a new array on every read, so a reader that needs it twice

@@ -365,19 +365,22 @@ def test_smooth_state_trivially_compliant():
     assert fit.slope == 0.0
 
 
+@pytest.mark.parametrize(("p", "q"), [(3.0, 4.0), (2.5, 4.0)], ids=["p3-q4", "p2.5-q4"])
 @pytest.mark.parametrize(("amplitudes", "c1_spread", "passes"), [
     ((1.0, 1.05, 1.1), 0.091, True),
     ((1.0, 1.15, 1.35), 0.259, False),
 ], ids=["stable", "unstable"])
-def test_profile_check_rejects_an_unstable_envelope(amplitudes, c1_spread, passes):
-    # A delta^(1-gamma)/(1-gamma) has |u'| = A delta^-gamma: every state has
-    # the exact slope -gamma* (gamma = gamma* = 1/2 at p=3, q=4), so only the
-    # spread of C1 ~ A across the last decade before t_detect decides
+def test_profile_check_rejects_an_unstable_envelope(amplitudes, c1_spread, passes, p, q):
+    # A delta^(1-gamma)/(1-gamma) has |u'| = A delta^-gamma: with gamma =
+    # gamma* = 1/(q-p+1) (1/2 at p=3, q=4; 2/5 at p=2.5, q=4, where p-2 != 1)
+    # every state has the exact slope -gamma*, so only the spread of C1 ~ A
+    # across the last decade before t_detect decides
+    gamma = 1.0 / (q - p + 1.0)
     g = build_grid((0.0, 1.0), 401)
     delta = boundary_distance(g)
-    states = [SolutionState(g, a * np.sqrt(delta) / 0.5, t)
+    states = [SolutionState(g, a * delta ** (1.0 - gamma) / (1.0 - gamma), t)
               for a, t in zip(amplitudes, (0.9, 0.95, 0.99))]
-    report = gradient_profile_check(states, 3.0, 4.0, t_detect=1.0)
+    report = gradient_profile_check(states, p, q, t_detect=1.0)
     assert report.details["decade_states"] == 3
     assert report.details["c1_spread"] == pytest.approx(c1_spread, abs=1e-3)
     assert report.details["slope_spread"] < 1e-12

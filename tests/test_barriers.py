@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gbulab import barriers
 from gbulab.barriers import (
     BarrierParams,
     beta_exponent,
@@ -165,22 +166,26 @@ def test_search_with_a_rough_boundary_ends_at_the_edge():
     assert at_the_edge(find_barrier_params(3.0, 4.0, 1, 0.5, g_norms=(50.0, 0.0, 1.0)))
 
 
-def test_certify_bound_is_the_edge_whatever_the_delta():
-    # the bound is the largest admissible delta <= rho, searched from rho, so
-    # an inadmissible or a shrunk delta of the same set reports the same one
+def test_certify_searches_no_delta(monkeypatch):
+    # the search is find_barrier_params's: certify tests the parameters it
+    # is given, once
     params = find_barrier_params(3.0, 4.0, 1, 0.5)
-    for factor in (1.0, 100.0, 1e-3):
-        report = certify(params.scaled_delta(factor), eps_values=(0.0,), n_radial=200)
-        assert report["admissible_delta_upper_bound"] == params.delta
+    calls = []
+
+    def counted(checked):
+        calls.append(checked)
+        return is_admissible(checked)
+
+    monkeypatch.setattr(barriers, "is_admissible", counted)
+    assert certify(params, eps_values=(0.0,), n_radial=200)["certified"]
+    assert calls == [params]
 
 
-
-def test_certify_bound_is_nan_without_an_admissible_delta():
+def test_certify_rejects_params_without_an_admissible_delta():
     # |grad g| = 1e300: no delta in the float range meets jal
     params = replace(find_barrier_params(3.0, 4.0, 1, 0.5), grad_g=1e300)
     with np.errstate(over="ignore", invalid="ignore"):  # the residuals of such norms overflow
         report = certify(params, eps_values=(0.0,), n_radial=200)
-    assert math.isnan(report["admissible_delta_upper_bound"])
     assert not report["certified"]
 
 
@@ -286,6 +291,7 @@ def test_certify_report_structure():
     params = find_barrier_params(3.0, 4.0, 1, 0.5)
     report = certify(params, eps_values=(0.0, 1.0), n_radial=500)
     assert report["certified"]
-    assert report["admissible_delta_upper_bound"] == params.delta
+    assert set(report) == {"params", "invariant_margins", "collar_lipschitz_bound",
+                           "t0_window", "supersolution", "exp_barrier", "certified"}
     assert set(report["supersolution"]) == {"0.0", "1.0"}
     assert report["t0_window"] >= 0.0

@@ -327,6 +327,27 @@ def test_strong_residual_manufactured_quadratic():
     assert errs[1] < errs[0] / 3.0  # ~O(h^2)
 
 
+@pytest.mark.parametrize(("p", "q"), [(3.0, 4.0), (2.5, 4.0), (2.5, 3.0), (4.0, 5.0)])
+def test_rhs_of_the_singular_steady_state_converges_at_order_two(p, q):
+    # for q > p, U = d x^(1-gamma)/(1-gamma) with gamma = 1/(q-p+1) and
+    # d = ((p-1) gamma)^gamma solves (|U'|^(p-2) U')' + |U'|^q = 0 (at p=3,
+    # q=4: U = 2 sqrt(x)); away from its singular gradient at x = 0 the rhs
+    # the scheme applies to U vanishes at order 2 (3.9e-3, 9.8e-4, 2.4e-4 on
+    # [0.1, 0.4] at p=3, q=4)
+    gamma = 1.0 / (q - p + 1.0)
+    d = ((p - 1.0) * gamma) ** gamma
+    errs = []
+    for n in (401, 801, 1601):
+        g = build_grid((0.0, 1.0), n)
+        x = g.axis_coords(0)
+        st = SolutionState(g, d * x ** (1.0 - gamma) / (1.0 - gamma))
+        rhs = regularized_diffusion(st, p, 0.0) + gradient_source(st, q, 0.0)
+        away = (x >= 0.1) & (x <= 0.4)
+        errs.append(np.max(np.abs(rhs[away])))
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all(orders >= 1.9), orders
+
+
 # -- quadrature -----------------------------------------------------------------------
 
 def test_trapezoid_weights_sum_to_measure():

@@ -280,6 +280,25 @@ def test_criterion_experiment_brackets_threshold():
     assert res.amplitude_high - res.amplitude_low == pytest.approx(2.0 / 8, abs=1e-12)
 
 
+def test_criterion_experiment_doubles_a_completing_high_amplitude():
+    # 0.25, 0.5 and 1.0 complete, 2.0 blows up: the bracket is [1, 2]
+    g = build_grid((0.0, 1.0), 51)
+    ctl = StepControl(t_end=0.05, gbu_threshold=40.0)
+    res = criterion_experiment(g, 3.0, 4.0, alpha=2.0, control=ctl,
+                               amplitude_high=0.25, bisect_iters=0)
+    assert [h["amplitude"] for h in res.history] == [0.0, 0.25, 0.5, 1.0, 2.0]
+    assert (res.amplitude_low, res.amplitude_high, res.runs) == (1.0, 2.0, 5)
+    assert res.t_detect is not None
+
+
+def test_criterion_experiment_gives_up_after_max_expand_doublings():
+    g = build_grid((0.0, 1.0), 51)
+    ctl = StepControl(t_end=0.05, gbu_threshold=40.0)
+    with pytest.raises(RuntimeError, match="no blow-up found while expanding"):
+        criterion_experiment(g, 3.0, 4.0, alpha=2.0, control=ctl,
+                             amplitude_high=1e-6, bisect_iters=0)
+
+
 def test_criterion_experiment_rejects_bad_exponents():
     g = build_grid((0.0, 1.0), 51)
     ctl = StepControl(t_end=0.01)

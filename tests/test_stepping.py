@@ -584,6 +584,14 @@ def test_detect_gbu_synthetic_cauchy():
     assert verdict.t_max_estimate == pytest.approx(0.5266666666666666, abs=1e-12)
 
 
+def test_detect_gbu_two_thresholds_extrapolate_one_step():
+    # no ratio to test: one step of INCREMENT_RATIO_MAX (0.75) times the
+    # increment, 0.52 + 0.02 * 0.75
+    verdict = detect_gbu([ev(101, 1.0, 0.50), ev(101, 2.0, 0.52)])
+    assert verdict.status == "GBU"
+    assert verdict.t_max_estimate == pytest.approx(0.535, abs=1e-12)
+
+
 def test_detect_gbu_all_completed_is_nogbu():
     verdict = detect_gbu([ev(101, 1.0, None), ev(201, 1.0, None)])
     assert verdict.status == "NoGBU"

@@ -15,7 +15,7 @@ A mutant is caught when pytest reports a failed test (exit code 1).
 The exit code is 0 when every mutant run is caught, 1 when one survives or
 its edit no longer applies (its old text must occur exactly once in the
 file), and 2 when a listed test fails on the unchanged checkout. A full
-run starts 21 pytest processes, one after another (20-40 s on 2 cores).
+run starts 22 pytest processes, one after another (20-60 s on 2 cores).
 Run it after changing a check or the code a mutant edits, and add a
 mutant with each new check.
 """
@@ -122,6 +122,10 @@ MUTANTS = (
            "and True",
            ("tests/test_cli.py::test_certify_barrier_certifies_the_delta_its_search_returns"
             "[50.0-1.0]",)),
+    Mutant("gamma_star_as_p_minus_2_over_q_minus_p_plus_1", "src/gbulab/problem.py",
+           "return 1.0 / (q - p + 1.0)", "return (p - 2.0) / (q - p + 1.0)",
+           ("tests/test_analysis.py::test_profile_check_rejects_an_unstable_envelope"
+            "[stable-p2.5-q4]",)),
 )
 
 
