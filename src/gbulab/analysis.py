@@ -6,9 +6,11 @@ L2-in-time energy bound.
 Each check returns a ComplianceReport whose signed worst margin is "bound
 minus observed"; it passes iff the margin is >= -tolerance. Checks are
 deterministic functions of their inputs, and each reads the record its run
-keeps: the extremum, regularizing and energy checks the monitor rows, the
-ordering check a lockstep pair's margin after every step, the profile and
-boundedness checks the snapshot states.
+keeps, constants included: the extremum and regularizing checks the monitor
+rows (sup|u0| from the first), the energy check the monitor rows and the
+first kept state (u0), the ordering check a lockstep pair's margin after
+every step, the profile and boundedness checks the snapshot states (C1 and
+C2 from their shell maxima).
 """
 from __future__ import annotations
 
@@ -20,8 +22,9 @@ import numpy as np
 
 from . import problem
 from .grid import Grid, boundary_distance
+from .operators import integrate
 from .problem import ProblemSpec, SolutionState
-from .stepping import COMPLETED, PairReport, RunReport, StepControl, Trajectory, run
+from .stepping import COMPLETED, PairReport, StepControl, Trajectory, run
 
 
 class InsufficientCollar(ValueError):
@@ -178,13 +181,15 @@ REG_WARMUP_STEPS = 5  # leading monitor rows the check skips
 REG_REL_TOL = 0.1
 
 
-def regularizing_effect_check(traj: Trajectory, p: float, u0_sup: float) -> ComplianceReport:
-    """u_t <= u0_sup / ((p-2) t): after the first REG_WARMUP_STEPS monitor
+def regularizing_effect_check(traj: Trajectory, p: float) -> ComplianceReport:
+    """u_t <= u0_sup / ((p-2) t), with u0_sup = sup|u0| the larger of |min_u|
+    and |max_u| on the first monitor row: after the first REG_WARMUP_STEPS
     rows, the per-step max of the normalized ratio u_t * t * (p-2) / u0_sup
     must stay <= 1 + REG_REL_TOL. On zero data the bound is 0 at every t > 0:
     u_t must vanish, with no warm-up. Only rows written by a step are scored;
     the first row, and a last one off the monitor stride, read max_ut nan."""
     mon = traj.monitors
+    u0_sup = float(max(abs(mon["min_u"][0]), abs(mon["max_u"][0])))
     skip = REG_WARMUP_STEPS if u0_sup > 0 else 0
     t, max_ut = mon["t"][skip:], mon["max_ut"][skip:]
     stepped = ~np.isnan(max_ut)
@@ -265,37 +270,24 @@ INTERIOR_FRAC = 0.5  # C2 is read where delta >= INTERIOR_FRAC * max(delta)
 MIN_SHELLS = 4  # fewest shells that resolve a boundary layer
 
 
-@functools.lru_cache(maxsize=8)
-def _envelope_weights(grid: Grid, gamma_star: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(the interior nodes, where delta >= INTERIOR_FRAC * max(delta); the
-    nodes off the boundary; delta^gamma* at those) of `envelope_constants`.
-    Computed once per grid and exponent and read-only."""
-    delta = boundary_distance(grid)
-    interior = delta >= INTERIOR_FRAC * float(np.max(delta))
-    pos = delta > 0
-    out = interior, pos, np.power(delta[pos], gamma_star)
-    for a in out:
-        a.flags.writeable = False
-    return out
-
-
-def envelope_constants(grid: Grid, mag: np.ndarray, gamma_star: float) -> tuple[float, float]:
-    """(C1, C2) with C2 the interior bound of the node field `mag` (a
-    state's |grad u|) and C1 minimal such that mag <= C1 delta^(-gamma*) + C2
-    at every node off the boundary."""
-    interior, pos, weight = _envelope_weights(grid, gamma_star)
-    # the node farthest from the boundary is always interior
-    c2 = float(np.max(mag[interior]))
-    c1 = float(np.max(np.maximum(mag[pos] - c2, 0.0) * weight))
-    return c1, c2
+def envelope(
+    state: SolutionState, gamma_star: float
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(delta values, max |grad u| per shell, C1, C2) of a state, from one
+    reduction of its |grad u| (`shell_maxima`): C2 the largest maximum over
+    the shells with delta >= INTERIOR_FRAC * max(delta), and C1 minimal such
+    that every shell's maximum is <= C1 delta^(-gamma*) + C2."""
+    shells, maxima = shell_maxima(state.grid, state.grad_mag)
+    # the shell farthest from the boundary is always interior
+    c2 = float(np.max(maxima[shells >= INTERIOR_FRAC * shells[-1]]))
+    c1 = float(np.max(np.maximum(maxima - c2, 0.0) * np.power(shells, gamma_star)))
+    return shells, maxima, c1, c2
 
 
 def write_shell_profile_csv(path, state: SolutionState, gamma_star: float) -> None:
     """Shell table (columns: delta_shell, max_grad, bound_value) with the
     envelope evaluated at the fitted constants."""
-    mag = state.grad_mag
-    c1, c2 = envelope_constants(state.grid, mag, gamma_star)
-    shells, maxima = shell_maxima(state.grid, mag)
+    shells, maxima, c1, c2 = envelope(state, gamma_star)
     with open(path, "w") as f:
         f.write("delta_shell,max_grad,bound_value\n")
         for d, m in zip(shells, maxima):
@@ -313,9 +305,7 @@ def fit_profile(state: SolutionState, gamma_star: float) -> ProfileFit:
     shell above the interior threshold has no boundary layer and is
     trivially compliant (slope 0). The slope statistic is the shallowest
     inner-anchored window fit over the hot shells."""
-    mag = state.grad_mag
-    c1, c2 = envelope_constants(state.grid, mag, gamma_star)
-    shells, maxima = shell_maxima(state.grid, mag)
+    shells, maxima, c1, c2 = envelope(state, gamma_star)
     floor = max(1.5 * c2, 1e-300)
     if maxima[0] <= floor:
         return ProfileFit(c1=c1, c2=c2, slope=0.0, n_shells=0, n_hot=0, t=state.t)
@@ -410,16 +400,18 @@ def interior_boundedness_check(
     d0: float,
     c1: float,
     c2: float,
-    gamma_star: float,
+    p: float,
+    q: float,
 ) -> ComplianceReport:
     """sup over {delta >= d0} and over the states of |grad u| must stay
-    below C1 d0^(-gamma*) + C2."""
+    below C1 d0^(-gamma*) + C2, gamma* = 1/(q-p+1)."""
     if not d0 > 0:
         raise ValueError("subregion must keep a positive distance to the boundary")
     grid = states[0].grid
     region = boundary_distance(grid) >= d0
     if not region.any():
         raise ValueError(f"no nodes at distance >= {d0}")
+    gamma_star = problem.gamma_star(p, q)
     bound = c1 * d0 ** (-gamma_star) + c2
     # np.max, not max: a NaN in any state makes the sup NaN, which fails
     sup = float(np.max([np.max(s.grad_mag[region]) for s in states]))
@@ -494,13 +486,19 @@ def scaling_transform_check(
 ENERGY_REL_TOL = 0.05
 
 
-def energy_estimate(report: RunReport, spec: ProblemSpec) -> ComplianceReport:
+def energy_estimate(traj: Trajectory, spec: ProblemSpec) -> ComplianceReport:
     """Quadrature of the squared time derivative against the a priori bound
-    (2/p) * int (|grad u0|^2+eps)^(p/2) + 2 mu^2 * int int (|grad u|^2+eps)^q,
-    read from the run's monitors and its initial gradient energy."""
-    mon = report.monitors
+    (2/p) * e0 + 2 mu^2 * int int (|grad u|^2+eps)^q, with the initial
+    gradient energy e0 = int (|grad u0|^2+eps)^(p/2) computed from the
+    run's first kept state, which must be at t = 0, and the rest read from
+    its monitors."""
+    first = traj.states[0]
+    if first.t != 0.0:
+        raise ValueError(f"the energy bound needs u0, and the first kept state is at "
+                         f"t={first.t!r}")
+    e0 = integrate(first.grid, np.power(first.grad_mag**2 + spec.epsilon, spec.p / 2.0))
+    mon = traj.monitors
     lhs = float(mon["ut_l2_acc"][-1])
-    e0 = report.initial_gradient_energy
     bound = (2.0 / spec.p) * e0 + 2.0 * spec.mu**2 * float(mon["source_energy_acc"][-1])
     ratio = lhs / bound if bound > 0 else (0.0 if lhs == 0.0 else math.inf)
     return _report(

@@ -18,8 +18,9 @@ is a run with no threshold stop. `--seed` replaces [experiment] seed before
 any check, so one check covers the flag and the config value. An optional
 section whose keys all have defaults ([compliance] of check) is parsed, and
 written to config.canonical.cfg, as if its header stood alone. The handlers
-then only run and write. A check of stored monitors runs every check but
-energy_estimate, which needs the initial gradient energy of a fresh run.
+then only run and write. A check of stored monitors runs every check, each
+with the constants it reads from the record: energy_estimate alone also
+reads the states.field beside the monitors.csv, for u0.
 
 `_VERBS` declares each verb once: its experiment kind, its handler, the
 sections its config requires and may add, and the keys of those sections
@@ -41,7 +42,7 @@ import numpy as np
 
 from . import analysis, barriers, fieldio, problem, spectral, stepping
 from .grid import Grid, build_grid
-from .problem import ProblemSpec, make_spec
+from .problem import ProblemSpec, SolutionState, make_spec
 from .schema import validate_output
 from .stepping import COMPLETED, GBU_DETECTED, StepControl
 
@@ -268,11 +269,6 @@ def _build(kind: str, s: dict) -> RunConfig:
         unknown = set(c["checks"]) - set(COMPLIANCE_CHECKS)
         if unknown:
             raise ConfigError(f"unknown checks {sorted(unknown)}; known: {COMPLIANCE_CHECKS}")
-        if c["trajectory"] and "energy_estimate" in c["checks"]:
-            raise ConfigError(
-                "a stored-trajectory check cannot run energy_estimate: it needs the "
-                "initial gradient energy of a fresh run"
-            )
         if c["trajectory"] and "control" in s:
             raise ConfigError(
                 "compliance_suite with a stored trajectory takes no [control]: "
@@ -479,18 +475,22 @@ def _do_compliance(cfg: RunConfig, out: Path, jobs: int) -> int:
     reports: list[analysis.ComplianceReport] = []
 
     spec = cfg.spec
-    if comp["trajectory"]:  # every check but energy_estimate (_build)
-        traj = stepping.Trajectory(cfg.grid, [], stepping.read_monitors_csv(comp["trajectory"]))
+    if comp["trajectory"]:
+        monitors = stepping.read_monitors_csv(comp["trajectory"])
+        states = []
+        if "energy_estimate" in checks:  # the one check that reads a state: u0
+            fields = fieldio.read_fields(Path(comp["trajectory"]).parent / "states.field")
+            states = [SolutionState(cfg.grid, u, t) for u, t in fields]
+        traj = stepping.Trajectory(cfg.grid, states, monitors)
     else:
         traj, run_report = stepping.run(spec, cfg.control)
         _write_run_artifacts(out, traj, run_report)
     if "max_principle" in checks:
         reports.append(analysis.max_principle_check(traj))
     if "regularizing_effect" in checks:
-        u0_sup = float(max(abs(traj.monitors["min_u"][0]), abs(traj.monitors["max_u"][0])))
-        reports.append(analysis.regularizing_effect_check(traj, spec.p, u0_sup))
+        reports.append(analysis.regularizing_effect_check(traj, spec.p))
     if "energy_estimate" in checks:
-        reports.append(analysis.energy_estimate(run_report, spec))
+        reports.append(analysis.energy_estimate(traj, spec))
     if "monotonicity" in checks:
         reports.append(analysis.monotonicity_suite(comp["monotonicity_samples"], seed=cfg.seed))
 

@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import Grid
-from .operators import StepKernel, integrate, quadrature_weights
+from .operators import StepKernel, quadrature_weights
 from .problem import ProblemSpec, SolutionState
 
 COMPLETED = "Completed"
@@ -96,8 +96,10 @@ SNAPSHOT_RTOL = 1e-9  # relative time tolerance of Trajectory.state_at
 @dataclass
 class Trajectory:
     """Snapshot states (always including t=0 and the final time) and the
-    monitor rows of a run on `grid`. A check of a stored monitors.csv reads
-    one with no states."""
+    monitor rows of a run on `grid`: the record the compliance checks read,
+    their constants included. A check of a stored monitors.csv reads the
+    states of the states.field beside it for the energy check, which alone
+    reads a state (u0), and none otherwise."""
 
     grid: Grid
     states: list[SolutionState]
@@ -121,7 +123,6 @@ class RunReport:
     threshold_crossings: dict[float, float]
     min_u_overall: float
     max_u_overall: float
-    initial_gradient_energy: float
 
     def to_dict(self) -> dict:
         return {
@@ -135,7 +136,6 @@ class RunReport:
             },
             "min_u_overall": self.min_u_overall,
             "max_u_overall": self.max_u_overall,
-            "initial_gradient_energy": self.initial_gradient_energy,
         }
 
 
@@ -243,7 +243,6 @@ class _Track:
         self.kernel = kernel = StepKernel.of(spec, slots=rows)
         kernel.load(spec.initial)
         self.bound = _dt_bound(spec, grid.h_min, grid.dimension, control.theta)
-        self.e0 = integrate(grid, np.power(kernel.mag**2 + spec.epsilon, spec.p / 2.0))
         self.weight = control.functional_weight
         if self.weight is not None and self.weight.shape != grid.shape:
             raise ValueError("functional_weight must be a grid field")
@@ -318,7 +317,6 @@ class _Track:
             threshold_crossings=self.crossings,
             min_u_overall=self.min_overall,
             max_u_overall=self.max_overall,
-            initial_gradient_energy=self.e0,
         )
         return Trajectory(self.spec.grid, self.snapshots, monitors), report
 

@@ -38,6 +38,7 @@ from gbulab.barriers import (
     find_barrier_params,
     supersolution_residual,
 )
+from gbulab.problem import gamma_star
 from gbulab.spectral import alpha_window, blowup_ode_fit, criterion_experiment
 from gbulab.stepping import GBU_DETECTED, ThresholdCrossing, detect_gbu
 
@@ -207,7 +208,7 @@ def test_criterion_05_regularizing_effect():
         g = build_grid((0.0, 1.0), n)
         spec = make_spec(g, p=3.0, q=2.5, profile="sine", amplitude=1.0)
         traj, _ = run(spec, StepControl(t_end=0.1))
-        rep = regularizing_effect_check(traj, 3.0, 1.0)
+        rep = regularizing_effect_check(traj, 3.0)
         ratios.append(rep.details["ratio_max"])
         excesses.append(rep.details["excess"])
     elapsed = time.perf_counter() - t0
@@ -292,11 +293,11 @@ def test_criterion_06_gbu_detection_and_interior(gbu_experiment):
         fit = None
         for s in reversed(traj.states):
             try:
-                fit = fit_profile(s, 1.0 / (GBU_Q - GBU_P + 1.0))
+                fit = fit_profile(s, gamma_star(GBU_P, GBU_Q))
                 break
             except Exception:
                 continue
-        ib = interior_boundedness_check(traj.states, 1.0 / 3.0, fit.c1, fit.c2, 0.5)
+        ib = interior_boundedness_check(traj.states, 1.0 / 3.0, fit.c1, fit.c2, GBU_P, GBU_Q)
         interior_ok = interior_ok and ib.passed
 
     elapsed = gbu_experiment["wall"] + (time.perf_counter() - t0)

@@ -1,10 +1,12 @@
 import gc
+import re
 import sys
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scheme_reference import reference_gradient
 
 from gbulab.analysis import (
     InsufficientCollar,
@@ -145,14 +147,14 @@ def test_regularizing_stationary_passes():
     g = build_grid((0.0, 1.0), 31)
     spec = make_spec(g, p=3.0, q=2.5, epsilon=1.0, profile="constant", amplitude=1.0)
     traj, _ = run(spec, StepControl(t_end=0.02))
-    report = regularizing_effect_check(traj, 3.0, 1.0)
+    report = regularizing_effect_check(traj, 3.0)
     assert report.passed
     assert report.details["ratio_max"] <= 0.0 + 1e-15
 
 
 def test_regularizing_sine_run_ratio_bounded():
     spec, traj, _ = sine_run(n=201, q=2.5, t_end=0.05)
-    report = regularizing_effect_check(traj, 3.0, 1.0)
+    report = regularizing_effect_check(traj, 3.0)
     assert report.passed
     assert report.details["ratio_max"] <= 1.1
 
@@ -182,13 +184,16 @@ def readme_sine_traj(readme_sine_run):
 @pytest.mark.parametrize(("target", "passes"), [(0.9, True), (1.2, False)])
 def test_regularizing_bound_brackets_scaled_ut(readme_sine_traj, target, passes):
     # u_t scaled so that u_t t (p-2) / sup|u0| over rows 5 and on peaks at
-    # target: the check's bound 1 + 0.1 lies between the two targets
+    # target: the check's bound 1 + 0.1 lies between the two targets. The
+    # check reads sup|u0| from the first row, which the last row undercuts.
     p, u0_sup = 3.0, 1.0
     mon = dict(readme_sine_traj.monitors)
+    assert (mon["min_u"][0], mon["max_u"][0]) == (0.0, u0_sup)
+    assert mon["max_u"][-1] < 0.9 * u0_sup
     ratio = float(np.max(mon["max_ut"][5:] * mon["t"][5:] * (p - 2.0) / u0_sup))
     assert ratio > 0
     mon["max_ut"] = mon["max_ut"] * (target / ratio)
-    report = regularizing_effect_check(replace(readme_sine_traj, monitors=mon), p, u0_sup)
+    report = regularizing_effect_check(replace(readme_sine_traj, monitors=mon), p)
     assert report.passed is passes
     assert report.details["ratio_max"] == pytest.approx(target, rel=1e-12)
 
@@ -200,10 +205,10 @@ def test_regularizing_zero_data_requires_vanishing_ut():
     spec = make_spec(g, p=3.0, q=2.5, epsilon=1e-3, profile="sine", amplitude=0.0)
     traj, _ = run(spec, StepControl(t_end=0.002, t_marks=[2e-4 * k for k in range(1, 10)]))
     assert len(traj.monitors["t"]) == 11
-    clean = regularizing_effect_check(traj, 3.0, 0.0)
+    clean = regularizing_effect_check(traj, 3.0)
     assert clean.passed and clean.worst_margin == 0.0
     traj.monitors["max_ut"][1:] = 1e-12
-    report = regularizing_effect_check(traj, 3.0, 0.0)
+    report = regularizing_effect_check(traj, 3.0)
     assert not report.passed
     assert report.worst_margin == -1e-12
 
@@ -213,10 +218,10 @@ def test_regularizing_scores_only_stepped_rows_off_the_stride(readme_spec, readm
     # first, carries no step terms (max_ut nan) and is not scored
     traj, _ = run(readme_spec, replace(README_CONTROL, monitor_stride=3))
     assert np.isnan(traj.monitors["max_ut"][-1])
-    report = regularizing_effect_check(traj, 3.0, 1.0)
+    report = regularizing_effect_check(traj, 3.0)
     assert report.passed
     # the same steps as the stride-1 run, of which it scores a subset
-    full = regularizing_effect_check(readme_sine_traj, 3.0, 1.0).details["ratio_max"]
+    full = regularizing_effect_check(readme_sine_traj, 3.0).details["ratio_max"]
     assert 0.0 < report.details["ratio_max"] <= full
 
 
@@ -227,11 +232,11 @@ def test_regularizing_zero_data_without_warmup():
     spec = make_spec(g, p=3.0, q=2.5, epsilon=1e-3, profile="sine", amplitude=0.0)
     traj, _ = run(spec, StepControl(t_end=0.002))
     assert len(traj.monitors["t"]) == 2
-    report = regularizing_effect_check(traj, 3.0, 0.0)
+    report = regularizing_effect_check(traj, 3.0)
     assert report.passed and report.worst_margin == 0.0
     first_row_only = replace(traj, monitors={k: v[:1] for k, v in traj.monitors.items()})
     with pytest.raises(ValueError, match="no stepped monitor row"):
-        regularizing_effect_check(first_row_only, 3.0, 0.0)
+        regularizing_effect_check(first_row_only, 3.0)
 
 
 def test_regularizing_excess_shrinks_under_refinement():
@@ -240,7 +245,7 @@ def test_regularizing_excess_shrinks_under_refinement():
         g = build_grid((0.0, 1.0), n)
         spec = make_spec(g, p=3.0, q=2.5, profile="sine")
         traj, _ = run(spec, StepControl(t_end=0.03, theta=theta))
-        rep = regularizing_effect_check(traj, 3.0, 1.0)
+        rep = regularizing_effect_check(traj, 3.0)
         excesses.append(rep.details["excess"])
     assert excesses[1] <= excesses[0] + 1e-12
 
@@ -397,7 +402,7 @@ def test_profile_checks_leave_the_snapshots_their_fields_only():
 
     def checks(states):
         gradient_profile_check(states, 3.0, 4.0, states[-1].t)
-        interior_boundedness_check(states, 1 / 3, 1.0, 1.0, 0.5)
+        interior_boundedness_check(states, 1 / 3, 1.0, 1.0, 3.0, 4.0)
 
     # the first call on a grid builds its read-only caches; those stay
     checks(run(spec, StepControl(t_end=0.35, max_steps=5, snapshot_every=1))[0].states)
@@ -423,7 +428,7 @@ def test_interior_boundedness_stationary():
     g = build_grid((0.0, 1.0), 51)
     spec = make_spec(g, p=3.0, q=2.5, epsilon=1.0, profile="constant", amplitude=1.0)
     traj, _ = run(spec, StepControl(t_end=0.01))
-    report = interior_boundedness_check(traj.states, 1 / 3, 1.0, 1.0, 0.5)
+    report = interior_boundedness_check(traj.states, 1 / 3, 1.0, 1.0, 3.0, 2.5)
     assert report.passed
 
 
@@ -434,7 +439,7 @@ def test_interior_boundedness_brackets_the_region_sup(readme_sine_traj, factor, 
     states = readme_sine_traj.states
     region = boundary_distance(states[0].grid) >= 1 / 3
     sup = max(float(np.max(s.grad_mag[region])) for s in states)
-    report = interior_boundedness_check(states, 1 / 3, 0.0, factor * sup, 2.0)
+    report = interior_boundedness_check(states, 1 / 3, 0.0, factor * sup, 3.0, 2.5)
     assert report.passed is passes
 
 
@@ -447,9 +452,9 @@ def test_interior_boundedness_fails_on_a_nan_state_in_any_place(nan_first):
     bad = ok.u.copy()
     bad[20] = np.nan
     states = [ok, SolutionState(g, bad, 0.1)]
-    assert interior_boundedness_check(states[:1], 0.25, 1.0, 1.0, 0.5).passed
+    assert interior_boundedness_check(states[:1], 0.25, 1.0, 1.0, 3.0, 4.0).passed
     report = interior_boundedness_check(states[::-1] if nan_first else states,
-                                        0.25, 1.0, 1.0, 0.5)
+                                        0.25, 1.0, 1.0, 3.0, 4.0)
     assert not report.passed
     assert np.isnan(report.details["sup"])
 
@@ -458,7 +463,7 @@ def test_interior_boundedness_rejects_touching_boundary():
     g = build_grid((0.0, 1.0), 51)
     st = SolutionState(g, np.zeros(51))
     with pytest.raises(ValueError):
-        interior_boundedness_check([st], 0.0, 1.0, 1.0, 0.5)
+        interior_boundedness_check([st], 0.0, 1.0, 1.0, 3.0, 4.0)
 
 
 # -- scaling -----------------------------------------------------------------------------
@@ -515,15 +520,15 @@ def test_scaling_transform_check_p4_q4():
 def test_energy_estimate_stationary():
     g = build_grid((0.0, 1.0), 31)
     spec = make_spec(g, p=3.0, q=2.5, epsilon=1.0, profile="constant", amplitude=1.0)
-    _, rep = run(spec, StepControl(t_end=0.01))
-    report = energy_estimate(rep, spec)
+    traj, _ = run(spec, StepControl(t_end=0.01))
+    report = energy_estimate(traj, spec)
     assert report.passed
     assert report.details["lhs"] == 0.0
 
 
 def test_energy_estimate_smooth_run_ratio_below_one():
-    spec, _, rep = sine_run(n=101, q=2.5, t_end=0.02)
-    report = energy_estimate(rep, spec)
+    spec, traj, _ = sine_run(n=101, q=2.5, t_end=0.02)
+    report = energy_estimate(traj, spec)
     assert report.passed
     assert report.details["ratio"] < 1.0
 
@@ -531,12 +536,13 @@ def test_energy_estimate_smooth_run_ratio_below_one():
 @pytest.mark.parametrize(("target", "passes"), [(0.9, True), (1.1, False)])
 def test_energy_estimate_brackets_scaled_ut(readme_spec, readme_sine_run, target, passes):
     # int |u_t|^2 scaled to target times its bound, around the tolerance 0.05
-    _, report = readme_sine_run
-    mon = dict(report.monitors)
-    bound = (2.0 / 3.0) * report.initial_gradient_energy + 2.0 * mon["source_energy_acc"][-1]
+    traj, _ = readme_sine_run
+    mon = dict(traj.monitors)
+    e0 = energy_estimate(traj, readme_spec).details["initial_gradient_energy"]
+    bound = (2.0 / 3.0) * e0 + 2.0 * mon["source_energy_acc"][-1]
     assert mon["ut_l2_acc"][-1] > 0
     mon["ut_l2_acc"] = mon["ut_l2_acc"] * (target * bound / mon["ut_l2_acc"][-1])
-    check = energy_estimate(replace(report, monitors=mon), readme_spec)
+    check = energy_estimate(replace(traj, monitors=mon), readme_spec)
     assert check.passed is passes
     assert check.details["ratio"] == pytest.approx(target, rel=1e-12)
 
@@ -544,6 +550,30 @@ def test_energy_estimate_brackets_scaled_ut(readme_spec, readme_sine_run, target
 def test_energy_estimate_ratio_stable_under_refinement():
     ratios = []
     for n in (101, 201):
-        spec, _, rep = sine_run(n=n, q=2.5, t_end=0.02)
-        ratios.append(energy_estimate(rep, spec).details["ratio"])
+        spec, traj, _ = sine_run(n=n, q=2.5, t_end=0.02)
+        ratios.append(energy_estimate(traj, spec).details["ratio"])
     assert abs(ratios[0] - ratios[1]) / ratios[1] < 0.1
+
+
+def test_energy_e0_is_the_quadrature_of_u0(readme_spec, readme_sine_traj):
+    # e0 = int (|grad u0|^2+eps)^(p/2) comes from the run's first kept state:
+    # the trapezoid rule over the reference gradient of the spec's data gives
+    # it, and the last state gives far less
+    grid, eps = readme_spec.grid, readme_spec.epsilon
+    weights = np.full(grid.shape, grid.h_min)
+    weights[[0, -1]] = grid.h_min / 2.0
+
+    def energy(u):
+        return float(np.sum(weights * reference_gradient(u, grid, eps)[3] ** 1.5))
+
+    e0 = energy_estimate(readme_sine_traj, readme_spec).details["initial_gradient_energy"]
+    assert e0 == pytest.approx(energy(readme_spec.initial_state().u), rel=1e-13)
+    assert energy(readme_sine_traj.states[-1].u) < 0.5 * e0
+
+
+def test_energy_estimate_needs_the_state_at_t_0(readme_spec, readme_sine_traj):
+    # a record whose first kept state is not u0 holds no initial gradient energy
+    later = replace(readme_sine_traj, states=readme_sine_traj.states[1:])
+    message = f"first kept state is at t={later.states[0].t!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        energy_estimate(later, readme_spec)

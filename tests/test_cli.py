@@ -1,5 +1,6 @@
 import json
 import math
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -780,44 +781,102 @@ def test_stored_check_on_a_monitor_file_without_rows_exit_3(tmp_path):
 
 
 
-def test_stored_check_writes_the_fresh_checks_report(tmp_path):
-    # every check but energy_estimate reads only the monitors (p from
-    # [problem], sup|u0| from the first row) or nothing, so a check of the
-    # simulate output gives the fresh check's report byte for byte
-    sim = tmp_path / "sim"
-    assert main(["simulate", "--config", str(write_cfg(tmp_path, MINIMAL_SIMULATE)),
-                 "--out", str(sim)]) == 0
-    checks = ("\n[compliance]\nchecks = max_principle, regularizing_effect, monotonicity\n"
-              "monotonicity_samples = 2000\n")
-    fresh = MINIMAL_SIMULATE.replace("kind = simulate", "kind = compliance_suite") + checks
-    stored = fresh.split("[control]")[0] + checks + f"trajectory = {sim / 'monitors.csv'}\n"
-    for name, text in (("fresh", fresh), ("stored", stored)):
-        path = write_cfg(tmp_path, text, f"{name}.cfg")
-        assert main(["check", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+# a stored check of MINIMAL_SIMULATE's problem, before its [compliance] section
+STORED_CHECK = MINIMAL_SIMULATE.replace("kind = simulate", "kind = compliance_suite").split(
+    "[control]")[0]
+ALL_CHECKS = "checks = max_principle, regularizing_effect, energy_estimate, monotonicity\n"
+
+
+@pytest.fixture(scope="module")
+def stored_run(tmp_path_factory):
+    """The output root of a MINIMAL_SIMULATE simulate run: monitors.csv with
+    the states.field beside it."""
+    root = tmp_path_factory.mktemp("stored_run")
+    path = write_cfg(root, MINIMAL_SIMULATE)
+    assert main(["simulate", "--config", str(path), "--out", str(root / "sim")]) == 0
+    return root / "sim"
+
+
+def run_stored_check(tmp_path, checks, monitors_csv, name="stored"):
+    """Exit code and output root of a stored check of monitors_csv."""
+    text = STORED_CHECK + f"[compliance]\n{checks}trajectory = {monitors_csv}\n"
+    out = tmp_path / name
+    return main(["check", "--config", str(write_cfg(tmp_path, text, f"{name}.cfg")),
+                 "--out", str(out)]), out
+
+
+def test_stored_check_writes_the_fresh_checks_report(tmp_path, stored_run):
+    # every check takes its constants from the record a run keeps: p from
+    # [problem], sup|u0| from the first monitor row, u0 from the first state
+    # of the states.field beside monitors.csv, or nothing (monotonicity), so
+    # a check of the simulate output gives the fresh check's report byte for
+    # byte
+    checks = ALL_CHECKS + "monotonicity_samples = 2000\n"
+    fresh = MINIMAL_SIMULATE.replace("kind = simulate", "kind = compliance_suite")
+    path = write_cfg(tmp_path, fresh + "\n[compliance]\n" + checks, "fresh.cfg")
+    assert main(["check", "--config", str(path), "--out", str(tmp_path / "fresh")]) == 0
+    code, out = run_stored_check(tmp_path, checks, stored_run / "monitors.csv")
+    assert code == 0
     fresh_doc, stored_doc = ((tmp_path / name / "compliance_report.json").read_text()
                              for name in ("fresh", "stored"))
     assert stored_doc == fresh_doc
     assert [c["name"] for c in json.loads(stored_doc)["checks"]] == [
-        "max_principle", "regularizing_effect", "monotonicity_suite"]
-    assert sorted(p.name for p in (tmp_path / "stored").iterdir()) == [
+        "max_principle", "regularizing_effect", "energy_estimate", "monotonicity_suite"]
+    assert sorted(p.name for p in out.iterdir()) == [
         "compliance_report.json", "config.canonical.cfg"]
 
 
 @pytest.mark.parametrize("checks", ["checks = energy_estimate\n",
                                     "checks = max_principle, energy_estimate\n", ""],
                          ids=["alone", "among_others", "default_all"])
-def test_stored_check_of_energy_estimate_is_a_config_error_before_any_output(
-    tmp_path, capsys, checks
+def test_stored_check_of_energy_estimate_reads_u0_beside_the_monitors(
+    tmp_path, stored_run, checks
 ):
-    # the bound needs the initial gradient energy of a fresh run, which no
-    # monitors.csv holds
-    text = COMPLIANCE_CFG.split("[control]")[0] + (
-        f"[compliance]\n{checks}trajectory = monitors.csv\n")
-    out = tmp_path / "out"
-    assert main(["check", "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 2
-    assert ("config error: a stored-trajectory check cannot run energy_estimate"
-            in capsys.readouterr().err)
-    assert not out.exists()
+    # the energy check reads u0 from the first record of states.field
+    code, out = run_stored_check(tmp_path, checks, stored_run / "monitors.csv")
+    assert code == 0
+    doc = json.loads((out / "compliance_report.json").read_text())
+    assert doc["passed"] and "energy_estimate" in [c["name"] for c in doc["checks"]]
+
+
+def lone_monitors(tmp_path, stored_run):
+    """A copy of the stored run's monitors.csv with no states.field beside it."""
+    lone = tmp_path / "lone"
+    lone.mkdir()
+    shutil.copy(stored_run / "monitors.csv", lone / "monitors.csv")
+    return lone / "monitors.csv"
+
+
+def test_stored_energy_check_without_states_field_exit_3(tmp_path, stored_run):
+    csv_path = lone_monitors(tmp_path, stored_run)
+    code, out = run_stored_check(tmp_path, "checks = max_principle, energy_estimate\n", csv_path)
+    assert code == 3
+    failure = json.loads((out / "failure.json").read_text())
+    assert str(csv_path.parent / "states.field") in failure["message"]
+    assert not (out / "compliance_report.json").exists()
+
+
+def test_stored_energy_check_whose_first_record_is_not_u0_exit_3(tmp_path, stored_run):
+    # states.field without its t = 0 record: the first state is not u0
+    csv_path = lone_monitors(tmp_path, stored_run)
+    records = fieldio.read_fields(stored_run / "states.field")
+    fieldio.write_fields(csv_path.parent / "states.field", records[1:])
+    code, out = run_stored_check(tmp_path, "checks = energy_estimate\n", csv_path)
+    assert code == 3
+    failure = json.loads((out / "failure.json").read_text())
+    assert (failure["error"], failure["message"]) == (
+        "ValueError", f"the energy bound needs u0, and the first kept state is at "
+                      f"t={records[1][1]!r}")
+    assert not (out / "compliance_report.json").exists()
+
+
+def test_stored_check_of_the_monitors_alone_needs_no_states_field(tmp_path, stored_run):
+    # only energy_estimate reads a state
+    csv_path = lone_monitors(tmp_path, stored_run)
+    code, out = run_stored_check(tmp_path, "checks = max_principle\n", csv_path)
+    assert code == 0
+    doc = json.loads((out / "compliance_report.json").read_text())
+    assert doc["passed"] and [c["name"] for c in doc["checks"]] == ["max_principle"]
 
 
 def test_check_without_a_compliance_section_records_what_it_runs():
@@ -857,8 +916,7 @@ def test_main_simulate_exit_0(tmp_path):
 
 
 def test_main_nonfinite_initial_energy_writes_run_artifacts(tmp_path):
-    # |u0'| ~ 3e130: the initial gradient energy overflows to inf, which the
-    # report writes as null, and the step bound ends the run at dt_floor
+    # |u0'| ~ 3e130: the step bound overflows and ends the run at dt_floor
     text = MINIMAL_SIMULATE.replace("q = 2.5", "q = 4.0\nprofile = sine\namplitude = 1e130")
     path = write_cfg(tmp_path, text + "gbu_threshold = 1e300\n")
     out = tmp_path / "out"
@@ -866,7 +924,6 @@ def test_main_nonfinite_initial_energy_writes_run_artifacts(tmp_path):
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 3
     report = json.loads((out / "run_report.json").read_text())
     assert (report["verdict"], report["reason"]) == ("StalledStep", "dt_floor")
-    assert report["initial_gradient_energy"] is None
     validate(report, load_schema("run_report"))
     assert read_monitors_csv(out / "monitors.csv")["t"].tolist() == [0.0]
     assert not (out / "failure.json").exists()

@@ -453,7 +453,7 @@ def run_outputs(traj, rep):
     return ({k: v.tobytes() for k, v in rep.monitors.items()},
             [(s.t, s.u.tobytes()) for s in traj.states],
             rep.threshold_crossings, rep.verdict, rep.reason, rep.steps, rep.t_detect,
-            rep.min_u_overall, rep.max_u_overall, rep.initial_gradient_energy)
+            rep.min_u_overall, rep.max_u_overall)
 
 
 GBU_SPEC = sine_spec(101, q=4.0, amp=3.0)

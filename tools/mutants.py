@@ -15,7 +15,7 @@ A mutant is caught when pytest reports a failed test (exit code 1).
 The exit code is 0 when every mutant run is caught, 1 when one survives or
 its edit no longer applies (its old text must occur exactly once in the
 file), and 2 when a listed test fails on the unchanged checkout. A full
-run starts 22 pytest processes, one after another (20-60 s on 2 cores).
+run starts 24 pytest processes, one after another (20-60 s on 2 cores).
 Run it after changing a check or the code a mutant edits, and add a
 mutant with each new check.
 """
@@ -75,6 +75,14 @@ MUTANTS = (
     Mutant("regularizing_p_minus_1", "src/gbulab/analysis.py",
            "ratios = max_ut * t * (p - 2.0) / u0_sup", "ratios = max_ut * t * (p - 1.0) / u0_sup",
            ("tests/test_analysis.py::test_regularizing_bound_brackets_scaled_ut",)),
+    Mutant("regularizing_sup_u0_from_the_last_row", "src/gbulab/analysis.py",
+           'u0_sup = float(max(abs(mon["min_u"][0]), abs(mon["max_u"][0])))',
+           'u0_sup = float(max(abs(mon["min_u"][-1]), abs(mon["max_u"][-1])))',
+           ("tests/test_analysis.py::test_regularizing_bound_brackets_scaled_ut",)),
+    Mutant("energy_e0_from_the_last_state", "src/gbulab/analysis.py",
+           "e0 = integrate(first.grid, np.power(first.grad_mag**2",
+           "e0 = integrate(first.grid, np.power(traj.states[-1].grad_mag**2",
+           ("tests/test_analysis.py::test_energy_e0_is_the_quadrature_of_u0",)),
     Mutant("energy_bound_x10", "src/gbulab/analysis.py",
            "bound = (2.0 / spec.p) * e0 + 2.0", "bound = 10.0 * (2.0 / spec.p) * e0 + 20.0",
            ("tests/test_analysis.py::test_energy_estimate_brackets_scaled_ut",)),
