@@ -20,7 +20,9 @@ section whose keys all have defaults ([compliance] of check) is parsed, and
 written to config.canonical.cfg, as if its header stood alone. The handlers
 then only run and write. A check of stored monitors runs every check, each
 with the constants it reads from the record: energy_estimate alone also
-reads the states.field beside the monitors.csv, for u0.
+reads the states.field beside the monitors.csv, for u0. Its [grid] and
+[problem] p, q, epsilon and mu must be those of the config.canonical.cfg
+beside the monitors.csv, when the run wrote one.
 
 `_VERBS` declares each verb once: its experiment kind, its handler, the
 sections its config requires and may add, and the keys of those sections
@@ -182,6 +184,16 @@ class RunConfig:
         return self.sections[section]
 
 
+def _read_ini(text: str) -> configparser.ConfigParser:
+    cp = configparser.ConfigParser(interpolation=None, delimiters=("=",))
+    cp.optionxform = str
+    try:
+        cp.read_string(text)
+    except configparser.Error as exc:
+        raise ConfigError(f"unparseable config: {exc}") from None
+    return cp
+
+
 def parse_config(text: str, seed: int | None = None) -> RunConfig:
     """Parse and validate a flat key=value config with [section] headers;
     seed, when given, replaces [experiment] seed before any check.
@@ -189,13 +201,7 @@ def parse_config(text: str, seed: int | None = None) -> RunConfig:
     Unknown sections and keys are errors; constraint violations name the
     violated hypothesis. A value that a run object rejects raises
     ConfigError with its constructor's message."""
-    cp = configparser.ConfigParser(interpolation=None, delimiters=("=",))
-    cp.optionxform = str
-    try:
-        cp.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"unparseable config: {exc}") from None
-
+    cp = _read_ini(text)
     if "experiment" not in cp:
         raise ConfigError("missing [experiment] section")
     raw_kind = cp["experiment"].get("kind")
@@ -276,6 +282,8 @@ def _build(kind: str, s: dict) -> RunConfig:
             )
         if not c["trajectory"] and "control" not in s:
             raise ConfigError("compliance_suite without a stored trajectory requires [control]")
+        if c["trajectory"]:
+            _check_stored_run(s, Path(c["trajectory"]).parent / "config.canonical.cfg")
 
     grid = build_grid(s["grid"]["extents"], s["grid"]["points"]) if "grid" in s else None
     grids = [] if grid is None else [grid]
@@ -323,6 +331,26 @@ def _build(kind: str, s: dict) -> RunConfig:
             data_sup=b["data_sup"],
         )
     return RunConfig(kind, s, grid, specs, controls, alpha, barrier)
+
+
+# the keys of a stored check that must be those of the run it reads
+_RUN_KEYS = (("grid", "extents"), ("grid", "points"),
+             *(("problem", key) for key in ("p", "q", "epsilon", "mu")))
+
+
+def _check_stored_run(s: dict, canonical: Path) -> None:
+    """A stored check's grid and p, q, eps and mu must be the parsed values
+    of the config.canonical.cfg that its run wrote beside monitors.csv. A
+    monitors.csv without one (detect-gbu's runs/nXXX) is checked as it is.
+    No check reads the profile or the amplitude, so they may differ."""
+    if not canonical.is_file():
+        return
+    cp = _read_ini(canonical.read_text())
+    for sec, key in _RUN_KEYS:
+        raw = cp.get(sec, key, fallback=None)
+        if raw is None or _SCHEMA[sec][key][0](raw) != s[sec][key]:
+            raise ConfigError(f"[{sec}] {key} = {_fmt(s[sec][key])} is not the stored run's "
+                              f"{key} = {raw}, in {canonical}")
 
 
 def canonical_text(cfg: RunConfig) -> str:

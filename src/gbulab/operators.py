@@ -9,7 +9,16 @@ face. The divergence is the difference of face fluxes. Nodal gradients use
 central differences at interior nodes and one-sided second-order stencils on
 the faces.
 
-`StepKernel` computes all of these into buffers it allocates once.
+`StepKernel` computes all of these into buffers it allocates once, and
+after each step the stable size of the next one,
+
+    theta h^2 / (2 d (p-1) (W^2+eps)^((p-2)/2) + h q (W^2+eps)^((q-1)/2)),
+
+with W the largest nodal |grad u| of the field it just wrote, h the smallest
+spacing and d the dimension. W is taken over all nodes, so it includes the
+one-sided second-order stencil at boundary nodes. Near blow-up that value
+exceeds the largest interior central gradient, the one the update applies,
+by a factor of 2 and more.
 `regularized_diffusion` and `gradient_source` build a kernel per call;
 `gradient_magnitude` reuses one gradient kernel per grid.
 """
@@ -50,28 +59,29 @@ class StepKernel:
 
     Parameters are checked once, here, and every buffer is allocated here.
     The field buffers form a ring of `slots`: 2 by default given boundary
-    values, 1 without them. Every slot's boundary nodes are pinned to
-    `boundary_values` when it is allocated and, after a `load`, when
-    `advance` first writes it; the update writes interior nodes only. Each
-    slot also holds the rhs and the (|grad u|^2+eps)^(q/2) values that
-    `advance` computed for the field it wrote there (`fields`, `rhs_slots`
-    and `s_half_slots`, one row per slot).
+    values, 1 without them. Every slot's boundary nodes hold
+    `boundary_values` from the start, `load` pins the field it copies in,
+    and the update writes interior nodes only. Each slot also holds the rhs
+    and the (|grad u|^2+eps)^(q/2) values that the step which wrote its field
+    computed (`fields`, `rhs_slots` and `s_half_slots`, one row per slot).
 
-    `load` copies a field into the last slot and computes its gradient;
-    `advance` writes the updated field into the next slot (slot 0 after a
-    `load`) and returns it; `commit` makes it current and computes its
-    gradient, so a step computes the gradient once; `rebase` moves the
-    current field to slot 0.
+    `load` copies a field into the last slot and computes its gradient, W
+    and, for a kernel of p and q, the stable step `bound` (see the module
+    docstring; theta and the other factors without W are fixed here).
+    `step` writes the updated field into the next slot (slot 0 after a
+    `load`), makes it current and returns its `bound`, so a step computes the
+    gradient once; `rebase` moves the current field to slot 0.
     p (diffusion) or q (source) may be None to build only the other term.
 
-    Every slot has two prebuilt tuples of (ufunc, operands) calls on views
-    of these buffers. The step tuple computes the diffusion of the slot's
-    field, its source and the rhs, and writes the update into the next slot;
-    `advance` runs it, and `diffusion` and `source` run its leading
-    segments. The gradient tuple computes the central differences
-    of the slot's field, which `commit` and `load` finish with the
-    one-sided stencils, |grad u| and W. So the arithmetic is written once,
-    for 1D and 2D alike, and a step runs it without Python in between.
+    Every slot has a prebuilt tuple of (ufunc, operands) calls on views of
+    these buffers. In a kernel of p and q it computes the diffusion of the
+    slot's field, its source and the rhs, writes the update into the next
+    slot and takes the central differences of that new field; `step` runs
+    it, then the one-sided stencils, |grad u|, W and the bound. A kernel
+    without p or q has one slot, and its one tuple computes the diffusion
+    (`diffusion`) or the source (`source`) of the loaded field. So the
+    arithmetic is written once, for 1D and 2D alike, and a step runs it
+    without Python in between.
 
     Along each axis the nodal gradient is central where both neighbours
     exist and one-sided on the two faces across that axis (scalars in 1D).
@@ -80,7 +90,7 @@ class StepKernel:
     """
 
     def __init__(self, grid: Grid, p=None, q=None, eps=0.0, mu=1.0, boundary_values=None,
-                 slots=None):
+                 slots=None, theta=0.5):
         if p is not None and not p > 2:
             raise ValueError(f"requires p > 2, got {p}")
         if not eps >= 0:
@@ -99,8 +109,7 @@ class StepKernel:
         if boundary_values is not None:
             for f in self.fields:
                 self._pin(f)
-        self._last = slots - 1
-        self._cur, self._unpinned = self._last, None
+        self._last = self._cur = slots - 1
         self._two_h = [2.0 * h for h in grid.spacing]  # floats for the 1D one-sided stencils
         self.grad = [np.empty(shape) for _ in range(dim)]
         # 1D reads its one-sided stencils as floats, from views of each
@@ -109,7 +118,14 @@ class StepKernel:
         self._ends = None if dim == 1 else [
             [_along(dim, a, i) for i in (0, 1, 2, -1, -2, -3)] for a in range(dim)]
         self.mag, sq = np.empty(shape), np.empty(shape)
-        self.w = math.nan
+        self.w = self.bound = math.nan
+        # the step bound's factors that do not depend on W, in its own order
+        self._eps, self._e_p, self._e_q = eps, None, None
+        if p is not None and q is not None:
+            self._e_p, self._e_q = (p - 2.0) / 2.0, (q - 1.0) / 2.0
+            h_min = grid.h_min
+            self._c_p, self._c_q = 2.0 * dim * (p - 1.0), h_min * q
+            self._num = theta * h_min * h_min
 
         # scalar operands of the calls are 0-d arrays: a call converts a
         # Python float operand every time, which costs about as much as the
@@ -190,7 +206,12 @@ class StepKernel:
                  for a in range(dim)]
         centres = [(_along(dim, a, slice(2, None)), _along(dim, a, slice(0, -2)))
                    for a in range(dim)]
-        self._calls, self._grad_calls = [], []
+        self._grad_calls, self._calls = [], []
+        for f in self.fields:
+            grad = []
+            for (hi, lo), cd, two_h_a, g in zip(centres, cdiff, two_h, grad_mid):
+                grad += [(np.subtract, (f[hi], f[lo], cd)), (np.divide, (cd, two_h_a, g))]
+            self._grad_calls.append(tuple(grad))
         for cur, f in enumerate(self.fields):
             nxt = 0 if cur == self._last else cur + 1
             calls = []
@@ -198,7 +219,6 @@ class StepKernel:
                 calls += [(np.subtract, (f[hi], f[lo], dn_a)), (np.divide, (dn_a, h_a, dn_a)),
                           (np.multiply, (dn_a, dn_a, fsq_a))]
             calls += flux_div
-            self._d_end = len(calls)
             if q is not None:
                 s_half, src = self.s_half_slots[nxt], self._src[nxt]
                 calls.append(_power(q / 2.0, sq, s_half))
@@ -207,33 +227,22 @@ class StepKernel:
                     calls.append((np.subtract, (s_half, shift_op, src)))
                 if mu != 1.0:
                     calls.append((np.multiply, (mu_op, s_half if shift == 0.0 else src, src)))
-            self._s_end = len(calls)
             if p is not None and q is not None:
                 rhs = self.rhs_slots[nxt]
                 calls += [(np.add, (self.div, src[inner], rhs)),
                           (np.multiply, (self._dt, rhs, incr)),
-                          (np.add, (f[inner], incr, self.fields[nxt][inner]))]
+                          (np.add, (f[inner], incr, self.fields[nxt][inner])),
+                          *self._grad_calls[nxt]]
             self._calls.append(tuple(calls))
-            grad = []
-            for (hi, lo), cd, two_h_a, g in zip(centres, cdiff, two_h, grad_mid):
-                grad += [(np.subtract, (f[hi], f[lo], cd)), (np.divide, (cd, two_h_a, g))]
-            self._grad_calls.append(tuple(grad))
 
     @classmethod
-    def of(cls, spec: ProblemSpec, slots=None) -> "StepKernel":
+    def of(cls, spec: ProblemSpec, slots=None, theta=0.5) -> "StepKernel":
         return cls(spec.grid, spec.p, spec.q, spec.epsilon, spec.mu, spec.boundary_values,
-                   slots)
+                   slots, theta)
 
     def _pin(self, f: np.ndarray) -> None:
         for idx in self._pins:
             f[idx] = self._boundary[idx]
-
-    def _segment(self, end: int, start: int = 0) -> int:
-        """Run calls [start, end) of the current slot's step tuple; returns
-        the slot they write their source and rhs into."""
-        for ufunc, operands in self._calls[self._cur][start:end]:
-            ufunc(*operands)
-        return 0 if self._cur == self._last else self._cur + 1
 
     @property
     def u(self) -> np.ndarray:
@@ -241,14 +250,34 @@ class StepKernel:
         return self.fields[self._cur]
 
     def load(self, u: np.ndarray) -> "StepKernel":
-        self._cur = self._unpinned = self._last
-        np.copyto(self.fields[self._cur], u)
-        self._gradient()
-        return self
-
-    def _gradient(self) -> None:
+        """Copy u into the last slot, with the boundary values on its faces
+        if the kernel has them, and make it current."""
+        self._cur = self._last
+        f = self.fields[self._cur]
+        np.copyto(f, u)
+        if self._boundary is not None:
+            self._pin(f)
         for ufunc, operands in self._grad_calls[self._cur]:
             ufunc(*operands)
+        self._finish()
+        return self
+
+    def step(self, dt: float) -> float:
+        """Write u + dt * (diffusion + source) into the next slot, with the
+        rhs and s_half it was computed from, and make it current; returns
+        the stable step after it."""
+        cur = self._cur
+        self._dt[()] = dt
+        for ufunc, operands in self._calls[cur]:
+            ufunc(*operands)
+        self._cur = 0 if cur == self._last else cur + 1
+        self._finish()
+        return self.bound
+
+    def _finish(self) -> None:
+        """The current field's gradient after its central differences: the
+        one-sided stencils, |grad u|, |grad u|^2+eps, W and the step bound,
+        0 when a power of W^2 + eps leaves the float range."""
         if self._rims is not None:
             first, last = self._rims[self._cur]
             f0, f1, f2 = first.tolist()
@@ -266,35 +295,30 @@ class StepKernel:
             ufunc(*operands)
         # argmax finds the first NaN, as a max reduction returns NaN
         mag = self.mag
-        self.w = mag.item(mag.argmax())
+        self.w = w = mag.item(mag.argmax())
+        if self._e_p is None:
+            return
+        s = w * w + self._eps
+        try:
+            denom = self._c_p * s**self._e_p + self._c_q * s**self._e_q
+        except OverflowError:
+            self.bound = 0.0
+            return
+        self.bound = math.inf if denom == 0.0 else self._num / denom
 
     def diffusion(self) -> np.ndarray:
-        """div((|grad u|^2+eps)^((p-2)/2) grad u) on interior nodes."""
-        self._segment(self._d_end)
+        """div((|grad u|^2+eps)^((p-2)/2) grad u) on interior nodes, from a
+        kernel built without q."""
+        for ufunc, operands in self._calls[0]:
+            ufunc(*operands)
         return self.div
 
     def source(self) -> np.ndarray:
-        """mu * ((|grad u|^2+eps)^(q/2) - eps^(q/2)) at every node."""
-        return self._src[self._segment(self._s_end, self._d_end)]
-
-    def advance(self, dt: float) -> np.ndarray:
-        """Write u + dt * (diffusion + source) into the next slot, with the
-        rhs and s_half it was computed from, and return it; `commit` makes it
-        current."""
-        cur = self._cur
-        self._dt[()] = dt
-        for ufunc, operands in self._calls[cur]:
+        """mu * ((|grad u|^2+eps)^(q/2) - eps^(q/2)) at every node, from a
+        kernel built without p."""
+        for ufunc, operands in self._calls[0]:
             ufunc(*operands)
-        nxt = 0 if cur == self._last else cur + 1
-        new = self.fields[nxt]
-        if nxt == self._unpinned:
-            self._pin(new)
-            self._unpinned = None
-        return new
-
-    def commit(self) -> None:
-        self._cur = 0 if self._cur == self._last else self._cur + 1
-        self._gradient()
+        return self._src[0]
 
     def rebase(self) -> None:
         """Copy the current field into slot 0 and make that slot current;

@@ -2,14 +2,9 @@
 detection, eps-continuation, and the monitors.csv reader and writer.
 
 Forward Euler on the interior; the boundary nodes hold g after every step.
-The step size never exceeds theta times the stability bound
-
-    h^2 / (2 d (p-1) (W^2+eps)^((p-2)/2) + h q (W^2+eps)^((q-1)/2)),
-
-with W the current max nodal gradient magnitude and d the dimension. W is
-taken over all nodes, so it includes the one-sided second-order stencil at
-boundary nodes. Near blow-up that value exceeds the largest interior central
-gradient, the one the update applies, by a factor of 2 and more.
+The step size never exceeds the stable step that `operators.StepKernel`
+computes from the field's W after each step (its module docstring gives
+the formula), with theta from the run's `StepControl`.
 A run ends at the first state that a rule of the table `STOP_RULES` flags.
 In priority order: ||grad u||_inf at the configured threshold
 (GBUDetected), t at t_end (Completed), the step count at max_steps, the
@@ -139,26 +134,6 @@ class RunReport:
         }
 
 
-def _dt_bound(spec: ProblemSpec, h: float, d: int, theta: float):
-    """W -> the stability bound of the module docstring for max gradient W;
-    0 when a power of W^2 + eps leaves the float range. Every factor that
-    does not depend on W is multiplied out once, in the bound's own order."""
-    eps, e_p, e_q = spec.epsilon, (spec.p - 2.0) / 2.0, (spec.q - 1.0) / 2.0
-    c_p, c_q, num = 2.0 * d * (spec.p - 1.0), h * spec.q, theta * h * h
-
-    def bound(w: float) -> float:
-        s = w * w + eps
-        try:
-            denom = c_p * s**e_p + c_q * s**e_q
-        except OverflowError:
-            return 0.0
-        if denom == 0.0:
-            return math.inf
-        return num / denom
-
-    return bound
-
-
 # what np.max, np.min and np.sum call, minus their per-call Python wrapper
 _max, _min, _sum = np.maximum.reduce, np.minimum.reduce, np.add.reduce
 
@@ -240,9 +215,8 @@ class _Track:
     def __init__(self, spec: ProblemSpec, control: StepControl, rows: int):
         grid = spec.grid
         self.spec = spec
-        self.kernel = kernel = StepKernel.of(spec, slots=rows)
+        self.kernel = kernel = StepKernel.of(spec, slots=rows, theta=control.theta)
         kernel.load(spec.initial)
-        self.bound = _dt_bound(spec, grid.h_min, grid.dimension, control.theta)
         self.weight = control.functional_weight
         if self.weight is not None and self.weight.shape != grid.shape:
             raise ValueError("functional_weight must be a grid field")
@@ -327,9 +301,9 @@ def _integrate(specs, control: StepControl):
     Returns each spec's (trajectory, report) and, for two specs, the t of
     the start and of every accepted step with min(u_1 - u_0) over the nodes.
 
-    Per step the loop computes the bound and the target time, advances and
-    commits each kernel, and writes t, dt, each field's W and the next bound
-    into the block's rows. It leaves a block early only when no further step
+    Per step the loop computes the target time, steps each kernel, which
+    returns its next stable step, and writes t, dt, each field's W and the
+    least of those bounds into the block's rows. It leaves a block early only when no further step
     may follow: t at t_end, the step count at max_steps, or a bound below
     dt_min (which includes a W that is not finite). Each field's monitor
     columns are then reduced into the block's table, the rules read it, and
@@ -346,16 +320,16 @@ def _integrate(specs, control: StepControl):
     every = control.snapshot_every or math.inf
     # the block's rows: t, dt, the bound and each field's W
     ts, dts, bs, *ws = [[0.0] * rows for _ in range(3 + len(tracks))]
-    lanes = [(tr.kernel, tr.bound, w) for tr, w in zip(tracks, ws)]
+    lanes = [(tr.kernel, w) for tr, w in zip(tracks, ws)]
     # each field's monitor columns: row 0 of the first block is the run's
     # first row, with no step and so no max u_t
     table = np.full((len(tracks), len(MONITOR_COLUMNS), rows), math.nan)
     t, dt, steps, r = 0.0, 0.0, 0, 0
     table[:, [MONITOR_COLUMNS.index(c) for c in ("ut_l2_acc", "source_energy_acc")], 0] = 0.0
-    bound = min(dt_bound(k.w) for k, dt_bound, _ in lanes)
+    bound = min(k.bound for k, _ in lanes)
     times, margins = [], []
     while True:
-        for k, _, w in lanes:
+        for k, w in lanes:
             k.rebase()  # row 0: the state the block starts from
             w[0] = k.w
         table[:, :, 0] = table[:, :, r]
@@ -367,11 +341,9 @@ def _integrate(specs, control: StepControl):
             # t is assigned the target exactly, so marks and t_end are hit bit-exactly
             dt, t = (target - t, target) if bound >= target - t else (bound, t + bound)
             bound = math.inf
-            for k, dt_bound, w in lanes:
-                k.advance(dt)
-                k.commit()
+            for k, w in lanes:
+                b = k.step(dt)
                 w[m] = k.w
-                b = dt_bound(k.w)
                 if b < bound or b != b:  # the least bound, or NaN from a W that is not finite
                     bound = b
             ts[m], dts[m], bs[m] = t, dt, bound
@@ -382,7 +354,7 @@ def _integrate(specs, control: StepControl):
 
         n = m + 1
         block = StepRows(*table[:, :, :n].transpose(1, 0, 2), np.array(bs[:n]),
-                         steps + np.arange(n), [k.fields[:n] for k, _, _ in lanes])
+                         steps + np.arange(n), [k.fields[:n] for k, _ in lanes])
         block.t[:], block.dt[:], block.grad_inf[:] = ts[:n], dts[:n], [w[:n] for w in ws]
         for tr, c in zip(tracks, table[:, :, :n]):
             tr.columns(c)

@@ -1,7 +1,9 @@
 import json
 import math
+import re
 import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -877,6 +879,90 @@ def test_stored_check_of_the_monitors_alone_needs_no_states_field(tmp_path, stor
     assert code == 0
     doc = json.loads((out / "compliance_report.json").read_text())
     assert doc["passed"] and [c["name"] for c in doc["checks"]] == ["max_principle"]
+
+
+# the README example, and a stored check of all four on its simulate output
+README_CFG = re.search(r"```ini\n(.*?)```",
+                       (Path(__file__).resolve().parents[1] / "README.md").read_text(),
+                       re.S).group(1)
+README_CHECK = """
+[experiment]
+kind = compliance_suite
+
+[grid]
+extents = 0, 1
+points = 201
+
+[problem]
+p = 3.0
+q = 2.5
+epsilon = 1e-3
+
+[compliance]
+checks = max_principle, regularizing_effect, energy_estimate, monotonicity
+monotonicity_samples = 2000
+trajectory = {}
+"""
+
+
+@pytest.fixture(scope="module")
+def readme_run(tmp_path_factory):
+    """The output root of the README example's simulate run."""
+    root = tmp_path_factory.mktemp("readme_run")
+    path = write_cfg(root, README_CFG)
+    assert main(["simulate", "--config", str(path), "--out", str(root / "sim")]) == 0
+    return root / "sim"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("p = 3.0\n", "p = 3.4\n", "[problem] p = 3.4 is not the stored run's p = 3.0"),
+    ("epsilon = 1e-3\n", "epsilon = 0.5\n",
+     "[problem] epsilon = 0.5 is not the stored run's epsilon = 0.001"),
+    # the four checks pass on this pair unless it is compared with the run
+    ("p = 3.0\nq = 2.5\nepsilon = 1e-3\n", "p = 3.4\nq = 2.5\nepsilon = 0.5\n",
+     "[problem] p = 3.4 is not the stored run's p = 3.0"),
+    ("q = 2.5\n", "q = 3.0\n", "[problem] q = 3.0 is not the stored run's q = 2.5"),
+    ("epsilon = 1e-3\n", "epsilon = 1e-3\nmu = 0.5\n",
+     "[problem] mu = 0.5 is not the stored run's mu = 1.0"),
+    ("points = 201", "points = 101", "[grid] points = 101 is not the stored run's points = 201"),
+    ("extents = 0, 1", "extents = 0, 2",
+     "[grid] extents = 0.0, 2.0 is not the stored run's extents = 0.0, 1.0"),
+], ids=["p", "epsilon", "p_and_epsilon", "q", "mu", "points", "extents"])
+def test_stored_check_of_another_problem_is_a_config_error_before_any_output(
+    tmp_path, capsys, readme_run, old, new, message
+):
+    # the check's [grid] and [problem] p, q, eps and mu are compared with
+    # the config.canonical.cfg beside the monitors.csv
+    text = README_CHECK.format(readme_run / "monitors.csv")
+    assert text.count(old) == 1
+    path = write_cfg(tmp_path, text.replace(old, new))
+    out = tmp_path / "out"
+    assert main(["check", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {message}, in {readme_run / 'config.canonical.cfg'}" in err
+    assert not out.exists()
+
+
+def test_stored_check_compares_parsed_values_not_text(tmp_path, readme_run):
+    # 0.0, 1.0 and 0.001 are the values of 0, 1 and 1e-3; no check reads
+    # the profile or the amplitude, so they are not compared
+    text = README_CHECK.format(readme_run / "monitors.csv").replace(
+        "extents = 0, 1", "extents = 0.0, 1.0").replace(
+        "epsilon = 1e-3\n", "epsilon = 0.001\nprofile = constant\namplitude = 2.0\n")
+    path = write_cfg(tmp_path, text)
+    assert main(["check", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert json.loads((tmp_path / "out" / "compliance_report.json").read_text())["passed"]
+
+
+def test_stored_check_of_a_lone_monitors_csv_compares_nothing(tmp_path, readme_run):
+    # no config.canonical.cfg beside the monitors.csv, as in detect-gbu's
+    # runs/nXXX: the check runs on its own [problem]
+    csv_path = lone_monitors(tmp_path, readme_run)
+    text = README_CHECK.format(csv_path).replace("p = 3.0", "p = 3.4").replace(
+        "max_principle, regularizing_effect, energy_estimate, monotonicity", "max_principle")
+    path = write_cfg(tmp_path, text)
+    assert main(["check", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert json.loads((tmp_path / "out" / "compliance_report.json").read_text())["passed"]
 
 
 def test_check_without_a_compliance_section_records_what_it_runs():

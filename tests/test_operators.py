@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scheme_reference import reference_gradient, reference_step
+from scheme_reference import reference_dt, reference_gradient, reference_step
 
 from gbulab.grid import build_grid
 from gbulab.operators import (
@@ -29,20 +29,23 @@ def state_2d(f, n=11):
 
 @pytest.mark.parametrize("shape", [(41,), (9, 11)])
 def test_kernel_pins_g_on_a_field_loaded_with_other_boundary_values(shape):
-    # boundary nodes are pinned once per slot; the last slot, which a field
-    # is loaded into, keeps that field's boundary until a step writes it
-    # again: the second step on the default 2-slot ring, the fifth on a
-    # 5-slot one. 2 * 5 steps pass every slot twice.
+    # boundary nodes are pinned once per slot, and `load` pins the field it
+    # copies in, so W and the step bound are the pinned field's; the update
+    # writes interior nodes only. 2 * 5 steps pass every slot of the default
+    # 2-slot ring and of a 5-slot one twice.
     extents = [(0.0, 1.0), (0.0, 1.5)][: len(shape)]
     g = build_grid(extents, shape)
     spec = make_spec(g, p=3.0, q=2.5, profile="sine", amplitude=1.0)
     bd = g.boundary_mask()
+    loaded = spec.initial + 0.25
+    pinned = np.where(bd, spec.boundary_values, loaded)
     for slots in (None, 5):
-        kernel = StepKernel.of(spec, slots=slots).load(spec.initial + 0.25)
+        kernel = StepKernel.of(spec, slots=slots).load(loaded)
+        assert np.array_equal(kernel.u, pinned)
+        assert kernel.w == reference_gradient(pinned, g, 0.0)[2]
+        assert kernel.bound == reference_dt(pinned, spec, 0.5)
         for _ in range(10):
-            new = kernel.advance(1e-5)
-            assert np.array_equal(new[bd], spec.boundary_values[bd])
-            kernel.commit()
+            kernel.step(1e-5)
             assert np.array_equal(kernel.u[bd], spec.boundary_values[bd])
 
 
@@ -55,25 +58,27 @@ def test_kernel_pins_g_on_a_field_loaded_with_other_boundary_values(shape):
 ])
 @pytest.mark.parametrize("shape", [(201,), (17, 21)])
 def test_kernel_steps_bitwise_as_plain_numpy(shape, p, q, eps, mu):
-    # the kernel's prebuilt calls against the scheme written out once more in
-    # plain numpy: 8 steps on a 3-slot ring write every slot and wrap from
-    # the last slot into the first twice
+    # the kernel's prebuilt calls and its step bound against the scheme
+    # written out once more in plain numpy: 8 steps on a 3-slot ring write
+    # every slot and wrap from the last slot into the first twice
     extents = [(0.0, 1.0), (0.0, 1.5)][: len(shape)]
     g = build_grid(extents, shape)
     spec = make_spec(g, p, q, epsilon=eps, mu=mu, profile="sine", amplitude=1.0)
     rng = np.random.default_rng(7)
     u = spec.initial + 1e-3 * rng.standard_normal(g.shape) * ~g.boundary_mask()
-    dt = 0.02 * g.h_min ** 2
-    kernel = StepKernel.of(spec, slots=3).load(u)
+    dt, theta = 0.02 * g.h_min ** 2, 0.7
+    kernel = StepKernel.of(spec, slots=3, theta=theta).load(u)
+    assert kernel.bound == reference_dt(u, spec, theta)
     for k in range(8):
         grads, mag, w, _ = reference_gradient(u, g, eps)
         assert all(np.array_equal(a, b) for a, b in zip(kernel.grad, grads))
         assert np.array_equal(kernel.mag, mag) and kernel.w == w
         new, rhs, s_half = reference_step(u, spec, dt)
-        assert np.array_equal(kernel.advance(dt), new)
+        bound = kernel.step(dt)
+        assert np.array_equal(kernel.u, new)
         assert np.array_equal(kernel.rhs_slots[k % 3], rhs)
         assert np.array_equal(kernel.s_half_slots[k % 3], s_half)
-        kernel.commit()
+        assert bound == kernel.bound == reference_dt(new, spec, theta)
         u = new
 
 
@@ -300,8 +305,9 @@ def test_strong_residual_stationary_constant():
     # u = 2 solves the equation with u_t = 0: the rhs a step applies is 0
     spec = make_spec(build_grid((0.0, 1.0), 41), p=3.0, q=2.5, profile="constant", amplitude=2.0)
     kernel = StepKernel.of(spec).load(spec.initial)
-    kernel.advance(1e-3)
+    kernel.step(1e-3)
     assert np.all(kernel.rhs_slots[0] == 0.0)  # a step after a load writes slot 0
+    assert np.array_equal(kernel.u, spec.initial)
 
 
 def test_strong_residual_manufactured_quadratic():
@@ -317,8 +323,9 @@ def test_strong_residual_manufactured_quadratic():
             boundary_values=x * x, initial=x * x,
         )
         kernel = StepKernel.of(spec).load(spec.initial)
-        kernel.advance(1e-6)
+        kernel.step(1e-6)
         res = 1.0 - kernel.rhs_slots[0]
+        assert np.array_equal(kernel.u[1:-1], spec.initial[1:-1] + 1e-6 * kernel.rhs_slots[0])
         exact_rhs = closed_form_diffusion_1d(x, 3.0, 0.1) + (
             np.power(4 * x * x + 0.1, 2.5 / 2) - 0.1 ** (2.5 / 2)
         )

@@ -6,16 +6,17 @@
 A check is worth something only if it can fail. Each mutant changes one
 line under `src/gbulab/` by an exact text edit (its old text may carry the
 lines before it, so that it occurs once), with the test ids that should
-fail under it. The runner copies `src/`, `tests/` and `pyproject.toml` of
-this checkout into a temporary directory, first runs every listed test on
-the unchanged copy (they must all pass, or a failure would prove nothing),
-then, per mutant, applies its edit to a fresh copy and runs its tests there.
+fail under it. The runner copies `src/`, `tests/`, `pyproject.toml` and
+`README.md` of this checkout into a temporary directory, first runs every
+listed test on the unchanged copy (they must all pass, or a failure would
+prove nothing), then, per mutant, applies its edit to a fresh copy and
+runs its tests there.
 A mutant is caught when pytest reports a failed test (exit code 1).
 
 The exit code is 0 when every mutant run is caught, 1 when one survives or
 its edit no longer applies (its old text must occur exactly once in the
 file), and 2 when a listed test fails on the unchanged checkout. A full
-run starts 24 pytest processes, one after another (20-60 s on 2 cores).
+run starts 25 pytest processes, one after another (20-60 s on 2 cores).
 Run it after changing a check or the code a mutant edits, and add a
 mutant with each new check.
 """
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "pyproject.toml")
+COPIED = ("src", "tests", "pyproject.toml", "README.md")  # tests read its example
 
 
 @dataclass(frozen=True)
@@ -53,13 +54,17 @@ MUTANTS = (
            "g[0] = (-3.0 * f0 + 4.0 * f1 - f2) / two_h", "g[0] = 2.0 * (f1 - f0) / two_h",
            ("tests/test_operators.py::test_gradient_exact_on_quadratic",
             "tests/test_operators.py::test_source_exact_on_quadratic_gradient")),
-    Mutant("step_bound_diffusion_halved", "src/gbulab/stepping.py",
-           "c_p, c_q, num = 2.0 * d * (spec.p - 1.0),", "c_p, c_q, num = 1.0 * d * (spec.p - 1.0),",
-           ("tests/test_stepping.py::test_stable_dt_contract_value",)),
-    Mutant("step_bound_without_source", "src/gbulab/stepping.py",
-           "denom = c_p * s**e_p + c_q * s**e_q", "denom = c_p * s**e_p",
+    Mutant("step_bound_diffusion_halved", "src/gbulab/operators.py",
+           "self._c_p, self._c_q = 2.0 * dim * (p - 1.0),",
+           "self._c_p, self._c_q = 1.0 * dim * (p - 1.0),",
            ("tests/test_stepping.py::test_stable_dt_contract_value",
-            "tests/test_stepping.py::test_step_bound_overflow_ends_in_dt_floor_verdict")),
+            "tests/test_operators.py::test_kernel_steps_bitwise_as_plain_numpy")),
+    Mutant("step_bound_without_source", "src/gbulab/operators.py",
+           "denom = self._c_p * s**self._e_p + self._c_q * s**self._e_q",
+           "denom = self._c_p * s**self._e_p",
+           ("tests/test_stepping.py::test_stable_dt_contract_value",
+            "tests/test_stepping.py::test_step_bound_overflow_ends_in_dt_floor_verdict",
+            "tests/test_operators.py::test_kernel_steps_bitwise_as_plain_numpy")),
     Mutant("detect_gbu_ratio_test_off", "src/gbulab/stepping.py",
            "if d1 > INCREMENT_RATIO_MAX * d0:", "if False:",
            ("tests/test_stepping.py::test_detect_gbu_linear_in_log_threshold_inconclusive",)),
@@ -121,6 +126,10 @@ MUTANTS = (
             "[simulate-t_end-inf]",
             "tests/test_cli.py::test_nonfinite_value_is_a_config_error_before_any_output"
             "[continue-eps-t_end-inf]")),
+    Mutant("stored_check_compares_only_p", "src/gbulab/cli.py",
+           "for sec, key in _RUN_KEYS:", 'for sec, key in (("problem", "p"),):',
+           ("tests/test_cli.py::test_stored_check_of_another_problem_is_a_config_error_before"
+            "_any_output[epsilon]",)),
     Mutant("read_fields_drops_the_last_record", "src/gbulab/fieldio.py",
            "return _unpack_fields(Path(path).read_bytes())",
            "return _unpack_fields(Path(path).read_bytes())[:-1]",
