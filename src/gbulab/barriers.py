@@ -13,21 +13,26 @@ worst-case residuals of every inequality the construction rests on:
   inegs  beta delta (s+delta)^(-beta-2) >= 4 (p-2+sqrt(N)) |D2 g|,
   jal    phi'(s) >= |grad g|.
 
-`min_residual` is the minimum over all of them; a parameter set is
-certified when it is nonnegative for every tested regularization eps.
+`_residuals` is their one definition. `min_residual` is the minimum over
+all of them; a parameter set is certified when it is nonnegative for every
+tested regularization eps and the parameters are admissible.
 
 `find_barrier_params` is the one search for delta; `certify` checks the
-parameters it is given. The search admits a parameter set only if, besides
-the closed-form invariants, its eps = 0 residuals are nonnegative at the
-collar edge s = eta, computed as the certificate computes them. There phi'
-is least, so the lower bound phi' - |grad g| of |grad v| is least: where the
-`jal` invariant binds it is 0, the degenerate diffusion in `ret` vanishes,
-and only the source (2 |grad g|)^q is left.
+parameters it is given. Admissible means that the closed-form conditions
+(`beta_formula`, `ing_closed_form`, `k_rate` strictly, `aux_scale`,
+`aux_curv`) hold and that the eps = 0 residuals at the collar edge s = eta
+are finite and nonnegative. `check_invariants` reports `jal` and `inegs` as
+those edge residuals. The closed forms are the search's early-out: the edge
+is evaluated only where they hold. A non-finite edge residual, a power of a
+delta near the float floor that overflowed, is inadmissible. At the edge
+phi' is least, so the lower bound phi' - |grad g| of |grad v| is least:
+where `jal` binds it is 0, the degenerate diffusion in `ret` vanishes, and
+only the source (2 |grad g|)^q is left.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -106,38 +111,41 @@ class BarrierParams:
         if self.N not in (1, 2, 3):
             raise ValueError("N must be 1, 2 or 3")
 
-    def scaled_delta(self, factor: float) -> "BarrierParams":
-        """Same parameters with delta (and the tied collar width) scaled."""
-        return replace(self, delta=self.delta * factor, eta=self.eta * factor)
-
 
 def beta_exponent(p: float, q: float) -> float:
     return 1.0 / (2.0 * (q - p + 2.0))
 
 
-def check_invariants(params: BarrierParams) -> dict[str, float]:
-    """Signed margins of the admissibility conditions (>= 0 means satisfied)."""
+def _closed_forms(params: BarrierParams) -> dict[str, float]:
     p, q, N = params.p, params.q, params.N
     d, e, b, rho = params.delta, params.eta, params.beta, params.rho
-    margins = {
+    return {
         "beta_formula": -abs(b - beta_exponent(p, q)),
         "ing_closed_form": 4.0 ** (p - q - 4.0) * b - d ** ((q - p + 3.0) / (2.0 * (q - p + 2.0))),
         "k_rate": params.K - (N + p - 3.0) / rho,
-        "jal": ((1.0 - b) * e + d) * (e + d) ** (-b - 1.0) - params.grad_g,  # phi'(eta)
-        "inegs": b * d * (e + d) ** (-b - 2.0) - 4.0 * (p - 2.0 + math.sqrt(N)) * params.hess_g,
         "aux_scale": 4.0 * (e + d) ** (-2.0 * b) - 1.0,
         "aux_curv": b * d - max(N + p - 3.0, 0.0) * (e + d) ** 2 / rho,
     }
-    return margins
+
+
+def _edge(params: BarrierParams) -> list[float]:
+    """The eps = 0 residuals of `_residuals` at the collar edge s = eta."""
+    return [float(r[0]) for r in _residuals(params, np.array([params.eta]), 0.0)]
+
+
+def check_invariants(params: BarrierParams) -> dict[str, float]:
+    """Signed margins of the admissibility conditions (>= 0 means satisfied):
+    the closed forms, and `jal` and `inegs` as their edge residuals."""
+    *_, inegs, jal = _edge(params)
+    return {**_closed_forms(params), "jal": jal, "inegs": inegs}
 
 
 def is_admissible(params: BarrierParams) -> bool:
-    """The invariants hold (`k_rate` strictly) and the certificate's eps = 0
-    residuals are nonnegative at the collar edge."""
-    m = check_invariants(params)
-    strict = m["k_rate"] > 0
-    return (strict and all(v >= 0 for k, v in m.items() if k != "k_rate")
-            and all(r[0] >= 0 for r in _residuals(params, np.array([params.eta]), 0.0)))
+    """The closed forms hold (`k_rate` strictly), then every edge residual
+    is finite and nonnegative."""
+    m = _closed_forms(params)
+    return (m.pop("k_rate") > 0 and all(v >= 0 for v in m.values())
+            and all(0 <= r < math.inf for r in _edge(params)))
 
 
 def _largest_admissible_delta(make, hi: float) -> float:
@@ -191,14 +199,15 @@ def find_barrier_params(
     C = max(data_sup, data_sup * rho) / (1.0 - math.exp(-K * rho))
 
     def make(delta: float) -> BarrierParams:
-        return BarrierParams(
-            rho=rho, delta=delta, eta=delta, beta=beta, K=K, C=C,
-            p=p, q=q, N=N, grad_g=grad_g, hess_g=hess_g, g_sup=g_sup,
-            g_min=g_min, data_sup=data_sup,
-        )
+        return BarrierParams(rho=rho, delta=delta, eta=delta, beta=beta, K=K, C=C, p=p, q=q, N=N,
+                             grad_g=grad_g, hess_g=hess_g, g_sup=g_sup, g_min=g_min,
+                             data_sup=data_sup)
 
     try:
-        return make(_largest_admissible_delta(make, rho))
+        # an edge residual of a delta near the float floor overflows: it is
+        # inadmissible (`is_admissible`), not a warning to print
+        with np.errstate(over="ignore", invalid="ignore"):
+            return make(_largest_admissible_delta(make, rho))
     except OverflowError:
         raise NoAdmissibleParams(
             f"no admissible delta within the float range for p={p}, q={q}, N={N}"
@@ -208,17 +217,6 @@ def find_barrier_params(
 def _kappas(p: float) -> tuple[float, ...]:
     # endpoints + midpoint of the admissible diffusivity-ratio range [0, p-2]
     return tuple(f * (p - 2.0) for f in (0.0, 0.5, 1.0))
-
-
-@dataclass(frozen=True)
-class SupersolutionCertificate:
-    min_residual: float
-    ret_min: float
-    ing_min: float
-    inegs_min: float
-    jal_min: float
-    per_kappa: dict
-    certified: bool
 
 
 def certify_sampling(eps_values, n_radial: int) -> list[float]:
@@ -243,7 +241,7 @@ def _residuals(params: BarrierParams, s: np.ndarray, eps: float) -> list[np.ndar
     by sqrt(N) |D2 g|), and sweeps the diffusivity ratio kappa over the
     endpoints and midpoint of [0, p-2]. Every residual is elementwise in s."""
     p, q, N = params.p, params.q, params.N
-    d, b, rho = params.delta, params.beta, params.rho
+    d, b, rho, h = params.delta, params.beta, params.rho, params.hess_g
     fp = phi_prime(s, d, b)
     fpp = phi_second(s, d, b)
     w_hi = fp + params.grad_g
@@ -252,65 +250,30 @@ def _residuals(params: BarrierParams, s: np.ndarray, eps: float) -> list[np.ndar
     sqrt_n = math.sqrt(N)
     residuals = []
     for kappa in _kappas(p):
-        bracket = (
-            -fpp
-            - ((N - 1.0 + kappa) / rho) * fp
-            - sqrt_n * params.hess_g
-            - kappa * params.hess_g
-        )
+        bracket = -fpp - ((N - 1.0 + kappa) / rho) * fp - sqrt_n * h - kappa * h
         w_pick = np.where(bracket >= 0, w_lo, w_hi)
         diff = np.power(w_pick * w_pick + eps, (p - 2.0) / 2.0) * bracket
         residuals.append(diff - rhs)
     base = b * d * np.power(s + d, -b - 2.0)
     ing = base - 4.0 ** (q - p + 3.0) * np.power(s + d, -b * (q - p + 2.0))
-    inegs = base - 4.0 * (p - 2.0 + sqrt_n) * params.hess_g
+    inegs = base - 4.0 * (p - 2.0 + sqrt_n) * h
     return residuals + [ing, inegs, fp - params.grad_g]
 
 
-def supersolution_residual(
-    params: BarrierParams, eps: float, n_radial: int = 10000
-) -> SupersolutionCertificate:
+def supersolution_residual(params: BarrierParams, eps: float, n_radial: int = 10000) -> dict:
     """Worst-case residuals of the collar supersolution on [rho, rho+eta]:
-    the minimum of each of `_residuals` over n_radial offsets from 0 to eta."""
+    the minimum of each of `_residuals` over n_radial offsets from 0 to eta,
+    `ret` per kappa (keyed by its repr) and over the sweep."""
     certify_sampling((eps,), n_radial)
     s = np.linspace(0.0, params.eta, n_radial)
-    *ret, ing, inegs, jal = _residuals(params, s, eps)
-
-    per_kappa = {kappa: float(np.min(res)) for kappa, res in zip(_kappas(params.p), ret)}
-    ret_min = min(per_kappa.values())
-    ing_min = float(np.min(ing))
-    inegs_min = float(np.min(inegs))
-    jal_min = float(np.min(jal))
-    min_residual = min(ret_min, ing_min, inegs_min, jal_min)
-    return SupersolutionCertificate(
-        min_residual=min_residual,
-        ret_min=ret_min,
-        ing_min=ing_min,
-        inegs_min=inegs_min,
-        jal_min=jal_min,
-        per_kappa=per_kappa,
-        certified=min_residual >= 0.0,
-    )
+    *ret, ing, inegs, jal = (float(np.min(r)) for r in _residuals(params, s, eps))
+    ret_min = min(ret)
+    return {"min_residual": min(ret_min, ing, inegs, jal), "ret_min": ret_min,
+            "ing_min": ing, "inegs_min": inegs, "jal_min": jal,
+            "per_kappa": {repr(kappa): v for kappa, v in zip(_kappas(params.p), ret)}}
 
 
-@dataclass(frozen=True)
-class ExpBarrierCertificate:
-    min_residual: float
-    min_diffusion_term: float
-    k_condition_ok: bool
-    certified: bool
-
-
-def exp_barrier_residual(
-    C: float,
-    K: float,
-    rho: float,
-    p: float,
-    q: float,
-    N: int,
-    eps: float,
-    n_radial: int = 10000,
-) -> ExpBarrierCertificate:
+def exp_barrier_residual(params: BarrierParams, eps: float, n_radial: int = 10000) -> dict:
     """Residual of (C^2 K^2 + 1)^(q/2) t + C (1 - e^(-K(r-rho))) + |g|_inf.
 
     The profile is affine in time and |g|_inf enters additively, so the
@@ -318,10 +281,7 @@ def exp_barrier_residual(
     kappa sweep; reports the minimum residual and the minimum of the
     diffusion term, whose sign is what K > (N+p-3)/rho guarantees.
     """
-    if not (C > 0 and K > 0 and rho > 0):
-        raise ValueError("C, K, rho must be positive")
-    if eps < 0:
-        raise ValueError("requires eps >= 0")
+    C, K, rho, p, q, N = params.C, params.K, params.rho, params.p, params.q, params.N
     r = np.linspace(rho, 2.0 * rho, n_radial)
     s = r - rho
     psi_p = C * K * np.exp(-K * s)
@@ -337,14 +297,11 @@ def exp_barrier_residual(
         min_diff = min(min_diff, float(np.min(diff)))
         res = time_term + diff - source
         min_res = min(min_res, float(np.min(res)))
-
-    k_ok = K > (N + p - 3.0) / rho
-    return ExpBarrierCertificate(
-        min_residual=min_res,
-        min_diffusion_term=min_diff,
-        k_condition_ok=k_ok,
-        certified=min_res >= 0.0 and k_ok,
-    )
+    return {
+        "min_residual": min_res,
+        "min_diffusion_term": min_diff,
+        "k_condition_ok": K > (N + p - 3.0) / rho,
+    }
 
 
 def collar_lipschitz_bound(params: BarrierParams) -> float:
@@ -370,42 +327,16 @@ def certify(
     residual is nonnegative and the parameters are admissible.
     `certify_sampling` checks eps_values and n_radial."""
     eps_values = certify_sampling(eps_values, n_radial)
-    sup_reports = {}
-    exp_reports = {}
-    all_ok = True
-    for eps in eps_values:
-        cert = supersolution_residual(params, eps, n_radial)
-        sup_reports[repr(float(eps))] = {
-            "min_residual": cert.min_residual,
-            "ret_min": cert.ret_min,
-            "ing_min": cert.ing_min,
-            "inegs_min": cert.inegs_min,
-            "jal_min": cert.jal_min,
-            "per_kappa": {repr(float(k)): v for k, v in cert.per_kappa.items()},
-        }
-        ecert = exp_barrier_residual(
-            params.C, params.K, params.rho, params.p, params.q, params.N,
-            eps, n_radial=n_radial,
-        )
-        exp_reports[repr(float(eps))] = {
-            "min_residual": ecert.min_residual,
-            "min_diffusion_term": ecert.min_diffusion_term,
-            "k_condition_ok": ecert.k_condition_ok,
-        }
-        all_ok = all_ok and cert.certified and ecert.certified
-
+    sup = {repr(eps): supersolution_residual(params, eps, n_radial) for eps in eps_values}
+    exp = {repr(eps): exp_barrier_residual(params, eps, n_radial) for eps in eps_values}
+    ok = (all(r["min_residual"] >= 0.0 for r in sup.values())
+          and all(r["min_residual"] >= 0.0 and r["k_condition_ok"] for r in exp.values()))
     return {
-        "params": {
-            "rho": params.rho, "delta": params.delta, "eta": params.eta,
-            "beta": params.beta, "K": params.K, "C": params.C,
-            "p": params.p, "q": params.q, "N": params.N,
-            "grad_g": params.grad_g, "hess_g": params.hess_g,
-            "g_sup": params.g_sup,
-        },
+        "params": asdict(params),
         "invariant_margins": check_invariants(params),
         "collar_lipschitz_bound": collar_lipschitz_bound(params),
         "t0_window": t0_window(params),
-        "supersolution": sup_reports,
-        "exp_barrier": exp_reports,
-        "certified": bool(all_ok and is_admissible(params)),
+        "supersolution": sup,
+        "exp_barrier": exp,
+        "certified": bool(ok and is_admissible(params)),
     }

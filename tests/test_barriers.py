@@ -110,10 +110,15 @@ def test_found_params_bitwise_reproducible():
     assert a == b
 
 
+def scaled_delta(params: BarrierParams, factor: float) -> BarrierParams:
+    """params with delta and the tied collar width eta scaled by factor."""
+    return replace(params, delta=params.delta * factor, eta=params.eta * factor)
+
+
 def test_shrinking_admissible_delta_stays_admissible():
     params = find_barrier_params(3.0, 4.0, 2, 0.5, g_norms=(0.1, 0.2, 0.3))
     for factor in (0.5, 0.1, 1e-3):
-        assert is_admissible(params.scaled_delta(factor))
+        assert is_admissible(scaled_delta(params, factor))
 
 
 def test_nonzero_g_norms_shrink_delta():
@@ -137,8 +142,9 @@ def test_invalid_exponents_rejected():
     ({"data_sup": math.nan}, "data norms and g_min must be finite and nonnegative"),
     ({"g_norms": (0.0, math.inf, 0.0)}, "data norms and g_min must be finite and nonnegative"),
     ({"g_norms": (1e300, 0.0, 0.0)}, "no admissible delta within the float range"),
+    ({"g_norms": (0.0, 1e300, 0.0)}, "no admissible delta within the float range"),
 ], ids=["q_inf", "g_min_nan", "g_min_negative", "data_sup_nan", "hess_g_inf",
-        "grad_g_overflow"])
+        "grad_g_overflow", "hess_g_overflow"])
 def test_search_rejects_nonfinite_or_overflowing_input(kwargs, message):
     args = {"p": 3.0, "q": 4.0, "N": 1, "rho": 0.5, **kwargs}
     with pytest.raises(ValueError, match=message):
@@ -197,8 +203,8 @@ def test_supersolution_certified_for_all_eps(p, q, n_dim):
     params = find_barrier_params(p, q, n_dim, 0.5)
     for eps in (0.0, 1e-3, 1e-1, 1.0):
         cert = supersolution_residual(params, eps, 2000)
-        assert cert.certified, f"eps={eps}: min residual {cert.min_residual}"
-        assert all(v >= 0 for v in cert.per_kappa.values())
+        assert cert["min_residual"] >= 0.0, f"eps={eps}: min residual {cert['min_residual']}"
+        assert all(v >= 0 for v in cert["per_kappa"].values())
 
 
 def test_supersolution_certified_on_eps_net():
@@ -206,21 +212,21 @@ def test_supersolution_certified_on_eps_net():
     # [0, 1] stays certified
     params = find_barrier_params(3.0, 4.0, 2, 0.5)
     for eps in np.linspace(0.0, 1.0, 11):
-        assert supersolution_residual(params, float(eps), 500).certified
+        assert supersolution_residual(params, float(eps), 500)["min_residual"] >= 0.0
 
 
 def test_supersolution_kappa_endpoints_nonnegative():
     params = find_barrier_params(3.0, 4.0, 1, 0.5)
     cert = supersolution_residual(params, 0.0, 2000)
-    assert cert.per_kappa[0.0] >= 0.0
-    assert cert.per_kappa[params.p - 2.0] >= 0.0
+    assert cert["per_kappa"][repr(0.0)] >= 0.0
+    assert cert["per_kappa"][repr(params.p - 2.0)] >= 0.0
 
 
 def test_supersolution_inflated_delta_fails():
-    params = find_barrier_params(3.0, 4.0, 1, 0.5)
-    cert = supersolution_residual(params.scaled_delta(100.0), 0.0, 2000)
-    assert cert.min_residual < 0.0
-    assert not cert.certified
+    inflated = scaled_delta(find_barrier_params(3.0, 4.0, 1, 0.5), 100.0)
+    cert = supersolution_residual(inflated, 0.0, 2000)
+    assert cert["min_residual"] < 0.0
+    assert not certify(inflated, eps_values=(0.0,), n_radial=2000)["certified"]
 
 
 def test_supersolution_rejects_eps_outside_unit():
@@ -231,26 +237,38 @@ def test_supersolution_rejects_eps_outside_unit():
 
 # -- exponential comparison function -----------------------------------------------
 
+def exp_params(C, K, rho, p, q, N) -> BarrierParams:
+    """Parameters with the outer function's C, K, rho, p, q and N; the
+    collar's delta, eta and beta do not enter its residual."""
+    return BarrierParams(rho=rho, delta=1e-6, eta=1e-6, beta=beta_exponent(p, q), K=K, C=C,
+                         p=p, q=q, N=N)
+
+
+def exp_certified(cert: dict) -> bool:
+    """The exp-barrier part of `certify`'s verdict for one eps."""
+    return cert["min_residual"] >= 0.0 and cert["k_condition_ok"]
+
+
 def test_exp_barrier_valid_k_certifies():
-    cert = exp_barrier_residual(2.0, 5.0, 0.5, 3.0, 4.0, 2, eps=0.0, n_radial=2000)
-    assert cert.k_condition_ok
-    assert cert.min_diffusion_term >= 0.0
-    assert cert.min_residual >= 0.0
-    assert cert.certified
+    cert = exp_barrier_residual(exp_params(2.0, 5.0, 0.5, 3.0, 4.0, 2), eps=0.0, n_radial=2000)
+    assert cert["k_condition_ok"]
+    assert cert["min_diffusion_term"] >= 0.0
+    assert cert["min_residual"] >= 0.0
+    assert exp_certified(cert)
 
 
 def test_exp_barrier_low_k_reported_failed():
     # (N+p-3)/rho = 4 for N=2, p=3, rho=0.5; K below it fails the K check
-    cert = exp_barrier_residual(2.0, 3.9, 0.5, 3.0, 4.0, 2, eps=0.0, n_radial=500)
-    assert not cert.k_condition_ok
-    assert not cert.certified
+    cert = exp_barrier_residual(exp_params(2.0, 3.9, 0.5, 3.0, 4.0, 2), eps=0.0, n_radial=500)
+    assert not cert["k_condition_ok"]
+    assert not exp_certified(cert)
 
 
 def test_exp_barrier_time_term_dominates_source():
     # |grad| <= C K, so the time term beats the source for every eps in [0,1]
     for eps in (0.0, 0.5, 1.0):
-        cert = exp_barrier_residual(3.0, 8.0, 0.5, 3.5, 4.2, 1, eps=eps, n_radial=500)
-        assert cert.min_residual >= 0.0
+        cert = exp_barrier_residual(exp_params(3.0, 8.0, 0.5, 3.5, 4.2, 1), eps=eps, n_radial=500)
+        assert cert["min_residual"] >= 0.0
 
 
 # -- Lipschitz bound and T0 window ---------------------------------------------------

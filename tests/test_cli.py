@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 from gbulab import fieldio
-from gbulab.cli import _VERBS, ConfigError, canonical_text, dispatch, main, parse_config
+from gbulab.barriers import BarrierParams, certify
+from gbulab.cli import (
+    _VERBS, ConfigError, _sanitize, canonical_text, dispatch, main, parse_config,
+)
 from gbulab.schema import SchemaError, load_schema, validate
 from gbulab.spectral import principal_eigenpair
 from gbulab.stepping import MONITOR_COLUMNS, epsilon_continuation, read_monitors_csv, run
@@ -378,6 +381,22 @@ def test_certify_barrier_certifies_the_delta_its_search_returns(tmp_path, grad_g
     code = main(["certify-barrier", "--config", str(path), "--out", str(out)])
     assert code != 1, json.loads((out / "barrier_certificate.json").read_text())["supersolution"]
     assert code in (0, 2, 3)
+
+
+def test_barrier_certificate_recertifies_from_its_own_params(tmp_path):
+    # a certificate's params are every number it was computed from: certifying
+    # them again with its sampling gives the same certificate. With a constant
+    # g = 0.5 the T0 window depends on g_min, so a certificate without it
+    # rebuilds the window as 0.0
+    eps_values, n_radial = (0.0, 1e-3, 0.1, 1.0), 2000
+    path = write_cfg(tmp_path, BARRIER_CFG + "g_sup = 0.5\ng_min = 0.5\n"
+                     "eps_values = 0, 1e-3, 0.1, 1\nn_radial = 2000\n")
+    out = tmp_path / "out"
+    assert main(["certify-barrier", "--config", str(path), "--out", str(out)]) == 0
+    doc = json.loads((out / "barrier_certificate.json").read_text())
+    assert doc["t0_window"] > 0.0
+    rebuilt = certify(BarrierParams(**doc["params"]), eps_values=eps_values, n_radial=n_radial)
+    assert _sanitize(rebuilt) == doc
 
 
 CONTINUATION_CFG = """

@@ -16,7 +16,7 @@ A mutant is caught when pytest reports a failed test (exit code 1).
 The exit code is 0 when every mutant run is caught, 1 when one survives or
 its edit no longer applies (its old text must occur exactly once in the
 file), and 2 when a listed test fails on the unchanged checkout. A full
-run starts 25 pytest processes, one after another (20-60 s on 2 cores).
+run starts 27 pytest processes, one after another (20-60 s on 2 cores).
 Run it after changing a check or the code a mutant edits, and add a
 mutant with each new check.
 """
@@ -135,10 +135,20 @@ MUTANTS = (
            "return _unpack_fields(Path(path).read_bytes())[:-1]",
            ("tests/test_fieldio.py::test_multi_record_roundtrip_bit_exact",)),
     Mutant("barrier_search_skips_the_edge_residuals", "src/gbulab/barriers.py",
-           "and all(r[0] >= 0 for r in _residuals(params, np.array([params.eta]), 0.0))",
-           "and True",
+           "and all(0 <= r < math.inf for r in _edge(params))", "and True",
            ("tests/test_cli.py::test_certify_barrier_certifies_the_delta_its_search_returns"
             "[50.0-1.0]",)),
+    Mutant("barrier_edge_admits_an_overflowed_residual", "src/gbulab/barriers.py",
+           "and all(0 <= r < math.inf for r in _edge(params))",
+           "and all(0 <= r for r in _edge(params))",
+           ("tests/test_barriers.py::test_search_rejects_nonfinite_or_overflowing_input"
+            "[hess_g_overflow]",
+            "tests/test_cli.py::test_main_value_rejected_by_constructor_exit_2_before_any_run"
+            "[barrier_hess_g_overflow]")),
+    Mutant("certificate_params_without_data_norms", "src/gbulab/barriers.py",
+           '"params": asdict(params),',
+           '"params": {k: v for k, v in asdict(params).items() if k not in ("g_min", "data_sup")},',
+           ("tests/test_cli.py::test_barrier_certificate_recertifies_from_its_own_params",)),
     Mutant("gamma_star_as_p_minus_2_over_q_minus_p_plus_1", "src/gbulab/problem.py",
            "return 1.0 / (q - p + 1.0)", "return (p - 2.0) / (q - p + 1.0)",
            ("tests/test_analysis.py::test_profile_check_rejects_an_unstable_envelope"
